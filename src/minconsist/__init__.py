@@ -38,6 +38,7 @@ from .core import (
     NonDisjointValueSets,
     NumericKind,
     OrdinalKind,
+    Param,
     ParseError,
     PointwiseHypothesis,
     ProblemStatement,
@@ -54,13 +55,10 @@ from .core import (
     describe_hypothesis,
     erm_total_inconsistency,
     family_names,
-    hypothetical_cases,
-    merged_cases,
     reencode_labels,
     require_labels,
     select_hypothesis,
     training_set,
-    validate_training_set,
 )
 from .pointwise import (
     DtreeLearner,

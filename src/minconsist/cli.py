@@ -10,17 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Sequence
 
+from . import get_learner
 from .core import (
-    FeatureVector,
+    InvalidParameter,
     LinearHypothesis,
     MinconsistError,
-    PointwiseHypothesis,
+    Param,
     ProblemStatement,
     TrainingDataMismatch,
     TrainingSet,
     YKind,
+    family_names,
     family_spec,
     select_hypothesis,
 )
@@ -33,52 +36,17 @@ from .dataio import (
     load_queries,
     save_model,
 )
-from .linear import ErmLearner, SvmLearner, SvrLearner
 from .oracle import CheckBudget, run_all_checks
-from .pointwise import (
-    FixedRadius,
-    KNearest,
-    NeighborhoodSpec,
-    TreeConfig,
-    TreePartition,
-    dtree_build,
-    dtree_predict,
-    knn_predict,
-    nb_predict,
-    smoothing_case_inconsistency,
-    smoothing_counterparts,
-    smoothing_fit,
-)
+from .pointwise import pointwise_answer, pointwise_fit
 
-POINTWISE_FAMILIES = ("smoothing", "knn", "dtree", "nb")
-LINEAR_LEARNERS = {"svm": SvmLearner(), "svr": SvrLearner(), "erm": ErmLearner()}
 
-# Which option goes with which learner, for usage-level validation.
-_FAMILY_OPTIONS = {
-    "smoothing": {"k", "radius", "metric"},
-    "knn": {"k", "metric"},
-    "dtree": {"max_depth", "min_leaf", "purity"},
-    "nb": set(),
-    "svm": {"w"},
-    "svr": {"epsilon", "lam"},
-    "erm": set(),
-}
-_FAMILY_REQUIRED = {
-    "knn": {"k"},
-    "svm": {"w"},
-    "svr": {"epsilon", "lam"},
-}
-_FLAG_NAMES = {
-    "k": "--k",
-    "radius": "--radius",
-    "metric": "--metric",
-    "max_depth": "--max-depth",
-    "min_leaf": "--min-leaf",
-    "purity": "--purity",
-    "w": "--w",
-    "epsilon": "--epsilon",
-    "lam": "--lambda",
-}
+def _train_params() -> tuple[Param, ...]:
+    """Every family's ``train`` parameters, each once."""
+    found: dict[str, Param] = {}
+    for name in family_names():
+        for param in family_spec(name).file_params:
+            found.setdefault(param.key, param)
+    return tuple(found.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,24 +57,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="fit a learner and write a model file")
-    train.add_argument(
-        "--learner",
-        required=True,
-        choices=("smoothing", "knn", "dtree", "nb", "svm", "svr", "erm"),
-    )
+    train.add_argument("--learner", required=True, choices=family_names())
     train.add_argument("--data", required=True, help="training dataset (CSV with header)")
     train.add_argument("--target", help="feedback column name (default: last column)")
     train.add_argument("--schema", help="sidecar schema file (JSON)")
     train.add_argument("--out", required=True, help="model file to write")
-    train.add_argument("--k", type=int, help="neighborhood size (smoothing, knn)")
-    train.add_argument("--radius", type=float, help="neighborhood radius (smoothing)")
-    train.add_argument("--metric", choices=("euclidean", "manhattan"))
-    train.add_argument("--w", type=float, help="weight-norm coefficient (svm)")
-    train.add_argument("--epsilon", type=float, help="tube half-width (svr)")
-    train.add_argument("--lambda", dest="lam", type=float, help="regularization (svr)")
-    train.add_argument("--max-depth", type=int, help="tree depth limit (dtree)")
-    train.add_argument("--min-leaf", type=int, help="minimum leaf size (dtree)")
-    train.add_argument("--purity", type=float, help="purity stopping threshold (dtree)")
+    for param in _train_params():
+        users = [name for name in family_names() if param in family_spec(name).params]
+        train.add_argument(
+            param.flag,
+            dest=param.key,
+            type=param.type,
+            choices=param.choices or None,
+            help=f"{param.help} ({', '.join(users)})",
+        )
 
     predict = sub.add_parser("predict", help="answer query rows with a saved model")
     predict.add_argument("--model", required=True)
@@ -126,70 +90,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_train_usage(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if args.k is not None and args.k < 1:
-        parser.error("--k must be >= 1")
-    if args.radius is not None and args.radius <= 0:
-        parser.error("--radius must be > 0")
-    if args.w is not None and args.w <= 0:
-        parser.error("--w must be > 0")
-    if args.epsilon is not None and args.epsilon < 0:
-        parser.error("--epsilon must be >= 0")
-    if args.lam is not None and args.lam < 0:
-        parser.error("--lambda must be >= 0")
-    if args.max_depth is not None and args.max_depth < 1:
-        parser.error("--max-depth must be >= 1")
-    if args.min_leaf is not None and args.min_leaf < 1:
-        parser.error("--min-leaf must be >= 1")
-    if args.purity is not None and not 0.0 <= args.purity <= 0.5:
-        parser.error("--purity must lie in [0, 0.5]")
+def _train_values(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """The parameters the model saves: the flags given, defaults made explicit.
 
-    family = args.learner
-    allowed = _FAMILY_OPTIONS[family]
-    given = {
-        name for name in _FLAG_NAMES if getattr(args, name) is not None
-    }
-    stray = given - allowed
-    if stray:
-        flags = ", ".join(sorted(_FLAG_NAMES[name] for name in stray))
-        parser.error(f"{flags} not applicable to learner {family!r}")
-    missing = _FAMILY_REQUIRED.get(family, set()) - given
-    if missing:
-        flags = ", ".join(sorted(_FLAG_NAMES[name] for name in missing))
-        parser.error(f"learner {family!r} requires {flags}")
-    if family == "smoothing" and len(given & {"k", "radius"}) != 1:
-        parser.error("smoothing requires exactly one of --k or --radius")
-
-
-def _family_params(args: argparse.Namespace) -> dict:
-    """The parameter vector saved with the model, defaults made explicit."""
-    family = args.learner
-    if family == "smoothing":
-        params: dict = {}
-        if args.k is not None:
-            params["k"] = args.k
-        else:
-            params["radius"] = args.radius
-        params["metric"] = args.metric or "euclidean"
-        return params
-    if family == "knn":
-        return {"k": args.k, "metric": args.metric or "euclidean"}
-    if family == "dtree":
-        cfg = TreeConfig(
-            max_depth=args.max_depth if args.max_depth is not None else 8,
-            min_leaf_size=args.min_leaf if args.min_leaf is not None else 1,
-            purity_threshold=args.purity if args.purity is not None else 0.0,
-        )
-        return {
-            "max_depth": cfg.max_depth,
-            "min_leaf_size": cfg.min_leaf_size,
-            "purity_threshold": cfg.purity_threshold,
-        }
-    if family == "svm":
-        return {"w": args.w}
-    if family == "svr":
-        return {"epsilon": args.epsilon, "lambda": args.lam}
-    return {}
+    A flag the learner does not take, a missing one, or a value out of
+    range is a usage error.
+    """
+    spec = family_spec(args.learner)
+    params = _train_params()
+    given = {p.key: getattr(args, p.key) for p in params if getattr(args, p.key) is not None}
+    flags = {p.key: p.flag for p in params}
+    try:
+        spec.check(given, spec.file_params, name=flags.__getitem__)
+    except InvalidParameter as exc:
+        parser.error(str(exc))
+    return spec.complete(given, spec.file_params)
 
 
 def _infer_y_kind(training: TrainingSet, family: str) -> YKind:
@@ -215,41 +130,6 @@ def _infer_y_kind(training: TrainingSet, family: str) -> YKind:
     )
 
 
-def _neighborhood_from_params(params: dict) -> NeighborhoodSpec:
-    metric = params.get("metric", "euclidean")
-    if "k" in params:
-        return NeighborhoodSpec(KNearest(params["k"]), metric)
-    return NeighborhoodSpec(FixedRadius(params["radius"]), metric)
-
-
-def _pointwise_eval(
-    family: str,
-    params: dict,
-    tree: TreePartition | None,
-    training: TrainingSet,
-    x0: FeatureVector,
-) -> tuple[float, float, int]:
-    """(prediction, query inconsistency, counterpart count) at one query."""
-    if family == "smoothing":
-        spec = _neighborhood_from_params(params)
-        counterparts = smoothing_counterparts(x0, training, spec)
-        h = smoothing_fit(x0, training, spec)
-        mu = smoothing_case_inconsistency(h.value, counterparts)
-        return h.value, mu, len(counterparts.members)
-    if family == "knn":
-        label, report = knn_predict(
-            x0, training, params["k"], params.get("metric", "euclidean")
-        )
-        return label, report.total, report.entries[0].counterpart_count
-    if family == "dtree":
-        assert tree is not None
-        label, report = dtree_predict(x0, tree, training)
-        return label, report.total, report.entries[0].counterpart_count
-    label, report = nb_predict(x0, training)
-    count = sum(entry.counterpart_count for entry in report.entries)
-    return label, report.total, count
-
-
 def _fmt_float(v: float) -> str:
     return repr(float(v))
 
@@ -271,49 +151,35 @@ def _echo_params(family: str, params: dict, dataset: Dataset, total: float, out:
     print(f"model={out}")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace, params: dict) -> int:
     dataset = load_dataset(args.data, target=args.target, schema_path=args.schema)
     family = args.learner
-    params = _family_params(args)
-    y_kind = _infer_y_kind(dataset.training, family)
+    training = dataset.training
+    y_kind = _infer_y_kind(training, family)
+    model = Model(
+        family=family,
+        params=params,
+        feature_names=dataset.feature_names,
+        schema=dataset.schema,
+        target_name=dataset.target_name,
+        y_kind=y_kind,
+    )
 
-    if family in POINTWISE_FAMILIES:
-        tree = None
-        if family == "dtree":
-            tree = dtree_build(dataset.training, TreeConfig(**params))
+    if family_spec(family).pointwise:
+        # The parameters were checked as flags and every vector by the loader.
+        tree = pointwise_fit(family, params, training)
         total = 0.0
-        for case in dataset.training.cases:
-            # Constructing the statement validates params against the family.
-            ProblemStatement(dataset.schema, y_kind, family, {**params, "x0": case.x})
-            _, mu, _ = _pointwise_eval(family, params, tree, dataset.training, case.x)
+        for case in training.cases:
+            _, mu, _ = pointwise_answer(family, params, tree, training, case.x)
             total += mu
-        model = Model(
-            family=family,
-            params=params,
-            feature_names=dataset.feature_names,
-            schema=dataset.schema,
-            target_name=dataset.target_name,
-            y_kind=y_kind,
-            tree=tree,
-            training_hash=dataset.content_hash,
-            total_inconsistency=total,
+        model = replace(
+            model, tree=tree, training_hash=dataset.content_hash, total_inconsistency=total
         )
     else:
         problem = ProblemStatement(dataset.schema, y_kind, family, params)
-        hypothesis, report = select_hypothesis(
-            LINEAR_LEARNERS[family], problem, dataset.training
-        )
+        hypothesis, report = select_hypothesis(get_learner(family), problem, training)
         total = report.total
-        model = Model(
-            family=family,
-            params=params,
-            feature_names=dataset.feature_names,
-            schema=dataset.schema,
-            target_name=dataset.target_name,
-            y_kind=y_kind,
-            hypothesis=hypothesis,
-            total_inconsistency=total,
-        )
+        model = replace(model, hypothesis=hypothesis, total_inconsistency=total)
 
     save_model(model, args.out)
     _echo_params(family, params, dataset, total, args.out)
@@ -333,14 +199,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     queries = load_queries(args.queries, model.feature_names, model.schema)
 
-    if model.family in POINTWISE_FAMILIES:
+    if family_spec(model.family).pointwise:
         if args.data is None:
             raise TrainingDataMismatch(
                 f"{model.family} answers queries from its training data; pass --data"
             )
         dataset = _require_matching_data(model, args.data)
         for x0 in queries:
-            value, _, _ = _pointwise_eval(
+            value, _, _ = pointwise_answer(
                 model.family, model.params, model.tree, dataset.training, x0
             )
             print(_fmt_prediction(value))
@@ -359,11 +225,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     dataset = _require_matching_data(model, args.data)
     training = dataset.training
 
-    if model.family in POINTWISE_FAMILIES:
+    if family_spec(model.family).pointwise:
         rows = []
         total = 0.0
         for idx, case in enumerate(training.cases, start=1):
-            _, mu, count = _pointwise_eval(
+            _, mu, count = pointwise_answer(
                 model.family, model.params, model.tree, training, case.x
             )
             total += mu
@@ -390,7 +256,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 f"model for {model.family!r} carries no hypothesis"
             )
         problem = ProblemStatement(model.schema, model.y_kind, model.family, model.params)
-        report = LINEAR_LEARNERS[model.family].report(f, problem, training)
+        report = get_learner(model.family).report(f, problem, training)
         rows = [
             {
                 "case": idx,
@@ -431,8 +297,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "train":
-            _check_train_usage(args, parser)
-            return cmd_train(args)
+            return cmd_train(args, _train_values(args, parser))
         if args.command == "predict":
             return cmd_predict(args)
         if args.command == "audit":

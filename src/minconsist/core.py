@@ -10,8 +10,9 @@ smallest.
 
 This module owns the data model (feature vectors, cases, training sets,
 schemas), the hypothesis variants, the per-case report structure, the
-problem statement with its per-family parameter registry, and the one
-argmin entry point, :func:`select_hypothesis`, that all learners share.
+family registry that describes every learner's parameters once, the
+problem statement checked against it, and the one argmin,
+:func:`least_inconsistent`, behind :func:`select_hypothesis`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +356,6 @@ def _kind_bucket(value: FeatureValue) -> str:
     return "symbol" if isinstance(value, str) else "number"
 
 
-def validate_training_set(
-    cases: Iterable[Case], schema: FeatureSchema | None = None
-) -> TrainingSet:
-    """Check case hygiene and wrap the cases as a :class:`TrainingSet`.
-
-    Rejects empty input, mixed per-position value kinds, duplicate
-    feature vectors, and, when ``schema`` is given, any value outside
-    its declared column kind.
-    """
-    training = TrainingSet(tuple(cases))
-    if schema is not None:
-        for case in training.cases:
-            schema.validate_vector(case.x)
-    return training
-
-
 def training_set(pairs: Iterable[tuple[Sequence[FeatureValue], float]]) -> TrainingSet:
     """Build a training set from ``(feature values, feedback)`` pairs."""
     return TrainingSet(tuple(Case(FeatureVector(tuple(xs)), y) for xs, y in pairs))
@@ -553,18 +538,137 @@ def aggregate_mus(mus: Sequence[float], aggregation: Aggregation) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Problem statements
+# The family registry
+
+
+class _Required:
+    """The default of a parameter that has none and must be given."""
+
+    def __repr__(self) -> str:
+        return "REQUIRED"
+
+
+REQUIRED = _Required()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One learner parameter, described once for the library, the CLI and model files.
+
+    ``key`` names it in problem statements and model files; ``flag`` is
+    the ``train`` option that sets it, or ``None`` for a library-only
+    parameter, which model files do not record.  The range rule is
+    ``low <= value`` (``low < value`` when ``strict``), ``value <= high``
+    and ``value in choices``; NaN meets no bound.
+    """
+
+    key: str
+    flag: str | None
+    type: type
+    default: object = REQUIRED
+    low: float | None = None
+    strict: bool = False
+    high: float | None = None
+    choices: tuple[str, ...] = ()
+    help: str = ""
+
+    @property
+    def required(self) -> bool:
+        return self.default is REQUIRED
+
+    @property
+    def rule(self) -> str:
+        """The type and range rule in words."""
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        noun = {int: "an integer", float: "a number"}.get(self.type, f"a {self.type.__name__}")
+        if self.high is not None:
+            return f"{noun} in [{self.low:g}, {self.high:g}]"
+        if self.low is not None:
+            return f"{noun} {'>' if self.strict else '>='} {self.low:g}"
+        return noun
+
+    def check(self, value: object, name: str | None = None) -> None:
+        """Raise :class:`InvalidParameter` unless ``value`` meets the rule."""
+        fits = isinstance(value, (int, float) if self.type is float else self.type)
+        fits = fits and not isinstance(value, bool)
+        if fits and self.choices:
+            fits = value in self.choices
+        if fits and self.low is not None:
+            fits = value > self.low if self.strict else value >= self.low
+        if fits and self.high is not None:
+            fits = value <= self.high
+        if not fits:
+            raise InvalidParameter(f"{name or self.key} must be {self.rule}, got {value!r}")
+
+
+X0 = Param("x0", None, FeatureVector)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Registry row describing one hypothesis family's parameters."""
+    """Registry row: the one description of a hypothesis family.
+
+    ``params`` lists the family's parameters in model-file order.
+    ``one_of`` names parameters of which exactly one must be given;
+    none of them is required on its own.
+    """
 
     name: str
-    required: frozenset[str]
-    optional: frozenset[str]
+    params: tuple[Param, ...]
     y_kinds: frozenset[YKind]
-    check: Callable[[Mapping[str, object]], None]
+    one_of: tuple[str, ...] = ()
+
+    @property
+    def pointwise(self) -> bool:
+        """Whether the family answers at a query point: its statement requires ``x0``."""
+        return X0 in self.params
+
+    @property
+    def file_params(self) -> tuple[Param, ...]:
+        """The parameters that ``train`` sets and model files record."""
+        return tuple(p for p in self.params if p.flag is not None)
+
+    def check(
+        self,
+        values: Mapping[str, object],
+        params: Sequence[Param] | None = None,
+        name: Callable[[str], str] = str,
+    ) -> None:
+        """Raise :class:`InvalidParameter` for an unknown, missing or out-of-range value.
+
+        ``params`` defaults to all of the family's parameters; ``name``
+        turns a key into the word that messages use for it.
+        """
+        by_key = {p.key: p for p in (self.params if params is None else params)}
+        unknown = sorted(name(key) for key in values if key not in by_key)
+        if unknown:
+            raise InvalidParameter(
+                f"{', '.join(unknown)} not applicable to learner {self.name!r}"
+            )
+        missing = [
+            name(key) for key, p in by_key.items()
+            if p.required and key not in self.one_of and key not in values
+        ]
+        if missing:
+            raise InvalidParameter(f"learner {self.name!r} requires {', '.join(missing)}")
+        if self.one_of and sum(key in values for key in self.one_of) != 1:
+            raise InvalidParameter(
+                f"learner {self.name!r} takes exactly one of "
+                f"{' or '.join(map(name, self.one_of))}"
+            )
+        for key, value in values.items():
+            by_key[key].check(value, name(key))
+
+    def complete(
+        self, values: Mapping[str, object], params: Sequence[Param] | None = None
+    ) -> dict:
+        """``values`` in registry order, with the default of every unset parameter."""
+        return {
+            p.key: values[p.key] if p.key in values else p.default
+            for p in (self.params if params is None else params)
+            if p.key in values or not p.required
+        }
 
 
 _FAMILIES: dict[str, FamilySpec] = {}
@@ -587,13 +691,18 @@ def family_spec(name: str) -> FamilySpec:
     return spec
 
 
+# ---------------------------------------------------------------------------
+# Problem statements
+
+
 @dataclass(frozen=True)
 class ProblemStatement:
     """What is being learned: feature layout, feedback domain, family, parameters.
 
     Construction rejects unknown families, missing or unknown
     parameters, out-of-range parameter values, and a feedback domain
-    the family cannot learn from.
+    the family cannot learn from.  It then fills in the default of
+    every parameter not given, so ``v`` holds the whole parameter set.
     """
 
     x_schema: FeatureSchema
@@ -602,29 +711,15 @@ class ProblemStatement:
     v: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", dict(self.v))
-        spec = _FAMILIES.get(self.family)
-        if spec is None:
-            raise InvalidParameter(
-                f"unknown family {self.family!r}; known: {', '.join(family_names())}"
-            )
-        keys = set(self.v)
-        missing = spec.required - keys
-        if missing:
-            raise InvalidParameter(f"{self.family}: missing parameter(s) {sorted(missing)}")
-        unknown = keys - spec.required - spec.optional
-        if unknown:
-            raise InvalidParameter(f"{self.family}: unknown parameter(s) {sorted(unknown)}")
+        spec = family_spec(self.family)
+        spec.check(self.v)
         if self.y_kind not in spec.y_kinds:
             raise SchemaMismatch(
                 f"{self.family} cannot learn from {self.y_kind.value} feedback"
             )
-        spec.check(self.v)
-        x0 = self.v.get("x0")
-        if x0 is not None:
-            if not isinstance(x0, FeatureVector):
-                raise InvalidParameter("x0 must be a FeatureVector")
-            self.x_schema.validate_vector(x0)
+        object.__setattr__(self, "v", spec.complete(self.v))
+        if spec.pointwise:
+            self.x_schema.validate_vector(self.v[X0.key])
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +729,12 @@ class ProblemStatement:
 class Learner(ABC):
     """One learner seen through the shared inconsistency contract.
 
-    A learner declares where its baseline cases come from and where
-    their counterparts come from (always opposite sources), can score
-    any hypothesis of its family via :meth:`report`, and either
-    enumerates a finite candidate family or solves for a minimizer.
+    A learner scores any hypothesis of its family via :meth:`report`,
+    and either enumerates a finite candidate family or solves for a
+    minimizer.
     """
 
     family: str
-    baseline_provenance: Provenance
-    counterpart_provenance: Provenance
 
     @abstractmethod
     def report(
@@ -663,15 +755,35 @@ class Learner(ABC):
         raise NotImplementedError(f"{self.family} has no continuous solver")
 
 
+T = TypeVar("T")
+
+
+def least_inconsistent(
+    candidates: Iterable[T], score: Callable[[T], InconsistencyReport]
+) -> tuple[T, InconsistencyReport]:
+    """The candidate whose report total is smallest, with that report.
+
+    Candidates are scored in the order given and a later one must score
+    strictly lower to win, so ties resolve to the earlier candidate.
+    """
+    best: tuple[T, InconsistencyReport] | None = None
+    for candidate in candidates:
+        report = score(candidate)
+        if best is None or report.total < best[1].total:
+            best = (candidate, report)
+    if best is None:
+        raise EmptySet("candidate family is empty")
+    return best
+
+
 def select_hypothesis(
     learner: Learner, problem: ProblemStatement, training: TrainingSet
 ) -> tuple[Hypothesis, InconsistencyReport]:
     """Return the hypothesis with minimal total inconsistency, plus its report.
 
-    Finite families are compared exhaustively; the first minimum in the
-    learner's declared candidate order wins, so ties resolve to the
-    earlier candidate.  Continuous families delegate to the learner's
-    solver.
+    Finite families are compared exhaustively in the learner's declared
+    candidate order (see :func:`least_inconsistent`).  Continuous
+    families delegate to the learner's solver.
     """
     if learner.family != problem.family:
         raise IncompatibleFamily(
@@ -680,41 +792,7 @@ def select_hypothesis(
     cands = learner.candidates(problem, training)
     if cands is None:
         return learner.solve(problem, training)
-    if not cands:
-        raise EmptySet("candidate family is empty")
-    best: tuple[Hypothesis, InconsistencyReport] | None = None
-    for h in cands:
-        rep = learner.report(h, problem, training)
-        if best is None or rep.total < best[1].total:
-            best = (h, rep)
-    assert best is not None
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Case generation shared by every learner
-
-
-def hypothetical_cases(f: Hypothesis, points: Iterable[FeatureVector]) -> list[Case]:
-    """Cases the hypothesis generates at the given points."""
-    return [Case(x, f(x)) for x in points]
-
-
-def merged_cases(
-    f: Hypothesis, training: TrainingSet, points: Iterable[FeatureVector]
-) -> list[Case]:
-    """Observed cases joined with hypothesis-generated ones.
-
-    Exact duplicates (same features, same feedback) collapse; a point
-    where observation and hypothesis disagree contributes two cases.
-    """
-    merged: list[Case] = list(training.cases)
-    seen = set(merged)
-    for case in hypothetical_cases(f, points):
-        if case not in seen:
-            merged.append(case)
-            seen.add(case)
-    return merged
+    return least_inconsistent(cands, lambda h: learner.report(h, problem, training))
 
 
 def erm_total_inconsistency(f: Hypothesis, training: TrainingSet) -> float:

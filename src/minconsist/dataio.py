@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -25,6 +26,7 @@ from .core import (
     FeatureSchema,
     FeatureVector,
     Hypothesis,
+    InvalidParameter,
     LinearHypothesis,
     ModelFormatError,
     NominalKind,
@@ -36,13 +38,12 @@ from .core import (
     TrainingSet,
     UnknownColumnKind,
     YKind,
+    family_spec,
 )
 from .pointwise import TreeLeaf, TreeNode, TreePartition
 
 MODEL_FORMAT = "minconsist-model"
 MODEL_VERSION = 1
-
-POINTWISE_FAMILIES = ("smoothing", "knn", "dtree", "nb")
 
 
 @dataclass(frozen=True)
@@ -173,16 +174,7 @@ def load_dataset(
         for pos, name in enumerate(feature_names):
             token = row[feature_cols[pos]]
             values.append(_parse_value(token, kinds[pos], line_no, name))
-        try:
-            y = float(rows[r][target_idx])
-        except ValueError:
-            raise ParseError(
-                f"feedback {rows[r][target_idx]!r} is not a number",
-                row=line_no,
-                column=target_name,
-            ) from None
-        if y == int(y):
-            y = int(y)
+        y = _parse_number(rows[r][target_idx], line_no, target_name, "feedback")
         vec = tuple(values)
         if vec in row_by_vector:
             raise DuplicateFeatureVector(
@@ -233,13 +225,7 @@ def _infer_kind(tokens: list[str]) -> ColumnKind:
 
 def _parse_value(token: str, kind: ColumnKind, line_no: int, column: str):
     if isinstance(kind, NumericKind):
-        try:
-            value = float(token)
-        except ValueError:
-            raise ParseError(
-                f"value {token!r} is not numeric", row=line_no, column=column
-            ) from None
-        return int(value) if value == int(value) else value
+        return _parse_number(token, line_no, column, "value")
     if isinstance(kind, OrdinalKind):
         if token not in kind.levels:
             raise ParseError(
@@ -253,6 +239,19 @@ def _parse_value(token: str, kind: ColumnKind, line_no: int, column: str):
             f"value {token!r} not among declared symbols", row=line_no, column=column
         )
     return token
+
+
+def _parse_number(token: str, line_no: int, column: str, what: str) -> int | float:
+    """A finite number; integral values become ints, as the content hash expects."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(
+            f"{what} {token!r} is not a number", row=line_no, column=column
+        ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what} {token!r} is not finite", row=line_no, column=column)
+    return int(value) if value == int(value) else value
 
 
 def load_dataset_for_model(path: str | Path, model: "Model") -> Dataset:
@@ -281,16 +280,7 @@ def load_dataset_for_model(path: str | Path, model: "Model") -> Dataset:
             for name in model.feature_names
         )
         token = row[position[model.target_name]]
-        try:
-            y = float(token)
-        except ValueError:
-            raise ParseError(
-                f"feedback {token!r} is not a number",
-                row=line_no,
-                column=model.target_name,
-            ) from None
-        if y == int(y):
-            y = int(y)
+        y = _parse_number(token, line_no, model.target_name, "feedback")
         if values in row_by_vector:
             raise DuplicateFeatureVector(
                 f"rows {row_by_vector[values]} and {line_no} share feature vector {values!r}"
@@ -375,6 +365,7 @@ def load_model(path: str | Path) -> Model:
         raise ModelFormatError(
             f"unsupported model version {doc.get('version')!r}; this build reads {MODEL_VERSION}"
         )
+    family, params = _checked_params(doc, path)
     schema = FeatureSchema(tuple(_column_kind_from_model(e) for e in doc["schema"]))
     tree_doc = doc.get("tree")
     tree = (
@@ -383,8 +374,8 @@ def load_model(path: str | Path) -> Model:
         else None
     )
     return Model(
-        family=doc["family"],
-        params=dict(doc["params"]),
+        family=family,
+        params=params,
         feature_names=tuple(doc["feature_names"]),
         schema=schema,
         target_name=doc["target"],
@@ -394,6 +385,24 @@ def load_model(path: str | Path) -> Model:
         training_hash=doc.get("training_hash"),
         total_inconsistency=doc.get("total_inconsistency"),
     )
+
+
+def _checked_params(doc: dict, path: str | Path) -> tuple[str, dict]:
+    """The model's family and its parameters, checked against the family's row.
+
+    Parameters left out take their defaults.
+    """
+    family, params = doc.get("family"), doc.get("params")
+    try:
+        if not isinstance(family, str):
+            raise InvalidParameter(f"family must be a name, got {family!r}")
+        spec = family_spec(family)
+        if not isinstance(params, dict):
+            raise InvalidParameter(f"params must be an object, got {params!r}")
+        spec.check(params, spec.file_params)
+    except InvalidParameter as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+    return family, spec.complete(params, spec.file_params)
 
 
 def _column_kind_to_json(kind: ColumnKind) -> dict:

@@ -23,15 +23,14 @@ from .core import (
     DimensionMismatch,
     FamilySpec,
     FeatureVector,
-    Hypothesis,
     IncompatibleFamily,
     InconsistencyReport,
     InfeasibleSlack,
     InvalidParameter,
     Learner,
     LinearHypothesis,
+    Param,
     ProblemStatement,
-    Provenance,
     ReportEntry,
     SolverDiverged,
     TrainingSet,
@@ -46,6 +45,10 @@ from .core import (
 # ---------------------------------------------------------------------------
 # Parameters and small value types
 
+W = Param("w", "--w", float, low=0.0, strict=True, help="weight-norm coefficient")
+EPSILON = Param("epsilon", "--epsilon", float, low=0.0, help="tube half-width")
+LAMBDA = Param("lambda", "--lambda", float, low=0.0, help="regularization")
+
 
 @dataclass(frozen=True)
 class SvmParams:
@@ -54,8 +57,7 @@ class SvmParams:
     w: float
 
     def __post_init__(self) -> None:
-        if not self.w > 0:
-            raise InvalidParameter(f"w must be positive, got {self.w!r}")
+        W.check(self.w)
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,8 @@ class SvrParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon >= 0:
-            raise InvalidParameter(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if not self.lam >= 0:
-            raise InvalidParameter(f"lambda must be >= 0, got {self.lam!r}")
+        EPSILON.check(self.epsilon)
+        LAMBDA.check(self.lam)
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,9 @@ class SolverConfig:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters!r}")
         if not isinstance(self.patience, int) or self.patience < 1:
             raise InvalidParameter(f"patience must be >= 1, got {self.patience!r}")
+
+
+SOLVER = Param("solver", None, SolverConfig, default=SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +406,7 @@ def _descend(
 def svm_solve(
     training: TrainingSet,
     params: SvmParams,
-    cfg: SolverConfig = SolverConfig(),
+    cfg: SolverConfig = SOLVER.default,
 ) -> tuple[LinearHypothesis, InconsistencyReport]:
     """Minimize the margin objective from the zero hypothesis."""
     require_labels(training, YKind.PM1)
@@ -435,7 +438,7 @@ def svm_solve(
 def svr_solve(
     training: TrainingSet,
     params: SvrParams,
-    cfg: SolverConfig = SolverConfig(),
+    cfg: SolverConfig = SOLVER.default,
 ) -> tuple[LinearHypothesis, InconsistencyReport]:
     """Minimize the tube objective from the zero hypothesis."""
     n = training.n
@@ -482,11 +485,9 @@ class SvmLearner(Learner):
     """Margin classification over affine hypotheses."""
 
     family = "svm"
-    baseline_provenance = Provenance.FROM_TRAINING
-    counterpart_provenance = Provenance.FROM_HYPOTHESIS
 
     def _params(self, problem: ProblemStatement) -> SvmParams:
-        return SvmParams(problem.v["w"])
+        return SvmParams(problem.v[W.key])
 
     def report(self, h, problem, training):
         _require_numeric_features(training)
@@ -494,19 +495,16 @@ class SvmLearner(Learner):
 
     def solve(self, problem, training):
         _require_numeric_features(training)
-        cfg = problem.v.get("solver", SolverConfig())
-        return svm_solve(training, self._params(problem), cfg)
+        return svm_solve(training, self._params(problem), problem.v[SOLVER.key])
 
 
 class SvrLearner(Learner):
     """Tube regression over affine hypotheses."""
 
     family = "svr"
-    baseline_provenance = Provenance.FROM_TRAINING
-    counterpart_provenance = Provenance.FROM_HYPOTHESIS
 
     def _params(self, problem: ProblemStatement) -> SvrParams:
-        return SvrParams(problem.v["epsilon"], problem.v["lambda"])
+        return SvrParams(problem.v[EPSILON.key], problem.v[LAMBDA.key])
 
     def report(self, h, problem, training):
         _require_numeric_features(training)
@@ -514,8 +512,7 @@ class SvrLearner(Learner):
 
     def solve(self, problem, training):
         _require_numeric_features(training)
-        cfg = problem.v.get("solver", SolverConfig())
-        return svr_solve(training, self._params(problem), cfg)
+        return svr_solve(training, self._params(problem), problem.v[SOLVER.key])
 
 
 class ErmLearner(Learner):
@@ -526,8 +523,6 @@ class ErmLearner(Learner):
     """
 
     family = "erm"
-    baseline_provenance = Provenance.FROM_TRAINING
-    counterpart_provenance = Provenance.FROM_HYPOTHESIS
 
     def report(self, h, problem, training):
         _require_numeric_features(training)
@@ -540,49 +535,13 @@ class ErmLearner(Learner):
 
     def solve(self, problem, training):
         _require_numeric_features(training)
-        cfg = problem.v.get("solver", SolverConfig())
-        f, _ = svr_solve(training, SvrParams(0.0, 0.0), cfg)
+        f, _ = svr_solve(training, SvrParams(0.0, 0.0), problem.v[SOLVER.key])
         return f, self.report(f, problem, training)
 
 
 # ---------------------------------------------------------------------------
 # Family registration
 
-
-def _check_solver(v) -> None:
-    solver = v.get("solver")
-    if solver is not None and not isinstance(solver, SolverConfig):
-        raise InvalidParameter("solver must be a SolverConfig")
-
-
-def _check_svm(v) -> None:
-    SvmParams(v["w"])
-    _check_solver(v)
-
-
-def _check_svr(v) -> None:
-    SvrParams(v["epsilon"], v["lambda"])
-    _check_solver(v)
-
-
-register_family(FamilySpec(
-    name="svm",
-    required=frozenset({"w"}),
-    optional=frozenset({"solver"}),
-    y_kinds=frozenset({YKind.PM1}),
-    check=_check_svm,
-))
-register_family(FamilySpec(
-    name="svr",
-    required=frozenset({"epsilon", "lambda"}),
-    optional=frozenset({"solver"}),
-    y_kinds=frozenset({YKind.REAL, YKind.BINARY01, YKind.PM1}),
-    check=_check_svr,
-))
-register_family(FamilySpec(
-    name="erm",
-    required=frozenset(),
-    optional=frozenset({"solver"}),
-    y_kinds=frozenset({YKind.REAL, YKind.BINARY01, YKind.PM1}),
-    check=_check_solver,
-))
+register_family(FamilySpec("svm", (W, SOLVER), frozenset({YKind.PM1})))
+register_family(FamilySpec("svr", (EPSILON, LAMBDA, SOLVER), frozenset(YKind)))
+register_family(FamilySpec("erm", (SOLVER,), frozenset(YKind)))

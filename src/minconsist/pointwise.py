@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .core import (
+    X0,
     Aggregation,
     Case,
     CounterpartSet,
@@ -21,29 +22,41 @@ from .core import (
     EmptyNeighborhood,
     FamilySpec,
     FeatureVector,
-    Hypothesis,
     IncompatibleFamily,
     InconsistencyReport,
     InvalidParameter,
     KExceedsSampleSize,
     Learner,
     NonDisjointValueSets,
+    Param,
     PointwiseHypothesis,
-    ProblemStatement,
     Provenance,
     ReportEntry,
     SchemaMismatch,
     TrainingSet,
     YKind,
     describe_hypothesis,
+    least_inconsistent,
     register_family,
     require_labels,
 )
 
 METRICS = ("euclidean", "manhattan")
+LABELS = (0, 1)  # the 0/1 classifiers' candidate answers, in tie-break order
+
+K = Param("k", "--k", int, low=1, help="neighborhood size")
+RADIUS = Param("radius", "--radius", float, low=0.0, strict=True, help="neighborhood radius")
+METRIC = Param("metric", "--metric", str, default="euclidean", choices=METRICS,
+               help="distance metric")
+MAX_DEPTH = Param("max_depth", "--max-depth", int, default=8, low=1, help="tree depth limit")
+MIN_LEAF = Param("min_leaf_size", "--min-leaf", int, default=1, low=1,
+                 help="minimum leaf size")
+PURITY = Param("purity_threshold", "--purity", float, default=0.0, low=0.0, high=0.5,
+               help="purity stopping threshold")
+TREE_PARAMS = (MAX_DEPTH, MIN_LEAF, PURITY)
 
 
-def distance(x1: FeatureVector, x2: FeatureVector, metric: str = "euclidean") -> float:
+def distance(x1: FeatureVector, x2: FeatureVector, metric: str = METRIC.default) -> float:
     """Distance between two number-valued feature vectors.
 
     Ordinal positions take part through their rank integers; nominal
@@ -52,7 +65,7 @@ def distance(x1: FeatureVector, x2: FeatureVector, metric: str = "euclidean") ->
     if x1.n != x2.n:
         raise SchemaMismatch(f"vectors of dimension {x1.n} and {x2.n}")
     if metric not in METRICS:
-        raise InvalidParameter(f"metric must be one of {METRICS}, got {metric!r}")
+        METRIC.check(metric)  # raises; the membership test is its fast path
     total = 0.0
     for pos, (a, b) in enumerate(zip(x1.values, x2.values)):
         if isinstance(a, str) or isinstance(b, str):
@@ -73,8 +86,7 @@ class KNearest:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise InvalidParameter(f"k must be a positive integer, got {self.k!r}")
+        K.check(self.k)
 
 
 @dataclass(frozen=True)
@@ -84,20 +96,24 @@ class FixedRadius:
     radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise InvalidParameter(f"radius must be positive, got {self.radius!r}")
+        RADIUS.check(self.radius)
 
 
 @dataclass(frozen=True)
 class NeighborhoodSpec:
     mode: Union[KNearest, FixedRadius]
-    metric: str = "euclidean"
+    metric: str = METRIC.default
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, (KNearest, FixedRadius)):
             raise InvalidParameter("mode must be KNearest or FixedRadius")
-        if self.metric not in METRICS:
-            raise InvalidParameter(f"metric must be one of {METRICS}, got {self.metric!r}")
+        METRIC.check(self.metric)
+
+
+def _neighborhood(params: Mapping[str, object]) -> NeighborhoodSpec:
+    """The neighborhood rule of a complete ``smoothing`` or ``knn`` parameter set."""
+    mode = KNearest(params[K.key]) if K.key in params else FixedRadius(params[RADIUS.key])
+    return NeighborhoodSpec(mode, params[METRIC.key])
 
 
 def smoothing_counterparts(
@@ -158,12 +174,19 @@ def _pointwise_report(
     return InconsistencyReport.build([entry], Aggregation.SUM, describe_hypothesis(h))
 
 
+def _vote(x0: FeatureVector, counterparts: CounterpartSet) -> tuple[int, InconsistencyReport]:
+    """The 0/1 answer closer to the counterparts' mean label; ties give 0."""
+    return least_inconsistent(
+        LABELS, lambda label: _pointwise_report(PointwiseHypothesis(x0, label), counterparts)
+    )
+
+
 # ---------------------------------------------------------------------------
 # k-nearest classification
 
 
 def knn_predict(
-    x0: FeatureVector, training: TrainingSet, k: int, metric: str = "euclidean"
+    x0: FeatureVector, training: TrainingSet, k: int, metric: str = METRIC.default
 ) -> tuple[int, InconsistencyReport]:
     """Binary answer at the query, as an argmin over the two constants.
 
@@ -172,14 +195,7 @@ def knn_predict(
     """
     require_labels(training, YKind.BINARY01)
     spec = NeighborhoodSpec(KNearest(k), metric)
-    counterparts = smoothing_counterparts(x0, training, spec)
-    best: tuple[int, InconsistencyReport] | None = None
-    for label in (0, 1):
-        rep = _pointwise_report(PointwiseHypothesis(x0, label), counterparts)
-        if best is None or rep.total < best[1].total:
-            best = (label, rep)
-    assert best is not None
-    return best
+    return _vote(x0, smoothing_counterparts(x0, training, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +206,17 @@ def knn_predict(
 class TreeConfig:
     """Stopping controls for tree construction."""
 
-    max_depth: int = 8
-    min_leaf_size: int = 1
-    purity_threshold: float = 0.0
+    max_depth: int = MAX_DEPTH.default
+    min_leaf_size: int = MIN_LEAF.default
+    purity_threshold: float = PURITY.default
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_depth, int) or self.max_depth < 1:
-            raise InvalidParameter(f"max_depth must be >= 1, got {self.max_depth!r}")
-        if not isinstance(self.min_leaf_size, int) or self.min_leaf_size < 1:
-            raise InvalidParameter(
-                f"min_leaf_size must be >= 1, got {self.min_leaf_size!r}"
-            )
-        if not 0.0 <= self.purity_threshold <= 0.5:
-            raise InvalidParameter(
-                f"purity_threshold must lie in [0, 0.5], got {self.purity_threshold!r}"
-            )
+        for param in TREE_PARAMS:
+            param.check(getattr(self, param.key))
+
+
+def _tree_config(params: Mapping[str, object]) -> TreeConfig:
+    return TreeConfig(**{param.key: params[param.key] for param in TREE_PARAMS})
 
 
 @dataclass(frozen=True)
@@ -348,14 +360,7 @@ def dtree_predict(
 ) -> tuple[int, InconsistencyReport]:
     """Binary answer at the query from its subdomain's cases; ties give 0."""
     require_labels(training, YKind.BINARY01)
-    counterparts = dtree_counterparts(x0, partition, training)
-    best: tuple[int, InconsistencyReport] | None = None
-    for label in (0, 1):
-        rep = _pointwise_report(PointwiseHypothesis(x0, label), counterparts)
-        if best is None or rep.total < best[1].total:
-            best = (label, rep)
-    assert best is not None
-    return best
+    return _vote(x0, dtree_counterparts(x0, partition, training))
 
 
 # ---------------------------------------------------------------------------
@@ -430,191 +435,130 @@ def nb_predict(
     """
     require_labels(training, YKind.BINARY01)
     transformed = nb_transform(x0, training)
-    best: tuple[int, InconsistencyReport] | None = None
-    for label in (0, 1):
-        entries = []
-        for part in transformed.x0_parts:
-            alpha = Case(part, label)
-            mu = nb_case_inconsistency(alpha, transformed.cases)
-            count = sum(1 for beta in transformed.cases if beta.x == part)
-            entries.append(ReportEntry(alpha, mu, count))
-        rep = InconsistencyReport.build(
-            entries,
-            Aggregation.PRODUCT,
-            describe_hypothesis(PointwiseHypothesis(x0, label)),
-        )
-        if best is None or rep.total < best[1].total:
-            best = (label, rep)
-    assert best is not None
-    return best
+    return least_inconsistent(
+        LABELS, lambda label: _nb_report(PointwiseHypothesis(x0, label), transformed)
+    )
+
+
+def _nb_report(h: PointwiseHypothesis, transformed: TransformedProblem) -> InconsistencyReport:
+    entries = []
+    for part in transformed.x0_parts:
+        alpha = Case(part, h.value)
+        mu = nb_case_inconsistency(alpha, transformed.cases)
+        count = sum(1 for beta in transformed.cases if beta.x == part)
+        entries.append(ReportEntry(alpha, mu, count))
+    return InconsistencyReport.build(entries, Aggregation.PRODUCT, describe_hypothesis(h))
+
+
+
+
+# ---------------------------------------------------------------------------
+# The per-query engine: one answer at one query, from a complete parameter set
+
+
+def pointwise_fit(
+    family: str, params: Mapping[str, object], training: TrainingSet
+) -> TreePartition | None:
+    """What a pointwise model keeps from training: the grown tree for ``dtree``."""
+    if family == "dtree":
+        return dtree_build(training, _tree_config(params))
+    return None
+
+
+def pointwise_answer(
+    family: str,
+    params: Mapping[str, object],
+    tree: TreePartition | None,
+    training: TrainingSet,
+    x0: FeatureVector,
+) -> tuple[float, float, int]:
+    """(answer, query inconsistency, counterpart count) at one query.
+
+    ``tree`` is what :func:`pointwise_fit` returned.  Each query selects
+    its counterparts once.
+    """
+    if family == "smoothing":
+        counterparts = smoothing_counterparts(x0, training, _neighborhood(params))
+        value = _mean(counterparts.feedbacks)
+        return value, smoothing_case_inconsistency(value, counterparts), len(counterparts)
+    if family == "knn":
+        label, report = knn_predict(x0, training, params[K.key], params[METRIC.key])
+    elif family == "dtree":
+        label, report = dtree_predict(x0, tree, training)
+    else:
+        label, report = nb_predict(x0, training)
+    return label, report.total, sum(entry.counterpart_count for entry in report.entries)
 
 
 # ---------------------------------------------------------------------------
 # Learner contract adapters
 
 
-def _query_point(problem: ProblemStatement) -> FeatureVector:
-    x0 = problem.v.get("x0")
-    if not isinstance(x0, FeatureVector):
-        raise InvalidParameter("problem statement carries no query point x0")
-    return x0
-
-
-def _neighborhood_spec(problem: ProblemStatement) -> NeighborhoodSpec:
-    metric = str(problem.v.get("metric", "euclidean"))
-    if "k" in problem.v:
-        return NeighborhoodSpec(KNearest(problem.v["k"]), metric)
-    return NeighborhoodSpec(FixedRadius(problem.v["radius"]), metric)
-
-
 class SmoothingLearner(Learner):
     """Local mean smoothing: a continuous family of constants at the query."""
 
     family = "smoothing"
-    baseline_provenance = Provenance.FROM_HYPOTHESIS
-    counterpart_provenance = Provenance.FROM_TRAINING
 
     def report(self, h, problem, training):
         if not isinstance(h, PointwiseHypothesis):
             raise IncompatibleFamily(
                 f"expected a pointwise hypothesis, got {describe_hypothesis(h)}"
             )
-        counterparts = smoothing_counterparts(h.x0, training, _neighborhood_spec(problem))
+        counterparts = smoothing_counterparts(h.x0, training, _neighborhood(problem.v))
         return _pointwise_report(h, counterparts)
 
     def solve(self, problem, training):
-        x0 = _query_point(problem)
-        h = smoothing_fit(x0, training, _neighborhood_spec(problem))
-        return h, self.report(h, problem, training)
+        x0 = problem.v[X0.key]
+        counterparts = smoothing_counterparts(x0, training, _neighborhood(problem.v))
+        h = PointwiseHypothesis(x0, _mean(counterparts.feedbacks))
+        return h, _pointwise_report(h, counterparts)
 
 
-class KnnLearner(Learner):
+class _ZeroOneLearner(Learner):
+    """A classifier whose candidates are the constants 0 and 1 at the query, 0 first."""
+
+    def candidates(self, problem, training):
+        return tuple(PointwiseHypothesis(problem.v[X0.key], label) for label in LABELS)
+
+
+class KnnLearner(_ZeroOneLearner):
     """k-nearest classification as an argmin over two constants."""
 
     family = "knn"
-    baseline_provenance = Provenance.FROM_HYPOTHESIS
-    counterpart_provenance = Provenance.FROM_TRAINING
-
-    def candidates(self, problem, training):
-        x0 = _query_point(problem)
-        return (PointwiseHypothesis(x0, 0), PointwiseHypothesis(x0, 1))
 
     def report(self, h, problem, training):
         require_labels(training, YKind.BINARY01)
-        counterparts = smoothing_counterparts(h.x0, training, _neighborhood_spec(problem))
+        counterparts = smoothing_counterparts(h.x0, training, _neighborhood(problem.v))
         return _pointwise_report(h, counterparts)
 
 
-class DtreeLearner(Learner):
+class DtreeLearner(_ZeroOneLearner):
     """Decision-tree classification; counterparts come from the query's leaf."""
 
     family = "dtree"
-    baseline_provenance = Provenance.FROM_HYPOTHESIS
-    counterpart_provenance = Provenance.FROM_TRAINING
-
-    def candidates(self, problem, training):
-        x0 = _query_point(problem)
-        return (PointwiseHypothesis(x0, 0), PointwiseHypothesis(x0, 1))
-
-    def _config(self, problem: ProblemStatement) -> TreeConfig:
-        return TreeConfig(
-            max_depth=problem.v.get("max_depth", 8),
-            min_leaf_size=problem.v.get("min_leaf_size", 1),
-            purity_threshold=problem.v.get("purity_threshold", 0.0),
-        )
 
     def report(self, h, problem, training):
         require_labels(training, YKind.BINARY01)
-        partition = dtree_build(training, self._config(problem))
-        counterparts = dtree_counterparts(h.x0, partition, training)
-        return _pointwise_report(h, counterparts)
+        partition = dtree_build(training, _tree_config(problem.v))
+        return _pointwise_report(h, dtree_counterparts(h.x0, partition, training))
 
 
-class NbLearner(Learner):
+class NbLearner(_ZeroOneLearner):
     """Naive Bayes with per-feature baseline cases and a product total."""
 
     family = "nb"
-    baseline_provenance = Provenance.FROM_HYPOTHESIS
-    counterpart_provenance = Provenance.FROM_TRAINING
-
-    def candidates(self, problem, training):
-        x0 = _query_point(problem)
-        return (PointwiseHypothesis(x0, 0), PointwiseHypothesis(x0, 1))
 
     def report(self, h, problem, training):
         require_labels(training, YKind.BINARY01)
-        transformed = nb_transform(h.x0, training)
-        entries = []
-        for part in transformed.x0_parts:
-            alpha = Case(part, h.value)
-            mu = nb_case_inconsistency(alpha, transformed.cases)
-            count = sum(1 for beta in transformed.cases if beta.x == part)
-            entries.append(ReportEntry(alpha, mu, count))
-        return InconsistencyReport.build(
-            entries, Aggregation.PRODUCT, describe_hypothesis(h)
-        )
+        return _nb_report(h, nb_transform(h.x0, training))
 
 
 # ---------------------------------------------------------------------------
 # Family registration
 
-
-def _check_metric(v) -> None:
-    metric = v.get("metric", "euclidean")
-    if metric not in METRICS:
-        raise InvalidParameter(f"metric must be one of {METRICS}, got {metric!r}")
-
-
-def _check_smoothing(v) -> None:
-    has_k = "k" in v
-    has_radius = "radius" in v
-    if has_k == has_radius:
-        raise InvalidParameter("smoothing takes exactly one of k or radius")
-    if has_k:
-        KNearest(v["k"])
-    else:
-        FixedRadius(v["radius"])
-    _check_metric(v)
-
-
-def _check_knn(v) -> None:
-    KNearest(v["k"])
-    _check_metric(v)
-
-
-def _check_dtree(v) -> None:
-    TreeConfig(
-        max_depth=v.get("max_depth", 8),
-        min_leaf_size=v.get("min_leaf_size", 1),
-        purity_threshold=v.get("purity_threshold", 0.0),
-    )
-
-
 register_family(FamilySpec(
-    name="smoothing",
-    required=frozenset({"x0"}),
-    optional=frozenset({"k", "radius", "metric"}),
-    y_kinds=frozenset({YKind.REAL, YKind.BINARY01, YKind.PM1}),
-    check=_check_smoothing,
+    "smoothing", (X0, K, RADIUS, METRIC), frozenset(YKind), one_of=(K.key, RADIUS.key)
 ))
-register_family(FamilySpec(
-    name="knn",
-    required=frozenset({"x0", "k"}),
-    optional=frozenset({"metric"}),
-    y_kinds=frozenset({YKind.BINARY01}),
-    check=_check_knn,
-))
-register_family(FamilySpec(
-    name="dtree",
-    required=frozenset({"x0"}),
-    optional=frozenset({"max_depth", "min_leaf_size", "purity_threshold"}),
-    y_kinds=frozenset({YKind.BINARY01}),
-    check=_check_dtree,
-))
-register_family(FamilySpec(
-    name="nb",
-    required=frozenset({"x0"}),
-    optional=frozenset(),
-    y_kinds=frozenset({YKind.BINARY01}),
-    check=lambda v: None,
-))
+register_family(FamilySpec("knn", (X0, K, METRIC), frozenset({YKind.BINARY01})))
+register_family(FamilySpec("dtree", (X0, *TREE_PARAMS), frozenset({YKind.BINARY01})))
+register_family(FamilySpec("nb", (X0,), frozenset({YKind.BINARY01})))

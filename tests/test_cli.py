@@ -1,10 +1,12 @@
 """Command-line behavior: flags, exit codes, stream discipline."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from minconsist import load_model, svm_slack, training_set
+from minconsist import family_names, load_model, svm_slack, training_set
+from minconsist.core import family_spec
 from minconsist.cli import main
 
 
@@ -71,6 +73,13 @@ class TestUsageErrors:
         ["verify", "--trials", "0"],
         ["train"],
         [],
+        ["train", "--learner", "svm", "--data", "d.csv", "--w", "nan", "--out", "m"],
+        ["train", "--learner", "svr", "--data", "d.csv", "--epsilon", "nan",
+         "--lambda", "0", "--out", "m"],
+        ["train", "--learner", "svr", "--data", "d.csv", "--epsilon", "0",
+         "--lambda", "nan", "--out", "m"],
+        ["train", "--learner", "smoothing", "--data", "d.csv", "--radius", "nan",
+         "--out", "m"],
     ])
     def test_exit_two(self, argv, capsys):
         assert run(argv) == 2
@@ -117,6 +126,80 @@ class TestDataErrors:
                     "--out", tmp_path / "m.json"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestNonFiniteTokens:
+    """nan, inf and 1e400 (inf once parsed) are data errors that name their cell."""
+
+    @pytest.fixture(params=["nan", "inf", "1e400"])
+    def token(self, request):
+        return request.param
+
+    def _fail(self, argv, capsys, column):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"(row 3, column {column!r})" in captured.err
+        assert "Traceback" not in captured.err
+
+    def _model(self, write, tmp_path, capsys, argv):
+        model = tmp_path / "m.json"
+        assert run(["train", *argv, "--out", model]) == 0
+        capsys.readouterr()
+        return model
+
+    @pytest.mark.parametrize("row, column", [("{},1", "x"), ("5,{}", "y")])
+    def test_train(self, write, tmp_path, capsys, token, row, column):
+        data = write("d.csv", "x,y\n0,1\n" + row.format(token) + "\n")
+        self._fail(["train", "--learner", "erm", "--data", data,
+                    "--out", tmp_path / "m.json"], capsys, column)
+
+    def test_predict_queries(self, write, tmp_path, capsys, token):
+        model = self._model(write, tmp_path, capsys,
+                            ["--learner", "erm", "--data", write("d.csv", REAL_CSV)])
+        queries = write("q.csv", f"x\n2\n{token}\n")
+        self._fail(["predict", "--model", model, "--queries", queries], capsys, "x")
+
+    @pytest.mark.parametrize("row, column", [("{},1", "x"), ("6,{}", "y")])
+    def test_predict_data(self, write, tmp_path, capsys, token, row, column):
+        model = self._model(write, tmp_path, capsys,
+                            ["--learner", "knn", "--k", "1", "--data", write("d.csv", BIN_CSV)])
+        data = write("e.csv", "x,y\n0,0\n" + row.format(token) + "\n")
+        queries = write("q.csv", "x\n2\n")
+        self._fail(["predict", "--model", model, "--queries", queries, "--data", data],
+                   capsys, column)
+
+    @pytest.mark.parametrize("row, column", [("{},1", "x"), ("5,{}", "y")])
+    def test_audit(self, write, tmp_path, capsys, token, row, column):
+        model = self._model(write, tmp_path, capsys,
+                            ["--learner", "erm", "--data", write("d.csv", REAL_CSV)])
+        data = write("e.csv", "x,y\n0,1\n" + row.format(token) + "\n")
+        self._fail(["audit", "--model", model, "--data", data], capsys, column)
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("edit", [
+        {"params": {}},
+        {"params": {"k": 3, "metric": "euclidean", "zeal": 1}},
+        {"params": {"k": 0, "metric": "euclidean"}},
+        {"params": {"k": 3, "metric": "cosine"}},
+        {"family": "wizard"},
+    ])
+    def test_edited_knn_model_is_a_data_error(self, write, tmp_path, capsys, edit):
+        data = write("d.csv", BIN_CSV)
+        model = tmp_path / "m.json"
+        run(["train", "--learner", "knn", "--data", data, "--k", "3", "--out", model])
+        model.write_text(json.dumps({**json.loads(model.read_text()), **edit}))
+        queries = write("q.csv", "x\n2\n")
+        capsys.readouterr()
+        for argv in (["predict", "--model", model, "--queries", queries, "--data", data],
+                     ["audit", "--model", model, "--data", data]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert "Traceback" not in captured.err
 
 
 class TestPredict:
@@ -234,3 +317,29 @@ class TestSvrErmAgreement:
         assert a.hypothesis.b == b.hypothesis.b
         assert a.hypothesis.a == b.hypothesis.a
         assert a.total_inconsistency == b.total_inconsistency
+
+
+def flag_table() -> str:
+    """The README's table of train flags, rendered from the family registry."""
+    lines = ["| learner | flag | model-file key | default | range |",
+             "|---|---|---|---|---|"]
+    for name in family_names():
+        spec = family_spec(name)
+        for param in spec.file_params:
+            if param.key in spec.one_of:
+                default = "exactly one of " + ", ".join(
+                    f"`{p.flag}`" for p in spec.file_params if p.key in spec.one_of)
+            elif param.required:
+                default = "required"
+            else:
+                default = f"`{json.dumps(param.default)}`"
+            lines.append(f"| `{name}` | `{param.flag}` | `{param.key}` | {default} "
+                         f"| {param.rule} |")
+        if not spec.file_params:
+            lines.append(f"| `{name}` | none | | | |")
+    return "\n".join(lines)
+
+
+def test_readme_flag_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert flag_table() in readme

@@ -21,7 +21,6 @@ from minconsist import (
     Learner,
     LinearHypothesis,
     NominalKind,
-    NumericKind,
     OrdinalKind,
     PointwiseHypothesis,
     ProblemStatement,
@@ -34,13 +33,10 @@ from minconsist import (
     aggregate_mus,
     erm_total_inconsistency,
     get_learner,
-    hypothetical_cases,
-    merged_cases,
     reencode_labels,
     require_labels,
     select_hypothesis,
     training_set,
-    validate_training_set,
 )
 
 
@@ -110,15 +106,6 @@ class TestTrainingSet:
         assert T.feedbacks == (1, 0)
         assert T.features[0].values == (0, 1)
 
-    def test_validate_against_schema(self):
-        schema = FeatureSchema((NumericKind(), NominalKind(frozenset({"a", "b"}))))
-        cases = [Case(FeatureVector.of(1.0, "a"), 0)]
-        T = validate_training_set(cases, schema)
-        assert T.m == 1
-        bad = [Case(FeatureVector.of(1.0, "z"), 0)]
-        with pytest.raises(SchemaMismatch):
-            validate_training_set(bad, schema)
-
 
 class TestFeatureSchema:
     def test_nominal_symbol_sets_must_be_disjoint(self):
@@ -179,23 +166,6 @@ class TestHypotheses:
 
 
 class TestCaseGeneration:
-    def test_hypothetical_cases_evaluate_the_hypothesis(self):
-        f = LinearHypothesis((1.0,), 1.0)
-        cases = hypothetical_cases(f, [FeatureVector.of(0.0), FeatureVector.of(2.0)])
-        assert [c.y for c in cases] == [1.0, 3.0]
-
-    def test_merged_cases_keeps_disagreements(self):
-        T = training_set([((1,), 0)])
-        f = PointwiseHypothesis(FeatureVector.of(1), 1)
-        merged = merged_cases(f, T, [FeatureVector.of(1)])
-        assert len(merged) == 2
-
-    def test_merged_cases_collapses_exact_agreement(self):
-        T = training_set([((1,), 0)])
-        f = PointwiseHypothesis(FeatureVector.of(1), 0)
-        merged = merged_cases(f, T, [FeatureVector.of(1)])
-        assert len(merged) == 1
-
     def test_erm_total(self):
         T = training_set([((0,), 0.5)])
         assert erm_total_inconsistency(LinearHypothesis((0.0,), 0.0), T) == 0.5
@@ -251,8 +221,6 @@ class StubLearner(Learner):
     """Finite two-candidate family with controllable scores."""
 
     family = "smoothing"
-    baseline_provenance = Provenance.FROM_HYPOTHESIS
-    counterpart_provenance = Provenance.FROM_TRAINING
 
     def __init__(self, scores):
         self.scores = scores
@@ -312,6 +280,30 @@ class TestProblemStatement:
             ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "knn",
                              {"x0": FeatureVector.of(0.0), "k": 1})
 
+    @pytest.mark.parametrize("v", [{"k": 1, "radius": 1.0}, {}])
+    def test_smoothing_takes_exactly_one_neighborhood(self, v):
+        with pytest.raises(InvalidParameter):
+            ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "smoothing",
+                             {"x0": FeatureVector.of(0.0), **v})
+
+    @pytest.mark.parametrize("family, v", [
+        ("svm", {"w": float("nan")}),
+        ("svr", {"epsilon": 0.0, "lambda": float("nan")}),
+        ("knn", {"x0": FeatureVector.of(0.0), "k": True}),
+        ("dtree", {"x0": FeatureVector.of(0), "max_depth": 2.0}),
+    ])
+    def test_values_checked_against_the_registry(self, family, v):
+        y_kind = {"svm": YKind.PM1, "svr": YKind.REAL}.get(family, YKind.BINARY01)
+        with pytest.raises(InvalidParameter):
+            ProblemStatement(FeatureSchema.numeric(1), y_kind, family, v)
+
+    def test_defaults_are_filled_in_registry_order(self):
+        problem = ProblemStatement(FeatureSchema.numeric(1), YKind.BINARY01, "dtree",
+                                   {"purity_threshold": 0.25, "x0": FeatureVector.of(0)})
+        assert problem.v == {"x0": FeatureVector.of(0), "max_depth": 8,
+                             "min_leaf_size": 1, "purity_threshold": 0.25}
+        assert list(problem.v) == ["x0", "max_depth", "min_leaf_size", "purity_threshold"]
+
     def test_query_point_checked_against_schema(self):
         with pytest.raises(SchemaMismatch):
             ProblemStatement(
@@ -324,7 +316,6 @@ class TestLearnerRegistry:
     def test_every_learner_pairs_opposite_sources(self):
         for name, learner in LEARNERS.items():
             assert learner.family == name
-            assert learner.baseline_provenance != learner.counterpart_provenance
 
     def test_counterpart_set_exposes_feedbacks(self):
         cps = CounterpartSet(
