@@ -18,6 +18,7 @@ from .core import (
     InvalidParameter,
     LinearHypothesis,
     MinconsistError,
+    ModelFormatError,
     Param,
     ProblemStatement,
     TrainingDataMismatch,
@@ -37,7 +38,7 @@ from .dataio import (
     save_model,
 )
 from .oracle import CheckBudget, run_all_checks
-from .pointwise import pointwise_answer, pointwise_fit
+from .pointwise import pointwise_answers, pointwise_fit
 
 
 def _train_params() -> tuple[Param, ...]:
@@ -169,8 +170,7 @@ def cmd_train(args: argparse.Namespace, params: dict) -> int:
         # The parameters were checked as flags and every vector by the loader.
         tree = pointwise_fit(family, params, training)
         total = 0.0
-        for case in training.cases:
-            _, mu, _ = pointwise_answer(family, params, tree, training, case.x)
+        for _, mu, _ in pointwise_answers(family, params, tree, training, training.features):
             total += mu
         model = replace(
             model, tree=tree, training_hash=dataset.content_hash, total_inconsistency=total
@@ -192,6 +192,12 @@ def _require_matching_data(model: Model, path: str) -> Dataset:
         raise TrainingDataMismatch(
             f"{path} does not match the data this model was trained on"
         )
+    if model.tree is not None:
+        last = max((i for leaf in model.tree.leaves() for i in leaf.case_indices), default=0)
+        if last >= dataset.training.m:
+            raise ModelFormatError(
+                f"the model's tree names case {last + 1}, but {path} has {dataset.training.m}"
+            )
     return dataset
 
 
@@ -205,10 +211,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 f"{model.family} answers queries from its training data; pass --data"
             )
         dataset = _require_matching_data(model, args.data)
-        for x0 in queries:
-            value, _, _ = pointwise_answer(
-                model.family, model.params, model.tree, dataset.training, x0
-            )
+        for value, _, _ in pointwise_answers(
+            model.family, model.params, model.tree, dataset.training, queries
+        ):
             print(_fmt_prediction(value))
         return 0
 
@@ -228,10 +233,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if family_spec(model.family).pointwise:
         rows = []
         total = 0.0
-        for idx, case in enumerate(training.cases, start=1):
-            _, mu, count = pointwise_answer(
-                model.family, model.params, model.tree, training, case.x
-            )
+        answers = pointwise_answers(
+            model.family, model.params, model.tree, training, training.features
+        )
+        for idx, (case, (_, mu, count)) in enumerate(zip(training.cases, answers), start=1):
             total += mu
             rows.append(
                 {

@@ -756,21 +756,31 @@ class Learner(ABC):
 
 
 T = TypeVar("T")
+S = TypeVar("S")
+
+
+def _report_total(report: InconsistencyReport) -> float:
+    return report.total
 
 
 def least_inconsistent(
-    candidates: Iterable[T], score: Callable[[T], InconsistencyReport]
-) -> tuple[T, InconsistencyReport]:
-    """The candidate whose report total is smallest, with that report.
+    candidates: Iterable[T],
+    score: Callable[[T], S],
+    total: Callable[[S], float] = _report_total,
+) -> tuple[T, S]:
+    """The candidate whose score has the smallest total, with that score.
 
-    Candidates are scored in the order given and a later one must score
-    strictly lower to win, so ties resolve to the earlier candidate.
+    A score is an :class:`InconsistencyReport` unless ``total`` reads
+    the total another way (``total=float`` for a score that is the total
+    itself).  Candidates are scored in the order given and a later one
+    must score strictly lower to win, so ties resolve to the earlier
+    candidate.
     """
-    best: tuple[T, InconsistencyReport] | None = None
+    best: tuple[T, S] | None = None
     for candidate in candidates:
-        report = score(candidate)
-        if best is None or report.total < best[1].total:
-            best = (candidate, report)
+        scored = score(candidate)
+        if best is None or total(scored) < total(best[1]):
+            best = (candidate, scored)
     if best is None:
         raise EmptySet("candidate family is empty")
     return best

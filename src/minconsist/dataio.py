@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import (
     Case,
@@ -28,6 +28,7 @@ from .core import (
     Hypothesis,
     InvalidParameter,
     LinearHypothesis,
+    MinconsistError,
     ModelFormatError,
     NominalKind,
     NumericKind,
@@ -38,6 +39,7 @@ from .core import (
     TrainingSet,
     UnknownColumnKind,
     YKind,
+    _is_number,
     family_spec,
 )
 from .pointwise import TreeLeaf, TreeNode, TreePartition
@@ -359,6 +361,8 @@ def load_model(path: str | Path) -> Model:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelFormatError(f"{path} nests too deeply to read") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
@@ -366,25 +370,52 @@ def load_model(path: str | Path) -> Model:
             f"unsupported model version {doc.get('version')!r}; this build reads {MODEL_VERSION}"
         )
     family, params = _checked_params(doc, path)
-    schema = FeatureSchema(tuple(_column_kind_from_model(e) for e in doc["schema"]))
-    tree_doc = doc.get("tree")
-    tree = (
-        TreePartition(_tree_from_json(tree_doc), schema.n)
-        if tree_doc is not None
-        else None
-    )
+    try:
+        names = _field(doc, "feature_names", _is_names, "a non-empty list of column names")
+        schema_doc = _field(
+            doc, "schema",
+            lambda v: isinstance(v, list) and len(v) == len(names),
+            "a list of column kinds, one per feature name",
+        )
+        schema = FeatureSchema(tuple(_column_kind_from_model(e) for e in schema_doc))
+        target = _field(doc, "target", lambda v: isinstance(v, str), "a column name")
+        y_kinds = [kind.value for kind in YKind]
+        y_kind = _field(doc, "y_kind", lambda v: v in y_kinds, f"one of {y_kinds}")
+        hypothesis = _hypothesis_from_json(_field(
+            doc, "hypothesis", lambda v: v is None or isinstance(v, dict), "an object or null"
+        ))
+        tree_doc = _field(doc, "tree", lambda v: v is None or isinstance(v, dict),
+                          "an object or null")
+        if family == "dtree" and tree_doc is None:
+            raise ModelFormatError("a dtree model needs its tree")
+        tree = None if tree_doc is None else TreePartition(
+            _tree_from_json(tree_doc, schema.n), schema.n
+        )
+    except MinconsistError as exc:  # includes the schema's and hypothesis's own checks
+        raise ModelFormatError(f"{path}: {exc}") from None
     return Model(
         family=family,
         params=params,
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=tuple(names),
         schema=schema,
-        target_name=doc["target"],
-        y_kind=YKind(doc["y_kind"]),
-        hypothesis=_hypothesis_from_json(doc.get("hypothesis"), schema),
+        target_name=target,
+        y_kind=YKind(y_kind),
+        hypothesis=hypothesis,
         tree=tree,
         training_hash=doc.get("training_hash"),
         total_inconsistency=doc.get("total_inconsistency"),
     )
+
+
+def _field(doc: dict, key: str, ok: Callable[[object], bool], what: str):
+    value = doc.get(key)
+    if not ok(value):
+        raise ModelFormatError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _is_names(value: object) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
 
 
 def _checked_params(doc: dict, path: str | Path) -> tuple[str, dict]:
@@ -413,14 +444,14 @@ def _column_kind_to_json(kind: ColumnKind) -> dict:
     return {"kind": "nominal", "symbols": sorted(kind.symbols)}
 
 
-def _column_kind_from_model(entry: dict) -> ColumnKind:
-    kind = entry.get("kind")
+def _column_kind_from_model(entry: object) -> ColumnKind:
+    kind = entry.get("kind") if isinstance(entry, dict) else None
     if kind == "numeric":
         return NumericKind()
     if kind == "ordinal":
-        return OrdinalKind(tuple(entry["levels"]))
+        return OrdinalKind(tuple(_field(entry, "levels", _is_names, "a list of level names")))
     if kind == "nominal":
-        return NominalKind(frozenset(entry["symbols"]))
+        return NominalKind(frozenset(_field(entry, "symbols", _is_names, "a list of symbols")))
     raise ModelFormatError(f"model schema declares unknown kind {kind!r}")
 
 
@@ -432,14 +463,22 @@ def _hypothesis_to_json(h: Hypothesis | None) -> dict | None:
     return {"kind": "pointwise", "x0": list(h.x0.values), "value": h.value}
 
 
-def _hypothesis_from_json(doc: dict | None, schema: FeatureSchema) -> Hypothesis | None:
+def _hypothesis_from_json(doc: dict | None) -> Hypothesis | None:
     if doc is None:
         return None
     if doc.get("kind") == "linear":
-        return LinearHypothesis(tuple(doc["b"]), doc["a"])
+        b = _field(doc, "b", _is_numbers, "a list of numbers")
+        return LinearHypothesis(tuple(b), _field(doc, "a", _is_number, "a number"))
     if doc.get("kind") == "pointwise":
-        return PointwiseHypothesis(FeatureVector(tuple(doc["x0"])), doc["value"])
+        x0 = _field(doc, "x0", lambda v: isinstance(v, list), "a list of feature values")
+        return PointwiseHypothesis(
+            FeatureVector(tuple(x0)), _field(doc, "value", _is_number, "a number")
+        )
     raise ModelFormatError(f"unknown hypothesis kind {doc.get('kind')!r}")
+
+
+def _is_numbers(value: object) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
 
 
 def _tree_to_json(node: TreeNode | TreeLeaf) -> dict:
@@ -453,12 +492,22 @@ def _tree_to_json(node: TreeNode | TreeLeaf) -> dict:
     }
 
 
-def _tree_from_json(doc: dict) -> TreeNode | TreeLeaf:
-    if "leaf" in doc:
-        return TreeLeaf(doc["leaf"], tuple(doc["cases"]))
-    return TreeNode(
-        doc["feature"],
-        doc["threshold"],
-        _tree_from_json(doc["left"]),
-        _tree_from_json(doc["right"]),
-    )
+def _tree_from_json(doc: object, n: int) -> TreeNode | TreeLeaf:
+    """The tree below ``doc``; its splits may name features 0..n-1."""
+    if isinstance(doc, dict) and _is_index(doc.get("leaf")):
+        cases = doc.get("cases")
+        if isinstance(cases, list) and all(map(_is_index, cases)):
+            return TreeLeaf(doc["leaf"], tuple(cases))
+    elif (isinstance(doc, dict) and _is_index(doc.get("feature")) and doc["feature"] < n
+          and _is_index(doc.get("threshold"))):
+        return TreeNode(
+            doc["feature"],
+            doc["threshold"],
+            _tree_from_json(doc.get("left"), n),
+            _tree_from_json(doc.get("right"), n),
+        )
+    raise ModelFormatError("the tree holds a malformed node")
+
+
+def _is_index(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .core import (
     X0,
@@ -21,6 +21,7 @@ from .core import (
     EmptyLeaf,
     EmptyNeighborhood,
     FamilySpec,
+    FeatureValue,
     FeatureVector,
     IncompatibleFamily,
     InconsistencyReport,
@@ -35,6 +36,7 @@ from .core import (
     SchemaMismatch,
     TrainingSet,
     YKind,
+    aggregate_mus,
     describe_hypothesis,
     least_inconsistent,
     register_family,
@@ -63,16 +65,49 @@ def distance(x1: FeatureVector, x2: FeatureVector, metric: str = METRIC.default)
     positions have no distance and are rejected.
     """
     if x1.n != x2.n:
-        raise SchemaMismatch(f"vectors of dimension {x1.n} and {x2.n}")
+        raise _dimensions(x1.n, x2.n)
     if metric not in METRICS:
         METRIC.check(metric)  # raises; the membership test is its fast path
     total = 0.0
     for pos, (a, b) in enumerate(zip(x1.values, x2.values)):
         if isinstance(a, str) or isinstance(b, str):
-            raise SchemaMismatch(f"feature {pos + 1} is nominal; it has no distance")
+            raise _nominal(pos)
         d = a - b
         total += d * d if metric == "euclidean" else abs(d)
     return math.sqrt(total) if metric == "euclidean" else total
+
+
+def _column_distances(
+    columns: Sequence[Sequence[FeatureValue]], x0: FeatureVector, metric: str
+) -> list[float]:
+    """:func:`distance` from every row of the transposed ``columns`` to ``x0``.
+
+    Each row's total adds the same terms in the same order as
+    :func:`distance` (0.0, then position 1, 2, ...), so every distance
+    is the same float; only the loop runs over positions first.  The
+    errors are those :func:`distance` raises for the first row.
+    """
+    if x0.n != len(columns):
+        raise _dimensions(len(columns), x0.n)
+    if metric not in METRICS:
+        METRIC.check(metric)
+    totals = [0.0] * len(columns[0])
+    for pos, (column, b) in enumerate(zip(columns, x0.values)):
+        if isinstance(column[0], str) or isinstance(b, str):  # columns hold one kind
+            raise _nominal(pos)
+        if metric == "euclidean":
+            totals = [t + (a - b) * (a - b) for t, a in zip(totals, column)]
+        else:
+            totals = [t + abs(a - b) for t, a in zip(totals, column)]
+    return list(map(math.sqrt, totals)) if metric == "euclidean" else totals
+
+
+def _dimensions(n1: int, n2: int) -> SchemaMismatch:
+    return SchemaMismatch(f"vectors of dimension {n1} and {n2}")
+
+
+def _nominal(pos: int) -> SchemaMismatch:
+    return SchemaMismatch(f"feature {pos + 1} is nominal; it has no distance")
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +161,34 @@ def smoothing_counterparts(
     selection never depends on how equal distances happen to sort.
     """
     dists = [distance(case.x, x0, spec.metric) for case in training.cases]
-    if isinstance(spec.mode, KNearest):
-        k = spec.mode.k
-        if k > training.m:
-            raise KExceedsSampleSize(f"k={k} but only {training.m} cases")
-        order = sorted(range(training.m), key=lambda i: (dists[i], i))
-        cutoff = dists[order[k - 1]]
-        chosen = sorted(i for i in range(training.m) if dists[i] <= cutoff)
-    else:
-        chosen = [i for i in range(training.m) if dists[i] <= spec.mode.radius]
-        if not chosen:
-            raise EmptyNeighborhood(
-                f"no case within radius {spec.mode.radius} of {x0.values!r}"
-            )
-    members = tuple(training.cases[i] for i in chosen)
+    members = tuple(training.cases[i] for i in _chosen(dists, spec.mode, x0))
     return CounterpartSet(members, Provenance.FROM_TRAINING)
+
+
+def _chosen(
+    dists: Sequence[float], mode: Union[KNearest, FixedRadius], x0: FeatureVector
+) -> list[int]:
+    """Indices, in training order, of the cases the neighborhood rule selects."""
+    if isinstance(mode, KNearest):
+        if mode.k > len(dists):
+            raise KExceedsSampleSize(f"k={mode.k} but only {len(dists)} cases")
+        cutoff = sorted(dists)[mode.k - 1]
+        return [i for i, d in enumerate(dists) if d <= cutoff]
+    chosen = [i for i, d in enumerate(dists) if d <= mode.radius]
+    if not chosen:
+        raise EmptyNeighborhood(f"no case within radius {mode.radius} of {x0.values!r}")
+    return chosen
 
 
 def smoothing_case_inconsistency(h_value: float, counterparts: CounterpartSet) -> float:
     """Absolute gap between the answer and the neighborhood's mean feedback."""
     if len(counterparts) == 0:
         raise EmptyNeighborhood("inconsistency against an empty neighborhood")
-    mean = _mean(counterparts.feedbacks)
-    return abs(h_value - mean)
+    return _gap(h_value, counterparts.feedbacks)
+
+
+def _gap(value: float, feedbacks: Sequence[float]) -> float:
+    return abs(value - _mean(feedbacks))
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -174,11 +214,15 @@ def _pointwise_report(
     return InconsistencyReport.build([entry], Aggregation.SUM, describe_hypothesis(h))
 
 
-def _vote(x0: FeatureVector, counterparts: CounterpartSet) -> tuple[int, InconsistencyReport]:
-    """The 0/1 answer closer to the counterparts' mean label; ties give 0."""
-    return least_inconsistent(
-        LABELS, lambda label: _pointwise_report(PointwiseHypothesis(x0, label), counterparts)
-    )
+def _vote(feedbacks: Sequence[float]) -> tuple[int, float]:
+    """The 0/1 answer closer to the mean label, with its gap; ties give 0."""
+    return least_inconsistent(LABELS, lambda label: _gap(label, feedbacks), total=float)
+
+
+def _voted(x0: FeatureVector, counterparts: CounterpartSet) -> tuple[int, InconsistencyReport]:
+    """The counterparts' vote at the query, with the report of the answer."""
+    label, _ = _vote(counterparts.feedbacks)
+    return label, _pointwise_report(PointwiseHypothesis(x0, label), counterparts)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +239,7 @@ def knn_predict(
     """
     require_labels(training, YKind.BINARY01)
     spec = NeighborhoodSpec(KNearest(k), metric)
-    return _vote(x0, smoothing_counterparts(x0, training, spec))
+    return _voted(x0, smoothing_counterparts(x0, training, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +392,13 @@ def dtree_counterparts(
     x0: FeatureVector, partition: TreePartition, training: TrainingSet
 ) -> CounterpartSet:
     """Observed cases sharing the query's subdomain."""
-    leaf = partition.route(x0)
+    return CounterpartSet(_leaf_cases(partition.route(x0), training), Provenance.FROM_TRAINING)
+
+
+def _leaf_cases(leaf: TreeLeaf, training: TrainingSet) -> tuple[Case, ...]:
     if not leaf.case_indices:
         raise EmptyLeaf(f"leaf {leaf.leaf_id} holds no cases")
-    members = tuple(training.cases[i] for i in leaf.case_indices)
-    return CounterpartSet(members, Provenance.FROM_TRAINING)
+    return tuple(training.cases[i] for i in leaf.case_indices)
 
 
 def dtree_predict(
@@ -360,7 +406,7 @@ def dtree_predict(
 ) -> tuple[int, InconsistencyReport]:
     """Binary answer at the query from its subdomain's cases; ties give 0."""
     require_labels(training, YKind.BINARY01)
-    return _vote(x0, dtree_counterparts(x0, partition, training))
+    return _voted(x0, dtree_counterparts(x0, partition, training))
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +432,11 @@ def nb_transform(x0: FeatureVector, training: TrainingSet) -> TransformedProblem
     Requires the observed value sets of distinct feature positions to be
     disjoint: after pooling, a value must still name its position.
     """
-    n = training.n
-    if x0.n != n:
-        raise SchemaMismatch(f"query has {x0.n} features, training has {n}")
-    observed: list[set[str]] = [set() for _ in range(n)]
-    for case in list(training.cases) + [Case(x0, 0.0)]:
-        for pos, v in enumerate(case.x.values):
-            if not isinstance(v, str):
-                raise SchemaMismatch(f"feature {pos + 1} must be nominal, got {v!r}")
-            observed[pos].add(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = observed[i] & observed[j]
-            if shared:
-                raise NonDisjointValueSets(
-                    f"features {i + 1} and {j + 1} share value(s) {sorted(shared)!r}"
-                )
+    _require_query_width(x0, training)
+    observed = _observed_values(training.features)
+    for pos, v in enumerate(_nominal_values(x0)):
+        observed[pos].add(v)
+    _require_disjoint(observed)
     pooled = frozenset().union(*observed)
     parts = tuple(FeatureVector((v,)) for v in x0.values)
     flat = tuple(
@@ -419,10 +454,42 @@ def nb_case_inconsistency(alpha: Case, pool: Sequence[Case]) -> float:
     rather than false confidence either way.
     """
     matches = [beta for beta in pool if beta.x == alpha.x]
-    if not matches:
-        return 0.5
-    disagree = sum(1 for beta in matches if beta.y != alpha.y)
-    return disagree / len(matches)
+    return _nb_fraction(sum(1 for beta in matches if beta.y != alpha.y), len(matches))
+
+
+def _nb_fraction(disagree: int, matches: int) -> float:
+    return 0.5 if matches == 0 else disagree / matches
+
+
+def _require_query_width(x0: FeatureVector, training: TrainingSet) -> None:
+    if x0.n != training.n:
+        raise SchemaMismatch(f"query has {x0.n} features, training has {training.n}")
+
+
+def _nominal_values(x: FeatureVector) -> tuple[str, ...]:
+    for pos, v in enumerate(x.values):
+        if not isinstance(v, str):
+            raise SchemaMismatch(f"feature {pos + 1} must be nominal, got {v!r}")
+    return x.values
+
+
+def _observed_values(vectors: Sequence[FeatureVector]) -> list[set[str]]:
+    """The set of values seen at each position; every value must be nominal."""
+    observed: list[set[str]] = [set() for _ in range(vectors[0].n)]
+    for x in vectors:
+        for pos, v in enumerate(_nominal_values(x)):
+            observed[pos].add(v)
+    return observed
+
+
+def _require_disjoint(observed: Sequence[set[str]]) -> None:
+    for i in range(len(observed)):
+        for j in range(i + 1, len(observed)):
+            shared = observed[i] & observed[j]
+            if shared:
+                raise NonDisjointValueSets(
+                    f"features {i + 1} and {j + 1} share value(s) {sorted(shared)!r}"
+                )
 
 
 def nb_predict(
@@ -465,29 +532,101 @@ def pointwise_fit(
     return None
 
 
-def pointwise_answer(
+def pointwise_answers(
     family: str,
     params: Mapping[str, object],
     tree: TreePartition | None,
     training: TrainingSet,
-    x0: FeatureVector,
-) -> tuple[float, float, int]:
-    """(answer, query inconsistency, counterpart count) at one query.
+    queries: Sequence[FeatureVector],
+) -> Iterator[tuple[float, float, int]]:
+    """(answer, query inconsistency, counterpart count) at each query, in order.
 
-    ``tree`` is what :func:`pointwise_fit` returned.  Each query selects
-    its counterparts once.
+    ``tree`` is what :func:`pointwise_fit` returned.  The work that
+    depends on the training set alone is done once per call: the label
+    check, the transposed columns of ``smoothing`` and ``knn``, the
+    value table of ``nb``, and each ``dtree`` leaf's vote (when a query
+    first reaches the leaf).  Answers are yielded as they are found, so
+    a query that fails ends the iteration after the answers before it.
+    Every answer, inconsistency and error equals what the per-query
+    functions (:func:`smoothing_counterparts`, :func:`knn_predict`,
+    :func:`dtree_predict`, :func:`nb_predict`) give at that query.
     """
-    if family == "smoothing":
-        counterparts = smoothing_counterparts(x0, training, _neighborhood(params))
-        value = _mean(counterparts.feedbacks)
-        return value, smoothing_case_inconsistency(value, counterparts), len(counterparts)
-    if family == "knn":
-        label, report = knn_predict(x0, training, params[K.key], params[METRIC.key])
-    elif family == "dtree":
-        label, report = dtree_predict(x0, tree, training)
+    if family == "dtree":
+        yield from _leaf_answers(tree, training, queries)
+    elif family == "nb":
+        yield from _nb_answers(training, queries)
     else:
-        label, report = nb_predict(x0, training)
-    return label, report.total, sum(entry.counterpart_count for entry in report.entries)
+        yield from _neighborhood_answers(family == "knn", params, training, queries)
+
+
+def _neighborhood_answers(
+    vote: bool,
+    params: Mapping[str, object],
+    training: TrainingSet,
+    queries: Sequence[FeatureVector],
+) -> Iterator[tuple[float, float, int]]:
+    if vote:
+        require_labels(training, YKind.BINARY01)
+    spec = _neighborhood(params)
+    columns = tuple(zip(*(case.x.values for case in training.cases)))
+    feedbacks = training.feedbacks
+    for x0 in queries:
+        chosen = _chosen(_column_distances(columns, x0, spec.metric), spec.mode, x0)
+        ys = [feedbacks[i] for i in chosen]
+        if vote:
+            label, mu = _vote(ys)
+            yield label, mu, len(ys)
+        else:
+            value = _mean(ys)
+            yield value, _gap(value, ys), len(ys)
+
+
+def _leaf_answers(
+    tree: TreePartition, training: TrainingSet, queries: Sequence[FeatureVector]
+) -> Iterator[tuple[float, float, int]]:
+    require_labels(training, YKind.BINARY01)
+    votes: dict[int, tuple[int, float, int]] = {}  # id of a reached leaf -> its answer
+    for x0 in queries:
+        leaf = tree.route(x0)
+        answer = votes.get(id(leaf))
+        if answer is None:
+            ys = [case.y for case in _leaf_cases(leaf, training)]
+            answer = votes[id(leaf)] = (*_vote(ys), len(ys))
+        yield answer
+
+
+def _nb_answers(
+    training: TrainingSet, queries: Sequence[FeatureVector]
+) -> Iterator[tuple[float, float, int]]:
+    require_labels(training, YKind.BINARY01)
+    observed: list[set[str]] | None = None
+    for x0 in queries:
+        _require_query_width(x0, training)  # nb_transform checks the width first
+        if observed is None:
+            observed = _observed_values(training.features)
+            position = {v: pos for pos, seen in enumerate(observed) for v in seen}
+            disjoint = len(position) == sum(map(len, observed))
+            counts: dict[str, tuple[int, int]] = {}  # value -> (label-0 cases, label-1 cases)
+            for case in training.cases:
+                for v in case.x.values:
+                    n0, n1 = counts.get(v, (0, 0))
+                    counts[v] = (n0 + 1, n1) if case.y == 0 else (n0, n1 + 1)
+        values = _nominal_values(x0)
+        # Value sets meet only where one value sits at two positions; then
+        # nb_transform's pooled check names the pair and the shared values.
+        if not disjoint or len(set(values)) < len(values) or any(
+            position.get(v, pos) != pos for pos, v in enumerate(values)
+        ):
+            _require_disjoint([seen | {v} for seen, v in zip(observed, values)])
+        tallies = [counts.get(v, (0, 0)) for v in values]
+        label, mu = least_inconsistent(LABELS, lambda label: _nb_product(tallies, label), total=float)
+        yield label, mu, sum(n0 + n1 for n0, n1 in tallies)
+
+
+def _nb_product(tallies: Sequence[tuple[int, int]], label: int) -> float:
+    """The product of the per-feature fractions, from each value's label counts."""
+    fractions = [_nb_fraction(n0 + n1 - (n0, n1)[label], n0 + n1) for n0, n1 in tallies]
+    return aggregate_mus(fractions, Aggregation.PRODUCT)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ def write(tmp_path):
 PM1_CSV = "x1,x2,y\n0,0,-1\n0,1,-1\n2,2,1\n3,2,1\n"
 REAL_CSV = "x,y\n0,1\n1,2\n5,9\n"
 BIN_CSV = "x,y\n0,0\n1,0\n5,1\n6,1\n"
+DELETE = object()  # an edit that removes the key from a model file
 
 
 def run(argv):
@@ -121,6 +122,19 @@ class TestDataErrors:
         assert code == 1
         assert "does not match" in capsys.readouterr().err
 
+    def test_radius_miss_keeps_the_answers_before_it(self, write, tmp_path, capsys):
+        data = write("d.csv", REAL_CSV)
+        model = tmp_path / "m.json"
+        run(["train", "--learner", "smoothing", "--data", data, "--radius", "1.5",
+             "--out", model])
+        capsys.readouterr()
+        queries = write("q.csv", "x\n0.5\n5\n20\n1\n")
+        assert run(["predict", "--model", model, "--queries", queries,
+                    "--data", data]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "1.5\n9\n"
+        assert captured.err == "error: no case within radius 1.5 of (20,)\n"
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = run(["train", "--learner", "nb", "--data", tmp_path / "nope.csv",
                     "--out", tmp_path / "m.json"])
@@ -179,6 +193,36 @@ class TestNonFiniteTokens:
 
 
 class TestModelChecks:
+    @pytest.mark.parametrize("edit", [
+        {"tree": None},
+        {"schema": DELETE},
+        {"y_kind": "weird"},
+        {"feature_names": 5},
+        {"feature_names": ["x", "z"]},
+        {"schema": [{"kind": "ordinal"}]},
+        {"target": DELETE},
+        {"hypothesis": 5},
+        {"hypothesis": {"kind": "linear", "b": "ab", "a": 0.0}},
+        {"tree": {"leaf": 0, "cases": "all"}},
+        {"tree": {"feature": 3, "threshold": 0, "left": None, "right": None}},
+        {"tree": {"leaf": 0, "cases": [0, 1, 2, 7]}},
+    ])
+    def test_edited_dtree_model_is_a_data_error(self, write, tmp_path, capsys, edit):
+        data = write("d.csv", BIN_CSV)
+        model = tmp_path / "m.json"
+        run(["train", "--learner", "dtree", "--data", data, "--out", model])
+        doc = {**json.loads(model.read_text()), **edit}
+        model.write_text(json.dumps({k: v for k, v in doc.items() if v is not DELETE}))
+        queries = write("q.csv", "x\n2\n")
+        capsys.readouterr()
+        for argv in (["predict", "--model", model, "--queries", queries, "--data", data],
+                     ["audit", "--model", model, "--data", data]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("edit", [
         {"params": {}},
         {"params": {"k": 3, "metric": "euclidean", "zeal": 1}},

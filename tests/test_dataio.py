@@ -337,6 +337,12 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_deeply_nested_document(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"tree": ' + '{"left": ' * 100_000 + "null" + "}" * 100_001)
+        with pytest.raises(ModelFormatError, match="nests too deeply"):
+            load_model(path)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.json")
