@@ -499,7 +499,7 @@ def _tree_from_json(doc: object, n: int) -> TreeNode | TreeLeaf:
         if isinstance(cases, list) and all(map(_is_index, cases)):
             return TreeLeaf(doc["leaf"], tuple(cases))
     elif (isinstance(doc, dict) and _is_index(doc.get("feature")) and doc["feature"] < n
-          and _is_index(doc.get("threshold"))):
+          and _is_int(doc.get("threshold"))):
         return TreeNode(
             doc["feature"],
             doc["threshold"],
@@ -509,5 +509,9 @@ def _tree_from_json(doc: object, n: int) -> TreeNode | TreeLeaf:
     raise ModelFormatError("the tree holds a malformed node")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_index(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0

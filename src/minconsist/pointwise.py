@@ -550,6 +550,9 @@ def pointwise_answers(
     Every answer, inconsistency and error equals what the per-query
     functions (:func:`smoothing_counterparts`, :func:`knn_predict`,
     :func:`dtree_predict`, :func:`nb_predict`) give at that query.
+    One exception: ``nb`` rejects a training value that is not nominal
+    before it reads the first query, where :func:`nb_transform` would
+    first reject a query of the wrong width.
     """
     if family == "dtree":
         yield from _leaf_answers(tree, training, queries)
@@ -599,21 +602,21 @@ def _nb_answers(
     training: TrainingSet, queries: Sequence[FeatureVector]
 ) -> Iterator[tuple[float, float, int]]:
     require_labels(training, YKind.BINARY01)
-    observed: list[set[str]] | None = None
+    observed = _observed_values(training.features)
+    position = {v: pos for pos, seen in enumerate(observed) for v in seen}
+    disjoint = len(position) == sum(map(len, observed))
+    counts: dict[str, tuple[int, int]] = {}  # value -> (label-0 cases, label-1 cases)
+    for case in training.cases:
+        for v in case.x.values:
+            n0, n1 = counts.get(v, (0, 0))
+            counts[v] = (n0 + 1, n1) if case.y == 0 else (n0, n1 + 1)
     for x0 in queries:
-        _require_query_width(x0, training)  # nb_transform checks the width first
-        if observed is None:
-            observed = _observed_values(training.features)
-            position = {v: pos for pos, seen in enumerate(observed) for v in seen}
-            disjoint = len(position) == sum(map(len, observed))
-            counts: dict[str, tuple[int, int]] = {}  # value -> (label-0 cases, label-1 cases)
-            for case in training.cases:
-                for v in case.x.values:
-                    n0, n1 = counts.get(v, (0, 0))
-                    counts[v] = (n0 + 1, n1) if case.y == 0 else (n0, n1 + 1)
+        _require_query_width(x0, training)
         values = _nominal_values(x0)
-        # Value sets meet only where one value sits at two positions; then
-        # nb_transform's pooled check names the pair and the shared values.
+        # A FeatureSchema keeps nominal symbol sets apart, so data read
+        # through one never meets here.  Otherwise value sets meet only
+        # where one value sits at two positions; then nb_transform's
+        # pooled check names the pair and the shared values.
         if not disjoint or len(set(values)) < len(values) or any(
             position.get(v, pos) != pos for pos, v in enumerate(values)
         ):

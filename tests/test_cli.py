@@ -60,6 +60,21 @@ class TestTrain:
         assert run(["train", "--learner", "dtree", "--data", data, "--out", out]) == 0
         assert load_model(out).tree is not None
 
+    def test_dtree_splits_at_a_negative_threshold(self, write, tmp_path, capsys):
+        data = write("d.csv", "x,y\n-3,0\n-2,0\n1,1\n2,1\n")
+        queries = write("q.csv", "x\n-5\n-2\n0\n7\n")
+        model = tmp_path / "m.json"
+        assert run(["train", "--learner", "dtree", "--data", data, "--out", model]) == 0
+        assert json.loads(model.read_text())["tree"]["threshold"] == -2
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--queries", queries, "--data", data]) == 0
+        assert capsys.readouterr().out == "0\n0\n1\n1\n"
+        assert run(["audit", "--model", model, "--data", data]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["x"], r["mu"], r["counterparts"]) for r in rows] == [
+            ([-3], 0.0, 2), ([-2], 0.0, 2), ([1], 0.0, 2), ([2], 0.0, 2)
+        ]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -205,6 +220,8 @@ class TestModelChecks:
         {"hypothesis": {"kind": "linear", "b": "ab", "a": 0.0}},
         {"tree": {"leaf": 0, "cases": "all"}},
         {"tree": {"feature": 3, "threshold": 0, "left": None, "right": None}},
+        {"tree": {"feature": 0, "threshold": True,
+                  "left": {"leaf": 0, "cases": [0, 1]}, "right": {"leaf": 1, "cases": [2, 3]}}},
         {"tree": {"leaf": 0, "cases": [0, 1, 2, 7]}},
     ])
     def test_edited_dtree_model_is_a_data_error(self, write, tmp_path, capsys, edit):
