@@ -42,13 +42,11 @@ from .core import (
     ParseError,
     PointwiseHypothesis,
     ProblemStatement,
-    Provenance,
     ReportEntry,
     SchemaMismatch,
     SolverDiverged,
     TrainingDataMismatch,
     TrainingSet,
-    UndefinedAt,
     UnknownColumnKind,
     YKind,
     aggregate_mus,
@@ -61,13 +59,9 @@ from .core import (
     training_set,
 )
 from .pointwise import (
-    DtreeLearner,
     FixedRadius,
     KNearest,
-    KnnLearner,
-    NbLearner,
     NeighborhoodSpec,
-    SmoothingLearner,
     TransformedProblem,
     TreeConfig,
     TreeLeaf,
@@ -78,7 +72,6 @@ from .pointwise import (
     dtree_counterparts,
     dtree_predict,
     knn_predict,
-    nb_case_inconsistency,
     nb_predict,
     nb_transform,
     smoothing_case_inconsistency,
@@ -94,7 +87,6 @@ from .linear import (
     SvmParams,
     SvrLearner,
     SvrParams,
-    margin_distance,
     slack_feasible,
     squared_weight_norm,
     svm_case_inconsistency,
@@ -127,10 +119,6 @@ from .dataio import (
 __version__ = "0.1.0"
 
 LEARNERS: dict[str, Learner] = {
-    "smoothing": SmoothingLearner(),
-    "knn": KnnLearner(),
-    "dtree": DtreeLearner(),
-    "nb": NbLearner(),
     "svm": SvmLearner(),
     "svr": SvrLearner(),
     "erm": ErmLearner(),
@@ -143,5 +131,5 @@ def get_learner(family: str) -> Learner:
         return LEARNERS[family]
     except KeyError:
         raise InvalidParameter(
-            f"unknown family {family!r}; known: {', '.join(sorted(LEARNERS))}"
+            f"no learner for family {family!r}; learners: {', '.join(sorted(LEARNERS))}"
         ) from None

@@ -309,6 +309,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_audit(args)
         if args.trials is not None and args.trials < 1:
             parser.error("--trials must be >= 1")
+        if args.seed < 0:
+            parser.error("--seed must be >= 0")
         return cmd_verify(args)
     except SystemExit as exc:  # argparse usage errors and --help
         code = exc.code

@@ -11,8 +11,9 @@ smallest.
 This module owns the data model (feature vectors, cases, training sets,
 schemas), the hypothesis variants, the per-case report structure, the
 family registry that describes every learner's parameters once, the
-problem statement checked against it, and the one argmin,
-:func:`least_inconsistent`, behind :func:`select_hypothesis`.
+problem statement checked against it, the one finite argmin,
+:func:`least_inconsistent`, and :func:`select_hypothesis`, which hands a
+problem to its learner's solver.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class SchemaMismatch(MinconsistError):
 
 class DuplicateFeatureVector(MinconsistError):
     """Two cases in one training set share an identical feature vector."""
-
-
-class UndefinedAt(MinconsistError):
-    """A pointwise hypothesis was evaluated away from its anchor point."""
 
 
 class IncompatibleFamily(MinconsistError):
@@ -115,7 +112,7 @@ class UnknownColumnKind(MinconsistError):
 
 
 class ModelFormatError(MinconsistError):
-    """A model file is malformed or has an unsupported version."""
+    """A model file cannot be read or written, is malformed, or has an unsupported version."""
 
 
 class TrainingDataMismatch(MinconsistError):
@@ -124,13 +121,6 @@ class TrainingDataMismatch(MinconsistError):
 
 # ---------------------------------------------------------------------------
 # Enums and schema descriptors
-
-
-class Provenance(Enum):
-    """Which side of the comparison a case came from."""
-
-    FROM_TRAINING = "training"
-    FROM_HYPOTHESIS = "hypothesis"
 
 
 class YKind(Enum):
@@ -399,15 +389,10 @@ def reencode_labels(training: TrainingSet, to: YKind) -> TrainingSet:
 
 @dataclass(frozen=True)
 class PointwiseHypothesis:
-    """A hypothesis defined at a single query point only."""
+    """A hypothesis defined at a single query point only: its answer there."""
 
     x0: FeatureVector
     value: float
-
-    def __call__(self, x: FeatureVector) -> float:
-        if x != self.x0:
-            raise UndefinedAt(f"hypothesis is defined at {self.x0.values!r} only")
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -457,7 +442,6 @@ class CounterpartSet:
     """The finite cases one baseline case is compared against."""
 
     members: tuple[Case, ...]
-    provenance: Provenance
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
@@ -602,27 +586,22 @@ class Param:
             raise InvalidParameter(f"{name or self.key} must be {self.rule}, got {value!r}")
 
 
-X0 = Param("x0", None, FeatureVector)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Registry row: the one description of a hypothesis family.
 
     ``params`` lists the family's parameters in model-file order.
     ``one_of`` names parameters of which exactly one must be given;
-    none of them is required on its own.
+    none of them is required on its own.  ``pointwise`` marks a family
+    that answers each query from its training cases rather than from a
+    fitted hypothesis.
     """
 
     name: str
     params: tuple[Param, ...]
     y_kinds: frozenset[YKind]
     one_of: tuple[str, ...] = ()
-
-    @property
-    def pointwise(self) -> bool:
-        """Whether the family answers at a query point: its statement requires ``x0``."""
-        return X0 in self.params
+    pointwise: bool = False
 
     @property
     def file_params(self) -> tuple[Param, ...]:
@@ -718,8 +697,6 @@ class ProblemStatement:
                 f"{self.family} cannot learn from {self.y_kind.value} feedback"
             )
         object.__setattr__(self, "v", spec.complete(self.v))
-        if spec.pointwise:
-            self.x_schema.validate_vector(self.v[X0.key])
 
 
 # ---------------------------------------------------------------------------
@@ -729,9 +706,8 @@ class ProblemStatement:
 class Learner(ABC):
     """One learner seen through the shared inconsistency contract.
 
-    A learner scores any hypothesis of its family via :meth:`report`,
-    and either enumerates a finite candidate family or solves for a
-    minimizer.
+    A learner scores any hypothesis of its family via :meth:`report`
+    and solves for a minimizer via :meth:`solve`.
     """
 
     family: str
@@ -742,44 +718,26 @@ class Learner(ABC):
     ) -> InconsistencyReport:
         """Score ``h``: per-baseline-case inconsistencies and their total."""
 
-    def candidates(
-        self, problem: ProblemStatement, training: TrainingSet
-    ) -> tuple[Hypothesis, ...] | None:
-        """Finite hypothesis family, in tie-break order; ``None`` if continuous."""
-        return None
-
+    @abstractmethod
     def solve(
         self, problem: ProblemStatement, training: TrainingSet
     ) -> tuple[Hypothesis, InconsistencyReport]:
-        """Minimize total inconsistency over a continuous family."""
-        raise NotImplementedError(f"{self.family} has no continuous solver")
+        """The hypothesis of least total inconsistency, with its report."""
 
 
 T = TypeVar("T")
-S = TypeVar("S")
 
 
-def _report_total(report: InconsistencyReport) -> float:
-    return report.total
+def least_inconsistent(candidates: Iterable[T], score: Callable[[T], float]) -> tuple[T, float]:
+    """The candidate whose total inconsistency ``score`` is smallest, with that total.
 
-
-def least_inconsistent(
-    candidates: Iterable[T],
-    score: Callable[[T], S],
-    total: Callable[[S], float] = _report_total,
-) -> tuple[T, S]:
-    """The candidate whose score has the smallest total, with that score.
-
-    A score is an :class:`InconsistencyReport` unless ``total`` reads
-    the total another way (``total=float`` for a score that is the total
-    itself).  Candidates are scored in the order given and a later one
-    must score strictly lower to win, so ties resolve to the earlier
-    candidate.
+    Candidates are scored in the order given and a later one must score
+    strictly lower to win, so ties resolve to the earlier candidate.
     """
-    best: tuple[T, S] | None = None
+    best: tuple[T, float] | None = None
     for candidate in candidates:
         scored = score(candidate)
-        if best is None or total(scored) < total(best[1]):
+        if best is None or scored < best[1]:
             best = (candidate, scored)
     if best is None:
         raise EmptySet("candidate family is empty")
@@ -791,18 +749,14 @@ def select_hypothesis(
 ) -> tuple[Hypothesis, InconsistencyReport]:
     """Return the hypothesis with minimal total inconsistency, plus its report.
 
-    Finite families are compared exhaustively in the learner's declared
-    candidate order (see :func:`least_inconsistent`).  Continuous
-    families delegate to the learner's solver.
+    The learner's solver finds it; a family's finite answers are
+    compared by :func:`least_inconsistent` instead.
     """
     if learner.family != problem.family:
         raise IncompatibleFamily(
             f"learner {learner.family!r} cannot take a {problem.family!r} problem"
         )
-    cands = learner.candidates(problem, training)
-    if cands is None:
-        return learner.solve(problem, training)
-    return least_inconsistent(cands, lambda h: learner.report(h, problem, training))
+    return learner.solve(problem, training)
 
 
 def erm_total_inconsistency(f: Hypothesis, training: TrainingSet) -> float:

@@ -25,7 +25,6 @@ from .core import (
     EmptySet,
     FeatureSchema,
     FeatureVector,
-    Hypothesis,
     InvalidParameter,
     LinearHypothesis,
     MinconsistError,
@@ -34,7 +33,6 @@ from .core import (
     NumericKind,
     OrdinalKind,
     ParseError,
-    PointwiseHypothesis,
     SchemaMismatch,
     TrainingSet,
     UnknownColumnKind,
@@ -86,10 +84,7 @@ def _json_scalar(v):
 
 def load_sidecar_schema(path: str | Path) -> tuple[dict[str, ColumnKind], str | None]:
     """Column kinds by name, plus the declared target column if any."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"sidecar schema is not valid JSON: {exc}") from exc
+    doc = _read(path, ParseError, f"sidecar schema {path}")
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
         raise ParseError("sidecar schema needs a 'columns' object")
     kinds: dict[str, ColumnKind] = {}
@@ -192,12 +187,26 @@ def load_dataset(
     return Dataset(training, schema, feature_names, target_name)
 
 
-def _read_delimited(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read(path: str | Path, error: type[MinconsistError], json_name: str | None = None):
+    """The text of a file, or its JSON document when ``json_name`` names it.
+
+    Every file this module reads comes through here: each way the read
+    can fail (a missing file, bytes that are not UTF-8, malformed or
+    too deeply nested JSON) becomes ``error``, naming the file.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+        return text if json_name is None else json.loads(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{json_name} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{path} nests too deeply to read") from None
+
+
+def _read_delimited(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    reader = csv.reader(_read(path, ParseError).splitlines())
     table = [row for row in reader if row]
     if not table:
         raise EmptySet(f"{path} is empty")
@@ -330,7 +339,7 @@ class Model:
     schema: FeatureSchema
     target_name: str
     y_kind: YKind
-    hypothesis: Hypothesis | None = None
+    hypothesis: LinearHypothesis | None = None
     tree: TreePartition | None = None
     training_hash: str | None = None
     total_inconsistency: float | None = None
@@ -351,18 +360,19 @@ def save_model(model: Model, path: str | Path) -> None:
         "training_hash": model.training_hash,
         "total_inconsistency": model.total_inconsistency,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write(path, json.dumps(doc, indent=2) + "\n")
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write a file; this module's one write, so its one place to fail."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ModelFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def load_model(path: str | Path) -> Model:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ModelFormatError(f"{path} nests too deeply to read") from None
+    doc = _read(path, ModelFormatError, str(path))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
@@ -455,25 +465,16 @@ def _column_kind_from_model(entry: object) -> ColumnKind:
     raise ModelFormatError(f"model schema declares unknown kind {kind!r}")
 
 
-def _hypothesis_to_json(h: Hypothesis | None) -> dict | None:
-    if h is None:
-        return None
-    if isinstance(h, LinearHypothesis):
-        return {"kind": "linear", "b": list(h.b), "a": h.a}
-    return {"kind": "pointwise", "x0": list(h.x0.values), "value": h.value}
+def _hypothesis_to_json(h: LinearHypothesis | None) -> dict | None:
+    return None if h is None else {"kind": "linear", "b": list(h.b), "a": h.a}
 
 
-def _hypothesis_from_json(doc: dict | None) -> Hypothesis | None:
+def _hypothesis_from_json(doc: dict | None) -> LinearHypothesis | None:
     if doc is None:
         return None
     if doc.get("kind") == "linear":
         b = _field(doc, "b", _is_numbers, "a list of numbers")
         return LinearHypothesis(tuple(b), _field(doc, "a", _is_number, "a number"))
-    if doc.get("kind") == "pointwise":
-        x0 = _field(doc, "x0", lambda v: isinstance(v, list), "a list of feature values")
-        return PointwiseHypothesis(
-            FeatureVector(tuple(x0)), _field(doc, "value", _is_number, "a number")
-        )
     raise ModelFormatError(f"unknown hypothesis kind {doc.get('kind')!r}")
 
 

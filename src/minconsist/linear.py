@@ -151,22 +151,16 @@ def squared_weight_norm(f: LinearHypothesis) -> float:
     return total
 
 
-def margin_distance(x: FeatureVector, half_space: HalfSpace) -> float:
-    """How far the case sits from meeting its margin: |y f(x) - 1|."""
-    return abs(half_space.y * half_space.f(x) - 1.0)
-
-
 def svm_case_inconsistency(alpha: Case, f: LinearHypothesis) -> float:
-    """Zero inside the case's half-space, else the margin distance.
+    """Zero inside the case's half-space, else the margin distance |y f(x) - 1|.
 
     This is the geometric route to the slack value; it never writes the
     closed form down.
     """
-    y = _pm1_label(alpha.y)
-    hs = HalfSpace(f, y)
+    hs = HalfSpace(f, _pm1_label(alpha.y))
     if hs.contains(alpha.x):
         return 0.0
-    return margin_distance(alpha.x, hs)
+    return abs(hs.y * hs.f(alpha.x) - 1.0)
 
 
 def _pm1_label(y: float) -> int:

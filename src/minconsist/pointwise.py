@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
 from .core import (
-    X0,
     Aggregation,
     Case,
     CounterpartSet,
@@ -23,15 +22,12 @@ from .core import (
     FamilySpec,
     FeatureValue,
     FeatureVector,
-    IncompatibleFamily,
     InconsistencyReport,
     InvalidParameter,
     KExceedsSampleSize,
-    Learner,
     NonDisjointValueSets,
     Param,
     PointwiseHypothesis,
-    Provenance,
     ReportEntry,
     SchemaMismatch,
     TrainingSet,
@@ -64,28 +60,17 @@ def distance(x1: FeatureVector, x2: FeatureVector, metric: str = METRIC.default)
     Ordinal positions take part through their rank integers; nominal
     positions have no distance and are rejected.
     """
-    if x1.n != x2.n:
-        raise _dimensions(x1.n, x2.n)
-    if metric not in METRICS:
-        METRIC.check(metric)  # raises; the membership test is its fast path
-    total = 0.0
-    for pos, (a, b) in enumerate(zip(x1.values, x2.values)):
-        if isinstance(a, str) or isinstance(b, str):
-            raise _nominal(pos)
-        d = a - b
-        total += d * d if metric == "euclidean" else abs(d)
-    return math.sqrt(total) if metric == "euclidean" else total
+    return _column_distances([(v,) for v in x1.values], x2, metric)[0]
 
 
 def _column_distances(
     columns: Sequence[Sequence[FeatureValue]], x0: FeatureVector, metric: str
 ) -> list[float]:
-    """:func:`distance` from every row of the transposed ``columns`` to ``x0``.
+    """The distance from every row of the transposed ``columns`` to ``x0``.
 
-    Each row's total adds the same terms in the same order as
-    :func:`distance` (0.0, then position 1, 2, ...), so every distance
-    is the same float; only the loop runs over positions first.  The
-    errors are those :func:`distance` raises for the first row.
+    Each row's total starts at 0.0 and adds one term per position, in
+    position order.  A nominal position, in the rows or in ``x0``, has
+    no distance and is rejected.
     """
     if x0.n != len(columns):
         raise _dimensions(len(columns), x0.n)
@@ -160,9 +145,13 @@ def smoothing_counterparts(
     past k when further cases tie the k-th distance exactly, so the
     selection never depends on how equal distances happen to sort.
     """
-    dists = [distance(case.x, x0, spec.metric) for case in training.cases]
-    members = tuple(training.cases[i] for i in _chosen(dists, spec.mode, x0))
-    return CounterpartSet(members, Provenance.FROM_TRAINING)
+    dists = _column_distances(_columns(training), x0, spec.metric)
+    return CounterpartSet(tuple(training.cases[i] for i in _chosen(dists, spec.mode, x0)))
+
+
+def _columns(training: TrainingSet) -> tuple[tuple[FeatureValue, ...], ...]:
+    """The training features transposed: one tuple of values per position."""
+    return tuple(zip(*(case.x.values for case in training.cases)))
 
 
 def _chosen(
@@ -202,27 +191,25 @@ def smoothing_fit(
     x0: FeatureVector, training: TrainingSet, spec: NeighborhoodSpec
 ) -> PointwiseHypothesis:
     """The inconsistency-minimal constant at the query: the neighborhood mean."""
-    counterparts = smoothing_counterparts(x0, training, spec)
-    return PointwiseHypothesis(x0, _mean(counterparts.feedbacks))
-
-
-def _pointwise_report(
-    h: PointwiseHypothesis, counterparts: CounterpartSet
-) -> InconsistencyReport:
-    mu = smoothing_case_inconsistency(h.value, counterparts)
-    entry = ReportEntry(Case(h.x0, h.value), mu, len(counterparts))
-    return InconsistencyReport.build([entry], Aggregation.SUM, describe_hypothesis(h))
+    value, _, _ = next(_neighborhood_answers(False, spec, training, (x0,)))
+    return PointwiseHypothesis(x0, value)
 
 
 def _vote(feedbacks: Sequence[float]) -> tuple[int, float]:
     """The 0/1 answer closer to the mean label, with its gap; ties give 0."""
-    return least_inconsistent(LABELS, lambda label: _gap(label, feedbacks), total=float)
+    return least_inconsistent(LABELS, lambda label: _gap(label, feedbacks))
 
 
-def _voted(x0: FeatureVector, counterparts: CounterpartSet) -> tuple[int, InconsistencyReport]:
-    """The counterparts' vote at the query, with the report of the answer."""
-    label, _ = _vote(counterparts.feedbacks)
-    return label, _pointwise_report(PointwiseHypothesis(x0, label), counterparts)
+def _reported(
+    x0: FeatureVector, answers: Iterator[tuple[float, float, int]]
+) -> tuple[int, InconsistencyReport]:
+    """The engine's one answer at ``x0``, with its one-entry report."""
+    label, mu, count = next(answers)
+    entry = ReportEntry(Case(x0, label), mu, count)
+    report = InconsistencyReport.build(
+        [entry], Aggregation.SUM, describe_hypothesis(PointwiseHypothesis(x0, label))
+    )
+    return label, report
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +224,8 @@ def knn_predict(
     The candidate answering 0 is tried first, so an exact tie (neighbor
     labels averaging one half) resolves to 0.
     """
-    require_labels(training, YKind.BINARY01)
-    spec = NeighborhoodSpec(KNearest(k), metric)
-    return _voted(x0, smoothing_counterparts(x0, training, spec))
+    params = {K.key: k, METRIC.key: metric}
+    return _reported(x0, pointwise_answers("knn", params, None, training, (x0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +378,7 @@ def dtree_counterparts(
     x0: FeatureVector, partition: TreePartition, training: TrainingSet
 ) -> CounterpartSet:
     """Observed cases sharing the query's subdomain."""
-    return CounterpartSet(_leaf_cases(partition.route(x0), training), Provenance.FROM_TRAINING)
+    return CounterpartSet(_leaf_cases(partition.route(x0), training))
 
 
 def _leaf_cases(leaf: TreeLeaf, training: TrainingSet) -> tuple[Case, ...]:
@@ -405,8 +391,7 @@ def dtree_predict(
     x0: FeatureVector, partition: TreePartition, training: TrainingSet
 ) -> tuple[int, InconsistencyReport]:
     """Binary answer at the query from its subdomain's cases; ties give 0."""
-    require_labels(training, YKind.BINARY01)
-    return _voted(x0, dtree_counterparts(x0, partition, training))
+    return _reported(x0, pointwise_answers("dtree", {}, partition, training, (x0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +432,6 @@ def nb_transform(x0: FeatureVector, training: TrainingSet) -> TransformedProblem
     return TransformedProblem(pooled, parts, flat)
 
 
-def nb_case_inconsistency(alpha: Case, pool: Sequence[Case]) -> float:
-    """Fraction of same-valued pooled cases whose label disagrees.
-
-    A value never seen in the pool scores one half: maximal uncertainty
-    rather than false confidence either way.
-    """
-    matches = [beta for beta in pool if beta.x == alpha.x]
-    return _nb_fraction(sum(1 for beta in matches if beta.y != alpha.y), len(matches))
-
-
-def _nb_fraction(disagree: int, matches: int) -> float:
-    return 0.5 if matches == 0 else disagree / matches
-
-
 def _require_query_width(x0: FeatureVector, training: TrainingSet) -> None:
     if x0.n != training.n:
         raise SchemaMismatch(f"query has {x0.n} features, training has {training.n}")
@@ -497,30 +468,23 @@ def nb_predict(
 ) -> tuple[int, InconsistencyReport]:
     """Binary answer whose per-feature disagreement product is smallest.
 
-    One baseline case per feature, scored against pooled same-valued
-    cases; the n scores multiply.  Ties resolve to 0.
+    One baseline case per feature, scored against the training cases
+    that share its value; the n scores multiply.  Ties resolve to 0.
     """
-    require_labels(training, YKind.BINARY01)
-    transformed = nb_transform(x0, training)
-    return least_inconsistent(
-        LABELS, lambda label: _nb_report(PointwiseHypothesis(x0, label), transformed)
+    tallies = next(_nb_tallies(training, (x0,)))
+    label, _ = _nb_vote(tallies)
+    entries = [
+        ReportEntry(Case(FeatureVector((v,)), label), mu, n0 + n1)
+        for v, mu, (n0, n1) in zip(x0.values, _nb_fractions(tallies, label), tallies)
+    ]
+    report = InconsistencyReport.build(
+        entries, Aggregation.PRODUCT, describe_hypothesis(PointwiseHypothesis(x0, label))
     )
-
-
-def _nb_report(h: PointwiseHypothesis, transformed: TransformedProblem) -> InconsistencyReport:
-    entries = []
-    for part in transformed.x0_parts:
-        alpha = Case(part, h.value)
-        mu = nb_case_inconsistency(alpha, transformed.cases)
-        count = sum(1 for beta in transformed.cases if beta.x == part)
-        entries.append(ReportEntry(alpha, mu, count))
-    return InconsistencyReport.build(entries, Aggregation.PRODUCT, describe_hypothesis(h))
-
-
+    return label, report
 
 
 # ---------------------------------------------------------------------------
-# The per-query engine: one answer at one query, from a complete parameter set
+# The engine: every pointwise answer, from a complete parameter set
 
 
 def pointwise_fit(
@@ -541,37 +505,36 @@ def pointwise_answers(
 ) -> Iterator[tuple[float, float, int]]:
     """(answer, query inconsistency, counterpart count) at each query, in order.
 
-    ``tree`` is what :func:`pointwise_fit` returned.  The work that
+    ``tree`` is what :func:`pointwise_fit` returned.  This is the one
+    implementation of each pointwise rule; the per-query functions
+    (:func:`smoothing_fit`, :func:`knn_predict`, :func:`dtree_predict`,
+    :func:`nb_predict`) run it on a single query.  The work that
     depends on the training set alone is done once per call: the label
     check, the transposed columns of ``smoothing`` and ``knn``, the
-    value table of ``nb``, and each ``dtree`` leaf's vote (when a query
-    first reaches the leaf).  Answers are yielded as they are found, so
-    a query that fails ends the iteration after the answers before it.
-    Every answer, inconsistency and error equals what the per-query
-    functions (:func:`smoothing_counterparts`, :func:`knn_predict`,
-    :func:`dtree_predict`, :func:`nb_predict`) give at that query.
-    One exception: ``nb`` rejects a training value that is not nominal
-    before it reads the first query, where :func:`nb_transform` would
-    first reject a query of the wrong width.
+    value table of ``nb`` (with its check that every training value is
+    nominal), and each ``dtree`` leaf's vote (when a query first
+    reaches the leaf).  Answers are yielded as they are found, so a
+    query that fails ends the iteration after the answers before it.
     """
     if family == "dtree":
         yield from _leaf_answers(tree, training, queries)
     elif family == "nb":
-        yield from _nb_answers(training, queries)
+        for tallies in _nb_tallies(training, queries):
+            label, mu = _nb_vote(tallies)
+            yield label, mu, sum(n0 + n1 for n0, n1 in tallies)
     else:
-        yield from _neighborhood_answers(family == "knn", params, training, queries)
+        yield from _neighborhood_answers(family == "knn", _neighborhood(params), training, queries)
 
 
 def _neighborhood_answers(
     vote: bool,
-    params: Mapping[str, object],
+    spec: NeighborhoodSpec,
     training: TrainingSet,
     queries: Sequence[FeatureVector],
 ) -> Iterator[tuple[float, float, int]]:
     if vote:
         require_labels(training, YKind.BINARY01)
-    spec = _neighborhood(params)
-    columns = tuple(zip(*(case.x.values for case in training.cases)))
+    columns = _columns(training)
     feedbacks = training.feedbacks
     for x0 in queries:
         chosen = _chosen(_column_distances(columns, x0, spec.metric), spec.mode, x0)
@@ -598,9 +561,13 @@ def _leaf_answers(
         yield answer
 
 
-def _nb_answers(
+def _nb_tallies(
     training: TrainingSet, queries: Sequence[FeatureVector]
-) -> Iterator[tuple[float, float, int]]:
+) -> Iterator[list[tuple[int, int]]]:
+    """Each query's (label-0 cases, label-1 cases) per feature value, in order.
+
+    The value table is built once, before the first query is read.
+    """
     require_labels(training, YKind.BINARY01)
     observed = _observed_values(training.features)
     position = {v: pos for pos, seen in enumerate(observed) for v in seen}
@@ -615,92 +582,38 @@ def _nb_answers(
         values = _nominal_values(x0)
         # A FeatureSchema keeps nominal symbol sets apart, so data read
         # through one never meets here.  Otherwise value sets meet only
-        # where one value sits at two positions; then nb_transform's
-        # pooled check names the pair and the shared values.
+        # where one value sits at two positions; then the pooled check
+        # names the pair and the shared values.
         if not disjoint or len(set(values)) < len(values) or any(
             position.get(v, pos) != pos for pos, v in enumerate(values)
         ):
             _require_disjoint([seen | {v} for seen, v in zip(observed, values)])
-        tallies = [counts.get(v, (0, 0)) for v in values]
-        label, mu = least_inconsistent(LABELS, lambda label: _nb_product(tallies, label), total=float)
-        yield label, mu, sum(n0 + n1 for n0, n1 in tallies)
+        yield [counts.get(v, (0, 0)) for v in values]
 
 
-def _nb_product(tallies: Sequence[tuple[int, int]], label: int) -> float:
-    """The product of the per-feature fractions, from each value's label counts."""
-    fractions = [_nb_fraction(n0 + n1 - (n0, n1)[label], n0 + n1) for n0, n1 in tallies]
-    return aggregate_mus(fractions, Aggregation.PRODUCT)
+def _nb_vote(tallies: Sequence[tuple[int, int]]) -> tuple[int, float]:
+    """The 0/1 answer with the smaller product of fractions, with that product; ties give 0."""
+    return least_inconsistent(
+        LABELS, lambda label: aggregate_mus(_nb_fractions(tallies, label), Aggregation.PRODUCT)
+    )
 
 
-# ---------------------------------------------------------------------------
-# Learner contract adapters
+def _nb_fractions(tallies: Sequence[tuple[int, int]], label: int) -> list[float]:
+    """Each feature's fraction of same-valued cases whose label is not ``label``.
 
-
-class SmoothingLearner(Learner):
-    """Local mean smoothing: a continuous family of constants at the query."""
-
-    family = "smoothing"
-
-    def report(self, h, problem, training):
-        if not isinstance(h, PointwiseHypothesis):
-            raise IncompatibleFamily(
-                f"expected a pointwise hypothesis, got {describe_hypothesis(h)}"
-            )
-        counterparts = smoothing_counterparts(h.x0, training, _neighborhood(problem.v))
-        return _pointwise_report(h, counterparts)
-
-    def solve(self, problem, training):
-        x0 = problem.v[X0.key]
-        counterparts = smoothing_counterparts(x0, training, _neighborhood(problem.v))
-        h = PointwiseHypothesis(x0, _mean(counterparts.feedbacks))
-        return h, _pointwise_report(h, counterparts)
-
-
-class _ZeroOneLearner(Learner):
-    """A classifier whose candidates are the constants 0 and 1 at the query, 0 first."""
-
-    def candidates(self, problem, training):
-        return tuple(PointwiseHypothesis(problem.v[X0.key], label) for label in LABELS)
-
-
-class KnnLearner(_ZeroOneLearner):
-    """k-nearest classification as an argmin over two constants."""
-
-    family = "knn"
-
-    def report(self, h, problem, training):
-        require_labels(training, YKind.BINARY01)
-        counterparts = smoothing_counterparts(h.x0, training, _neighborhood(problem.v))
-        return _pointwise_report(h, counterparts)
-
-
-class DtreeLearner(_ZeroOneLearner):
-    """Decision-tree classification; counterparts come from the query's leaf."""
-
-    family = "dtree"
-
-    def report(self, h, problem, training):
-        require_labels(training, YKind.BINARY01)
-        partition = dtree_build(training, _tree_config(problem.v))
-        return _pointwise_report(h, dtree_counterparts(h.x0, partition, training))
-
-
-class NbLearner(_ZeroOneLearner):
-    """Naive Bayes with per-feature baseline cases and a product total."""
-
-    family = "nb"
-
-    def report(self, h, problem, training):
-        require_labels(training, YKind.BINARY01)
-        return _nb_report(h, nb_transform(h.x0, training))
+    A value never seen in training scores one half: maximal uncertainty
+    rather than false confidence either way.
+    """
+    return [(n0 + n1 - (n0, n1)[label]) / (n0 + n1) if n0 + n1 else 0.5 for n0, n1 in tallies]
 
 
 # ---------------------------------------------------------------------------
 # Family registration
 
 register_family(FamilySpec(
-    "smoothing", (X0, K, RADIUS, METRIC), frozenset(YKind), one_of=(K.key, RADIUS.key)
+    "smoothing", (K, RADIUS, METRIC), frozenset(YKind), one_of=(K.key, RADIUS.key),
+    pointwise=True,
 ))
-register_family(FamilySpec("knn", (X0, K, METRIC), frozenset({YKind.BINARY01})))
-register_family(FamilySpec("dtree", (X0, *TREE_PARAMS), frozenset({YKind.BINARY01})))
-register_family(FamilySpec("nb", (X0,), frozenset({YKind.BINARY01})))
+register_family(FamilySpec("knn", (K, METRIC), frozenset({YKind.BINARY01}), pointwise=True))
+register_family(FamilySpec("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}), pointwise=True))
+register_family(FamilySpec("nb", (), frozenset({YKind.BINARY01}), pointwise=True))

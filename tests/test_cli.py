@@ -96,6 +96,7 @@ class TestUsageErrors:
          "--lambda", "nan", "--out", "m"],
         ["train", "--learner", "smoothing", "--data", "d.csv", "--radius", "nan",
          "--out", "m"],
+        ["verify", "--seed", "-1"],
     ])
     def test_exit_two(self, argv, capsys):
         assert run(argv) == 2
@@ -155,6 +156,42 @@ class TestDataErrors:
                     "--out", tmp_path / "m.json"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _train_argv(tmp_path, **files):
+    """A knn train command on BIN_CSV; ``files`` replace its paths or add flags."""
+    (tmp_path / "d.csv").write_text(BIN_CSV, encoding="utf-8")
+    paths = {"data": tmp_path / "d.csv", "out": tmp_path / "m.json", **files}
+    return ["train", "--learner", "knn", "--k", "1",
+            *(arg for key, path in paths.items() for arg in (f"--{key}", path))]
+
+
+def _written(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+    return path
+
+
+class TestFileBoundaries:
+    """Every file the CLI reads or writes fails as a data error, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        lambda t: _train_argv(t, schema=t / "nosuch.json"),
+        lambda t: _train_argv(t, schema=_written(
+            t, "s.json", '{"columns": ' + "[" * 100_000 + "]" * 100_000 + "}")),
+        lambda t: _train_argv(t, data=_written(t, "e.csv", b"x,y\n0,0\n\xff,1\n")),
+        lambda t: ["predict", "--model", _written(t, "m.json", b'{"format": "\xff"}'),
+                   "--queries", _written(t, "q.csv", "x\n2\n")],
+        lambda t: _train_argv(t, out=t / "nonexistent" / "m.json"),
+        lambda t: _train_argv(t, out=t),
+    ], ids=["missing-schema", "nested-schema", "csv-not-utf8", "model-not-utf8",
+            "out-in-missing-dir", "out-is-a-directory"])
+    def test_exit_one(self, tmp_path, capsys, argv):
+        assert run(argv(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 class TestNonFiniteTokens:
@@ -246,6 +283,7 @@ class TestModelChecks:
         {"params": {"k": 0, "metric": "euclidean"}},
         {"params": {"k": 3, "metric": "cosine"}},
         {"family": "wizard"},
+        {"hypothesis": {"kind": "pointwise", "x0": [2], "value": 0}},
     ])
     def test_edited_knn_model_is_a_data_error(self, write, tmp_path, capsys, edit):
         data = write("d.csv", BIN_CSV)

@@ -22,13 +22,10 @@ from minconsist import (
     LinearHypothesis,
     NominalKind,
     OrdinalKind,
-    PointwiseHypothesis,
     ProblemStatement,
-    Provenance,
     ReportEntry,
     SchemaMismatch,
     TrainingSet,
-    UndefinedAt,
     YKind,
     aggregate_mus,
     erm_total_inconsistency,
@@ -38,6 +35,7 @@ from minconsist import (
     select_hypothesis,
     training_set,
 )
+from minconsist.core import least_inconsistent
 
 
 class TestFeatureVector:
@@ -148,12 +146,6 @@ class TestLabels:
 
 
 class TestHypotheses:
-    def test_pointwise_defined_only_at_anchor(self):
-        h = PointwiseHypothesis(FeatureVector.of(1, 2), 0.5)
-        assert h(FeatureVector.of(1, 2)) == 0.5
-        with pytest.raises(UndefinedAt):
-            h(FeatureVector.of(1, 3))
-
     def test_linear_evaluation(self):
         f = LinearHypothesis((2.0, -1.0), 0.5)
         assert f(FeatureVector.of(1.0, 1.0)) == 1.5
@@ -218,46 +210,39 @@ def _report_for(value: float) -> InconsistencyReport:
 
 
 class StubLearner(Learner):
-    """Finite two-candidate family with controllable scores."""
+    """A solver that returns a fixed hypothesis."""
 
     family = "smoothing"
 
-    def __init__(self, scores):
-        self.scores = scores
-
-    def candidates(self, problem, training):
-        return (
-            PointwiseHypothesis(FeatureVector.of(0.0), 0),
-            PointwiseHypothesis(FeatureVector.of(0.0), 1),
-        )
+    def solve(self, problem, training):
+        h = LinearHypothesis((0.0,), 0.0)
+        return h, self.report(h, problem, training)
 
     def report(self, h, problem, training):
-        return _report_for(self.scores[h.value])
-
-
-def _smoothing_problem() -> ProblemStatement:
-    return ProblemStatement(
-        FeatureSchema.numeric(1), YKind.REAL, "smoothing", {"x0": FeatureVector.of(0.0), "k": 1}
-    )
+        return _report_for(0.0)
 
 
 class TestSelectHypothesis:
+    """The finite argmin, and the solver entry point."""
+
     def test_minimum_wins(self):
-        T = training_set([((0.0,), 1)])
-        h, rep = select_hypothesis(StubLearner({0: 0.7, 1: 0.2}), _smoothing_problem(), T)
-        assert h.value == 1
-        assert rep.total == 0.2
+        scores = {0: 0.7, 1: 0.2}
+        assert least_inconsistent((0, 1), scores.__getitem__) == (1, 0.2)
 
     def test_tie_goes_to_the_earlier_candidate(self):
-        T = training_set([((0.0,), 1)])
-        h, _ = select_hypothesis(StubLearner({0: 0.5, 1: 0.5}), _smoothing_problem(), T)
-        assert h.value == 0
+        scores = {0: 0.5, 1: 0.5, 2: 0.7}
+        assert least_inconsistent((0, 1, 2), scores.__getitem__) == (0, 0.5)
+        assert least_inconsistent((1, 0), scores.__getitem__) == (1, 0.5)
+        with pytest.raises(EmptySet):
+            least_inconsistent((), scores.__getitem__)
 
     def test_family_mismatch_rejected(self):
         T = training_set([((0.0,), 1)])
+        smoothing = ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "smoothing", {"k": 1})
+        assert select_hypothesis(StubLearner(), smoothing, T)[1].total == 0.0
         problem = ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "erm")
         with pytest.raises(IncompatibleFamily):
-            select_hypothesis(StubLearner({0: 0.0, 1: 0.0}), problem, T)
+            select_hypothesis(StubLearner(), problem, T)
 
 
 class TestProblemStatement:
@@ -277,20 +262,18 @@ class TestProblemStatement:
 
     def test_feedback_domain_checked(self):
         with pytest.raises(SchemaMismatch):
-            ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "knn",
-                             {"x0": FeatureVector.of(0.0), "k": 1})
+            ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "knn", {"k": 1})
 
     @pytest.mark.parametrize("v", [{"k": 1, "radius": 1.0}, {}])
     def test_smoothing_takes_exactly_one_neighborhood(self, v):
         with pytest.raises(InvalidParameter):
-            ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "smoothing",
-                             {"x0": FeatureVector.of(0.0), **v})
+            ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "smoothing", v)
 
     @pytest.mark.parametrize("family, v", [
         ("svm", {"w": float("nan")}),
         ("svr", {"epsilon": 0.0, "lambda": float("nan")}),
-        ("knn", {"x0": FeatureVector.of(0.0), "k": True}),
-        ("dtree", {"x0": FeatureVector.of(0), "max_depth": 2.0}),
+        ("knn", {"k": True}),
+        ("dtree", {"max_depth": 2.0}),
     ])
     def test_values_checked_against_the_registry(self, family, v):
         y_kind = {"svm": YKind.PM1, "svr": YKind.REAL}.get(family, YKind.BINARY01)
@@ -299,17 +282,9 @@ class TestProblemStatement:
 
     def test_defaults_are_filled_in_registry_order(self):
         problem = ProblemStatement(FeatureSchema.numeric(1), YKind.BINARY01, "dtree",
-                                   {"purity_threshold": 0.25, "x0": FeatureVector.of(0)})
-        assert problem.v == {"x0": FeatureVector.of(0), "max_depth": 8,
-                             "min_leaf_size": 1, "purity_threshold": 0.25}
-        assert list(problem.v) == ["x0", "max_depth", "min_leaf_size", "purity_threshold"]
-
-    def test_query_point_checked_against_schema(self):
-        with pytest.raises(SchemaMismatch):
-            ProblemStatement(
-                FeatureSchema.numeric(2), YKind.REAL, "smoothing",
-                {"x0": FeatureVector.of(0.0), "k": 1},
-            )
+                                   {"purity_threshold": 0.25, "max_depth": 3})
+        assert problem.v == {"max_depth": 3, "min_leaf_size": 1, "purity_threshold": 0.25}
+        assert list(problem.v) == ["max_depth", "min_leaf_size", "purity_threshold"]
 
 
 class TestLearnerRegistry:
@@ -318,10 +293,7 @@ class TestLearnerRegistry:
             assert learner.family == name
 
     def test_counterpart_set_exposes_feedbacks(self):
-        cps = CounterpartSet(
-            (Case(FeatureVector.of(0), 1), Case(FeatureVector.of(1), 0)),
-            Provenance.FROM_TRAINING,
-        )
+        cps = CounterpartSet((Case(FeatureVector.of(0), 1), Case(FeatureVector.of(1), 0)))
         assert cps.feedbacks == (1, 0)
         assert len(cps) == 2
 

@@ -7,14 +7,12 @@ import pytest
 from minconsist import (
     DuplicateFeatureVector,
     EmptySet,
-    FeatureVector,
     LinearHypothesis,
     ModelFormatError,
     NominalKind,
     NumericKind,
     OrdinalKind,
     ParseError,
-    PointwiseHypothesis,
     SchemaMismatch,
     UnknownColumnKind,
     YKind,
@@ -305,21 +303,15 @@ class TestModelFiles:
         assert loaded.training_hash == model.training_hash
 
     def test_pointwise_payload(self, tmp_path):
-        from minconsist import FeatureSchema
-
-        model = Model(
-            family="smoothing",
-            params={"k": 2, "metric": "euclidean"},
-            feature_names=("x",),
-            schema=FeatureSchema.numeric(1),
-            target_name="y",
-            y_kind=YKind.REAL,
-            hypothesis=PointwiseHypothesis(FeatureVector.of(0.4), 1.5),
-        )
+        # A pointwise model answers from its training data and keeps no
+        # hypothesis; a hypothesis of kind "pointwise" is not a format.
         path = tmp_path / "m.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.hypothesis == model.hypothesis
+        save_model(_linear_model(), path)
+        doc = json.loads(path.read_text())
+        doc["hypothesis"] = {"kind": "pointwise", "x0": [0.4], "value": 1.5}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="unknown hypothesis kind 'pointwise'"):
+            load_model(path)
 
     def test_unsupported_version(self, tmp_path):
         model = _linear_model()

@@ -25,7 +25,6 @@ from minconsist import (
     SvrParams,
     YKind,
     erm_total_inconsistency,
-    margin_distance,
     select_hypothesis,
     slack_feasible,
     squared_weight_norm,
@@ -81,10 +80,11 @@ class TestParams:
 
 class TestMarginGeometry:
     def test_margin_distance_examples(self):
-        hs = HalfSpace(UNIT, 1)
-        assert margin_distance(vec(1.0), hs) == 0.0
-        assert margin_distance(vec(0.5), hs) == 0.5
-        assert margin_distance(vec(3.0), hs) == 2.0
+        # Outside its half-space a case scores |y f(x) - 1|.
+        assert svm_case_inconsistency(Case(vec(1.0), 1), UNIT) == 0.0
+        assert svm_case_inconsistency(Case(vec(0.5), 1), UNIT) == 0.5
+        assert svm_case_inconsistency(Case(vec(3.0), -1), UNIT) == 4.0
+        assert svm_case_inconsistency(Case(vec(-1.0), 1), UNIT) == 2.0
 
     def test_halfspace_boundary_is_inside(self):
         hs = HalfSpace(UNIT, 1)

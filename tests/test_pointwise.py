@@ -4,43 +4,31 @@ import numpy as np
 import pytest
 
 from minconsist import (
-    Case,
-    DtreeLearner,
     EmptyNeighborhood,
-    FeatureSchema,
     FeatureVector,
     FixedRadius,
-    IncompatibleFamily,
     InvalidParameter,
     KExceedsSampleSize,
     KNearest,
-    KnnLearner,
-    LinearHypothesis,
-    NbLearner,
     NeighborhoodSpec,
     NonDisjointValueSets,
-    PointwiseHypothesis,
-    ProblemStatement,
     SchemaMismatch,
-    SmoothingLearner,
     TreeConfig,
     TreeLeaf,
     TreeNode,
-    YKind,
     distance,
     dtree_build,
     dtree_counterparts,
     dtree_predict,
     knn_predict,
-    nb_case_inconsistency,
     nb_predict,
     nb_transform,
-    select_hypothesis,
     smoothing_case_inconsistency,
     smoothing_counterparts,
     smoothing_fit,
     training_set,
 )
+from minconsist.pointwise import LABELS, pointwise_answers, pointwise_fit
 
 
 def vec(*values):
@@ -130,7 +118,7 @@ class TestSmoothing:
         T = training_set([((0,), 2.0), ((1,), 4.0), ((9,), 100.0)])
         h = smoothing_fit(vec(0.5), T, NeighborhoodSpec(KNearest(2)))
         assert h.value == 3.0
-        assert h(vec(0.5)) == 3.0
+        assert h.x0 == vec(0.5)
 
     def test_fit_of_binary_labels(self):
         T = training_set([((0,), 1), ((1,), 1), ((2,), 0)])
@@ -139,22 +127,10 @@ class TestSmoothing:
 
     def test_fit_scores_zero_on_its_own_report(self):
         T = training_set([((0,), 2.0), ((1,), 4.0)])
-        problem = ProblemStatement(
-            FeatureSchema.numeric(1), YKind.REAL, "smoothing",
-            {"x0": vec(0.5), "k": 2},
-        )
-        learner = SmoothingLearner()
-        h, report = select_hypothesis(learner, problem, T)
-        assert report.total == 0.0
-
-    def test_report_rejects_foreign_hypothesis(self):
-        T = training_set([((0.0,), 1.0)])
-        problem = ProblemStatement(
-            FeatureSchema.numeric(1), YKind.REAL, "smoothing",
-            {"x0": vec(0.0), "k": 1},
-        )
-        with pytest.raises(IncompatibleFamily):
-            SmoothingLearner().report(LinearHypothesis((1.0,), 0.0), problem, T)
+        params = {"k": 2, "metric": "euclidean"}
+        assert list(pointwise_answers("smoothing", params, None, T, [vec(0.5)])) == [
+            (3.0, 0.0, 2)
+        ]
 
 
 class TestKnn:
@@ -182,15 +158,10 @@ class TestKnn:
             knn_predict(vec(0.0), T, 1)
 
     def test_candidate_order_fixes_ties(self):
-        learner = KnnLearner()
         T = training_set([((0,), 0), ((1,), 1)])
-        problem = ProblemStatement(
-            FeatureSchema.numeric(1), YKind.BINARY01, "knn", {"x0": vec(0.5), "k": 2}
-        )
-        cands = learner.candidates(problem, T)
-        assert [h.value for h in cands] == [0, 1]
-        h, _ = select_hypothesis(learner, problem, T)
-        assert h.value == 0
+        assert LABELS == (0, 1)
+        params = {"k": 2, "metric": "euclidean"}
+        assert list(pointwise_answers("knn", params, None, T, [vec(0.5)])) == [(0, 0.5, 2)]
 
 
 class TestTreeBuild:
@@ -286,12 +257,12 @@ class TestTreeQueries:
         assert part.route(vec(3)).leaf_id == part.route(vec(4)).leaf_id
 
     def test_learner_adapter(self):
-        learner = DtreeLearner()
-        problem = ProblemStatement(
-            FeatureSchema.numeric(1), YKind.BINARY01, "dtree", {"x0": vec(1)}
-        )
-        h, report = select_hypothesis(learner, problem, self.T)
-        assert h.value == 0
+        # The learner as the CLI runs it: fit the tree once, then answer.
+        params = {"max_depth": 8, "min_leaf_size": 1, "purity_threshold": 0.0}
+        tree = pointwise_fit("dtree", params, self.T)
+        assert list(pointwise_answers("dtree", params, tree, self.T, [vec(1), vec(4)])) == [
+            (0, 0.0, 2), (1, 0.0, 2)
+        ]
 
 
 class TestNbTransform:
@@ -315,22 +286,31 @@ class TestNbTransform:
 
 
 class TestNbScoring:
-    pool = [
-        Case(vec("v"), 0),
-        Case(vec("v"), 0),
-        Case(vec("v"), 1),
-    ]
+    # "v" is seen three times: twice with label 0, once with label 1.
+    T = training_set([(("v", "p"), 0), (("v", "q"), 0), (("v", "r"), 1)])
 
     def test_disagreement_fraction(self):
-        assert nb_case_inconsistency(Case(vec("v"), 0), self.pool) == 1 / 3
-        assert nb_case_inconsistency(Case(vec("v"), 1), self.pool) == 2 / 3
+        label, report = nb_predict(vec("v", "s"), self.T)
+        # label 0 scores 1/3 * 1/2 for ("v", unseen "s"); label 1 scores 2/3 * 1/2
+        assert label == 0
+        assert [(e.case.y, e.mu, e.counterpart_count) for e in report.entries] == [
+            (0, 1 / 3, 3), (0, 0.5, 0)
+        ]
 
     def test_full_agreement_scores_zero(self):
-        pool = [Case(vec("v"), 1), Case(vec("v"), 1)]
-        assert nb_case_inconsistency(Case(vec("v"), 1), pool) == 0.0
+        label, report = nb_predict(vec("v", "r"), self.T)
+        assert label == 1
+        assert [e.mu for e in report.entries] == [2 / 3, 0.0]
+        assert report.total == 0.0
 
     def test_empty_pool_scores_half(self):
-        assert nb_case_inconsistency(Case(vec("w"), 1), self.pool) == 0.5
+        _, report = nb_predict(vec("w", "s"), self.T)
+        assert [(e.mu, e.counterpart_count) for e in report.entries] == [(0.5, 0), (0.5, 0)]
+
+    def test_training_values_are_checked_before_the_query(self):
+        T = training_set([((1,), 0), ((2,), 1)])
+        with pytest.raises(SchemaMismatch, match="feature 1 must be nominal, got 1"):
+            nb_predict(vec("a", "b"), T)  # the query's width is wrong as well
 
     def test_predict_multiplies_per_feature_scores(self):
         T = training_set(
@@ -357,15 +337,9 @@ class TestNbScoring:
         assert report.total == 0.0  # "a" always carried label 1, so that factor is 0
 
     def test_learner_adapter_tie_rule(self):
-        learner = NbLearner()
+        # The learner as the CLI runs it: an unseen value ties, and the tie gives 0.
         T = training_set([(("a",), 0), (("b",), 1)])
-        from minconsist import NominalKind
-
-        schema = FeatureSchema((NominalKind(frozenset({"a", "b", "z"})),))
-        problem = ProblemStatement(schema, YKind.BINARY01, "nb", {"x0": vec("z")})
-        h, report = select_hypothesis(learner, problem, T)
-        assert h.value == 0
-        assert report.total == 0.5
+        assert list(pointwise_answers("nb", {}, None, T, [vec("z")])) == [(0, 0.5, 0)]
 
 
 class TestDeterminism:

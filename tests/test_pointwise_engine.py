@@ -1,12 +1,15 @@
-"""The batch engine gives, query by query, what the per-query functions give.
+"""The batch engine against brute force, query by query.
 
-``pointwise_answers`` does the training set's work once per call; the
-per-query library functions redo it at every query.  Each test runs both
-over the same queries and compares the answers, the inconsistencies (as
-``repr``, so every bit counts), the counterpart counts and, where a query
-fails, the error class, its message and the query it happens at.
+``pointwise_answers`` is the one implementation of each pointwise rule.
+Each test runs it over seeded samples and compares, at every query, the
+answer, the inconsistency (as ``repr``, so every bit counts) and the
+counterpart count with a reference computed apart from the library:
+the oracle's majority vote and naive-Bayes product, and plain code for
+the neighborhood mean and the leaf vote.  Where a query fails, the
+error class, its message and the query it happens at are written out.
 """
 
+import math
 import random
 
 import pytest
@@ -15,24 +18,15 @@ from minconsist import (
     EmptyLeaf,
     EmptyNeighborhood,
     FeatureVector,
-    FixedRadius,
     KExceedsSampleSize,
-    KNearest,
     MinconsistError,
-    NeighborhoodSpec,
     NonDisjointValueSets,
     SchemaMismatch,
     TreeLeaf,
     TreeNode,
-    distance,
-    dtree_predict,
-    knn_predict,
-    nb_predict,
-    smoothing_case_inconsistency,
-    smoothing_counterparts,
-    smoothing_fit,
     training_set,
 )
+from minconsist.oracle import brute_knn_majority, brute_nb_total
 from minconsist.pointwise import TreePartition, pointwise_answers, pointwise_fit
 
 TREE_DEFAULTS = {"max_depth": 8, "min_leaf_size": 1, "purity_threshold": 0.0}
@@ -42,25 +36,45 @@ def vec(*values):
     return FeatureVector.of(*values)
 
 
-def reference(family, params, tree, training):
-    """The per-query path: (answer, inconsistency, count) at one query."""
+def brute_distance(x, y, metric):
+    total = 0.0
+    for a, b in zip(x.values, y.values):
+        total += (a - b) * (a - b) if metric == "euclidean" else abs(a - b)
+    return math.sqrt(total) if metric == "euclidean" else total
 
-    def answer(x0):
-        if family == "smoothing":
-            mode = KNearest(params["k"]) if "k" in params else FixedRadius(params["radius"])
-            spec = NeighborhoodSpec(mode, params["metric"])
-            value = smoothing_fit(x0, training, spec).value
-            cps = smoothing_counterparts(x0, training, spec)
-            return value, smoothing_case_inconsistency(value, cps), len(cps)
-        if family == "knn":
-            label, report = knn_predict(x0, training, params["k"], params["metric"])
-        elif family == "dtree":
-            label, report = dtree_predict(x0, tree, training)
-        else:
-            label, report = nb_predict(x0, training)
-        return label, report.total, sum(e.counterpart_count for e in report.entries)
 
-    return answer
+def neighbors(x0, training, params):
+    """Feedbacks of the cases the neighborhood rule takes, in training order."""
+    dists = [brute_distance(case.x, x0, params["metric"]) for case in training.cases]
+    if params.get("k", 0) > training.m:
+        raise KExceedsSampleSize(f"k={params['k']} but only {training.m} cases")
+    cut = sorted(dists)[params["k"] - 1] if "k" in params else params["radius"]
+    return [case.y for case, d in zip(training.cases, dists) if d <= cut]
+
+
+def reference(family, params, tree, training, x0):
+    """(answer, inconsistency, count) at one query, by brute force."""
+    if family == "nb":
+        totals = [brute_nb_total(x0, training, label) for label in (0, 1)]
+        label = 0 if totals[0] <= totals[1] else 1
+        count = sum(case.x.values[pos] == v
+                    for case in training.cases for pos, v in enumerate(x0.values))
+        return label, totals[label], count
+    if family == "dtree":
+        ys = [training.cases[i].y for i in tree.route(x0).case_indices]
+    else:
+        ys = neighbors(x0, training, params)
+    mean = 0.0
+    for y in ys:
+        mean += y
+    mean /= len(ys)
+    if family == "smoothing":
+        return mean, 0.0, len(ys)  # the mean is the answer, at zero gap
+    if family == "knn":
+        label = brute_knn_majority(x0, training, params["k"], params["metric"])
+    else:
+        label = 1 if mean > 0.5 else 0
+    return label, abs(label - mean), len(ys)
 
 
 def outcomes(answers):
@@ -74,14 +88,16 @@ def outcomes(answers):
     return out
 
 
-def assert_same(family, params, training, queries, tree=None):
+def engine(family, params, training, queries, tree=None):
     if tree is None:
         tree = pointwise_fit(family, params, training)
-    engine = outcomes(pointwise_answers(family, params, tree, training, queries))
-    per_query = reference(family, params, tree, training)
-    expected = outcomes(per_query(x0) for x0 in queries)
-    assert engine == expected
-    return engine
+    return outcomes(pointwise_answers(family, params, tree, training, queries))
+
+
+def assert_brute(family, params, training, queries):
+    tree = pointwise_fit(family, params, training)
+    expected = outcomes(reference(family, params, tree, training, x0) for x0 in queries)
+    assert engine(family, params, training, queries, tree) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +134,15 @@ def test_neighborhood_families_match(seed, metric, grid):
     reals = training_set([(x, rng.choice((0, 1, -2, 0.5, rng.uniform(-9, 9)))) for x in xs])
     queries = numeric_queries(rng, labels, grid, 15)
     for k in {1, 2, rng.randrange(1, labels.m + 1), labels.m}:
-        assert_same("knn", {"k": k, "metric": metric}, labels, queries)
-        assert_same("smoothing", {"k": k, "metric": metric}, reals, queries)
+        assert_brute("knn", {"k": k, "metric": metric}, labels, queries)
+        assert_brute("smoothing", {"k": k, "metric": metric}, reals, queries)
     # radii on exact distances, so cases sit on the boundary
     a, b = rng.choice(queries), rng.choice(labels.features)
-    for radius in {1.0, 2.5, distance(a, b, metric)}:
+    for radius in {1.0, 2.5, brute_distance(a, b, metric)}:
         if radius > 0.0:
-            assert_same("smoothing", {"radius": radius, "metric": metric}, reals,
-                        [q for q in queries if _within(q, reals, radius, metric)])
-
-
-def _within(x0, training, radius, metric):
-    try:
-        smoothing_counterparts(x0, training, NeighborhoodSpec(FixedRadius(radius), metric))
-    except EmptyNeighborhood:
-        return False
-    return True
+            params = {"radius": radius, "metric": metric}
+            assert_brute("smoothing", params, reals,
+                         [q for q in queries if neighbors(q, reals, params)])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -148,7 +157,7 @@ def test_dtree_matches(seed):
     for params in (TREE_DEFAULTS,
                    {"max_depth": rng.randrange(1, 4), "min_leaf_size": rng.randrange(1, 4),
                     "purity_threshold": rng.choice((0.0, 0.2, 0.5))}):
-        assert_same("dtree", params, training, queries)
+        assert_brute("dtree", params, training, queries)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -162,58 +171,70 @@ def test_nb_matches(seed):
     queries = list(training.features) + [
         vec(*(rng.choice(s) for s in unseen)) for _ in range(20)
     ]
-    assert_same("nb", {}, training, queries)
+    assert_brute("nb", {}, training, queries)
 
 
 # ---------------------------------------------------------------------------
-# Errors: the same class and message, at the same query
+# Errors: the class and message, at the query where they happen
 
 
 def test_k_beyond_the_sample():
     training = training_set([((0.0,), 1), ((1.0,), 0), ((3.0,), 1)])
     for family in ("knn", "smoothing"):
-        out = assert_same(family, {"k": 4, "metric": "euclidean"}, training, [vec(0.5)])
+        out = engine(family, {"k": 4, "metric": "euclidean"}, training, [vec(0.5)])
         assert out == [(KExceedsSampleSize, "k=4 but only 3 cases")]
 
 
 def test_empty_radius_after_two_answers():
     training = training_set([((0.0,), 1.0), ((1.0,), 2.0), ((5.0,), 9.0)])
-    out = assert_same("smoothing", {"radius": 1.5, "metric": "euclidean"}, training,
-                      [vec(0.5), vec(5.0), vec(20.0), vec(1.0)])
-    assert len(out) == 3
-    assert out[2][0] is EmptyNeighborhood
+    out = engine("smoothing", {"radius": 1.5, "metric": "euclidean"}, training,
+                 [vec(0.5), vec(5.0), vec(20.0), vec(1.0)])
+    assert out == [
+        ("1.5", "0.0", 2),
+        ("9.0", "0.0", 1),
+        (EmptyNeighborhood, "no case within radius 1.5 of (20.0,)"),
+    ]
 
 
 def test_nominal_column_under_knn():
     training = training_set([((0.0, "a"), 1), ((1.0, "b"), 0)])
-    out = assert_same("knn", {"k": 1, "metric": "euclidean"}, training, [vec(0.0, "a")])
+    out = engine("knn", {"k": 1, "metric": "euclidean"}, training, [vec(0.0, "a")])
     assert out == [(SchemaMismatch, "feature 2 is nominal; it has no distance")]
     numeric = training_set([((0.0, 1.0), 1), ((1.0, 2.0), 0)])
-    out = assert_same("knn", {"k": 1, "metric": "manhattan"}, numeric,
-                      [vec(0.0, 1.0), vec("a", 1.0), vec(1.0)])
-    assert out[1:] == [(SchemaMismatch, "feature 1 is nominal; it has no distance")]
-    out = assert_same("smoothing", {"k": 1, "metric": "euclidean"}, numeric, [vec(1.0)])
+    out = engine("knn", {"k": 1, "metric": "manhattan"}, numeric,
+                 [vec(0.0, 1.0), vec("a", 1.0), vec(1.0)])
+    assert out == [("1", "0.0", 1), (SchemaMismatch, "feature 1 is nominal; it has no distance")]
+    out = engine("smoothing", {"k": 1, "metric": "euclidean"}, numeric, [vec(1.0)])
     assert out == [(SchemaMismatch, "vectors of dimension 2 and 1")]
 
 
 def test_query_value_shared_between_positions():
     training = training_set([(("a0", "b0"), 1), (("a1", "b1"), 0), (("a0", "b1"), 0)])
     queries = [vec("a0", "b0"), vec("a9", "b9"), vec("a0", "a1"), vec("b0", "b1")]
-    out = assert_same("nb", {}, training, queries)
-    assert out[2] == (NonDisjointValueSets, "features 1 and 2 share value(s) ['a1']")
-    for query in (vec("zz", "zz"), vec("b1", "b9"), vec("a0", "b0", "c0"), vec("a0", 3)):
-        assert_same("nb", {}, training, [vec("a1", "b0"), query])
+    assert engine("nb", {}, training, queries) == [
+        ("1", "0.0", 3),
+        ("0", "0.25", 0),
+        (NonDisjointValueSets, "features 1 and 2 share value(s) ['a1']"),
+    ]
+    for query, error in [
+        (vec("zz", "zz"), (NonDisjointValueSets, "features 1 and 2 share value(s) ['zz']")),
+        (vec("b1", "b9"), (NonDisjointValueSets, "features 1 and 2 share value(s) ['b1']")),
+        (vec("a0", "b0", "c0"), (SchemaMismatch, "query has 3 features, training has 2")),
+        (vec("a0", 3), (SchemaMismatch, "feature 2 must be nominal, got 3")),
+    ]:
+        assert engine("nb", {}, training, [vec("a1", "b0"), query]) == [("0", "0.0", 2), error]
     shared = training_set([(("s", "b0"), 1), (("a1", "s"), 0)])
-    out = assert_same("nb", {}, shared, [vec("a1", "b0")])
-    assert out[0][0] is NonDisjointValueSets
+    assert engine("nb", {}, shared, [vec("a1", "b0")]) == [
+        (NonDisjointValueSets, "features 1 and 2 share value(s) ['s']")
+    ]
 
 
 def test_empty_leaf_when_a_query_reaches_it():
     training = training_set([((0,), 1), ((1,), 0), ((2,), 1)])
     tree = TreePartition(TreeNode(0, 1, TreeLeaf(0, (0, 1, 2)), TreeLeaf(1, ())), 1)
-    out = assert_same("dtree", TREE_DEFAULTS, training, [vec(0), vec(1), vec(3), vec(0)],
-                      tree=tree)
-    assert out[2] == (EmptyLeaf, "leaf 1 holds no cases")
+    out = engine("dtree", TREE_DEFAULTS, training, [vec(0), vec(1), vec(3), vec(0)], tree)
+    leaf_0 = ("1", repr(1 - 2 / 3), 3)
+    assert out == [leaf_0, leaf_0, (EmptyLeaf, "leaf 1 holds no cases")]
 
 
 @pytest.mark.parametrize("family", ["knn", "dtree", "nb"])
@@ -225,5 +246,6 @@ def test_labels_outside_zero_one(family):
         training = training_set([((0,), 1), ((1,), 2)])
         queries, params = [vec(0)], {"k": 1, "metric": "euclidean", **TREE_DEFAULTS}
         tree = TreePartition(TreeLeaf(0, (0, 1)), 1)
-    out = assert_same(family, params, training, queries, tree=tree)
+    out = engine(family, params, training, queries, tree)
     assert out == [(SchemaMismatch, "case 2 feedback 2 outside {0, 1}")]
+
