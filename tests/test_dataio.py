@@ -8,6 +8,7 @@ from minconsist import (
     DuplicateFeatureVector,
     EmptySet,
     LinearHypothesis,
+    MinconsistError,
     ModelFormatError,
     NominalKind,
     NumericKind,
@@ -356,3 +357,66 @@ class TestModelFiles:
         save_model(model, p2)
         assert p1.read_text() == p2.read_text()
         assert load_model(p1).schema == model.schema
+
+
+_FAULT_SCHEMA = {
+    "x": {"kind": "numeric"},
+    "s": {"kind": "nominal", "symbols": ["a", "b"]},
+    "o": {"kind": "ordinal", "levels": ["lo", "hi"]},
+}
+_FAULTS = [
+    ("non-number", "four,a,lo", ParseError,
+     "value 'four' is not a number (row 4, column 'x')", 4, "x"),
+    ("nan", "nan,a,lo", ParseError, "value 'nan' is not finite (row 4, column 'x')", 4, "x"),
+    ("undeclared-symbol", "3,zz,lo", ParseError,
+     "value 'zz' not among declared symbols (row 4, column 's')", 4, "s"),
+    ("unknown-level", "3,a,mid", ParseError,
+     "value 'mid' not among ordinal levels ['lo', 'hi'] (row 4, column 'o')", 4, "o"),
+    ("duplicate", "1,a,lo", DuplicateFeatureVector,
+     "rows 2 and 4 share feature vector (1, 'a', 0)", None, None),
+]
+
+
+def _load_with_fault(write, loader, cells):
+    """Load ``x,s,o[,y]`` rows whose third data row (file line 4) is ``cells``."""
+    from minconsist import FeatureSchema
+
+    if loader == "load_queries":
+        path = write("q.csv", f"x,s,o\n1,a,lo\n2,b,hi\n{cells}\n")
+        schema = FeatureSchema((
+            NumericKind(), NominalKind(frozenset({"a", "b"})), OrdinalKind(("lo", "hi")),
+        ))
+        return load_queries(path, ("x", "s", "o"), schema)
+    path = write("d.csv", f"x,s,o,y\n1,a,lo,0\n2,b,hi,1\n{cells},1\n")
+    sidecar = write("d.schema.json", json.dumps({"columns": _FAULT_SCHEMA}))
+    if loader == "load_dataset":
+        return load_dataset(path, schema_path=sidecar)
+    model = Model(
+        family="knn",
+        params={"k": 1, "metric": "euclidean"},
+        feature_names=("x", "s", "o"),
+        schema=load_dataset(write("t.csv", "x,s,o,y\n1,a,lo,0\n2,b,hi,1\n"),
+                            schema_path=sidecar).schema,
+        target_name="y",
+        y_kind=YKind.BINARY01,
+    )
+    return load_dataset_for_model(path, model)
+
+
+class TestRowFaults:
+    """Every loader reports a bad cell, or a repeated vector, the same way."""
+
+    @pytest.mark.parametrize("loader,fault", [
+        pytest.param(loader, fault, id=f"{loader}-{fault[0]}")
+        for loader in ("load_dataset", "load_dataset_for_model", "load_queries")
+        for fault in _FAULTS
+        if loader != "load_queries" or fault[2] is not DuplicateFeatureVector  # queries may repeat
+    ])
+    def test_fault_names_its_row_and_column(self, write, loader, fault):
+        _, cells, error, message, row, column = fault
+        with pytest.raises(MinconsistError) as info:
+            _load_with_fault(write, loader, cells)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert getattr(info.value, "row", None) == row
+        assert getattr(info.value, "column", None) == column
