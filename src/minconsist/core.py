@@ -209,26 +209,6 @@ class FeatureSchema:
     def numeric(cls, n: int) -> "FeatureSchema":
         return cls(tuple(NumericKind() for _ in range(n)))
 
-    def validate_vector(self, x: "FeatureVector") -> None:
-        if x.n != self.n:
-            raise SchemaMismatch(f"vector has {x.n} features, schema declares {self.n}")
-        for i, (kind, value) in enumerate(zip(self.columns, x.values), start=1):
-            if isinstance(kind, NumericKind):
-                if not _is_number(value):
-                    raise SchemaMismatch(f"feature {i} must be numeric, got {value!r}")
-            elif isinstance(kind, OrdinalKind):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise SchemaMismatch(f"feature {i} must be an ordinal rank, got {value!r}")
-                if not 0 <= value < len(kind.levels):
-                    raise SchemaMismatch(
-                        f"feature {i} rank {value} outside 0..{len(kind.levels) - 1}"
-                    )
-            else:
-                if not isinstance(value, str):
-                    raise SchemaMismatch(f"feature {i} must be a symbol, got {value!r}")
-                if value not in kind.symbols:
-                    raise SchemaMismatch(f"feature {i} symbol {value!r} not declared")
-
 
 def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)

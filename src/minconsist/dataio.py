@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import (
     Case,
@@ -82,12 +83,16 @@ def _json_scalar(v):
 # Sidecar schemas
 
 
-def load_sidecar_schema(path: str | Path) -> tuple[dict[str, ColumnKind], str | None]:
-    """Column kinds by name, plus the declared target column if any."""
+# A sidecar's nominal column that lists no symbols: it takes the values it holds.
+_OBSERVED = "nominal"
+
+
+def load_sidecar_schema(path: str | Path) -> tuple[dict[str, ColumnKind | str], str | None]:
+    """Column kinds by name (``"nominal"`` when no symbols are listed), and the target."""
     doc = _read(path, ParseError, f"sidecar schema {path}")
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
         raise ParseError("sidecar schema needs a 'columns' object")
-    kinds: dict[str, ColumnKind] = {}
+    kinds: dict[str, ColumnKind | str] = {}
     for name, entry in doc["columns"].items():
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ParseError(f"column {name!r} needs a 'kind'")
@@ -98,7 +103,7 @@ def load_sidecar_schema(path: str | Path) -> tuple[dict[str, ColumnKind], str | 
     return kinds, target
 
 
-def _column_kind_from_json(entry: Mapping, name: str) -> ColumnKind:
+def _column_kind_from_json(entry: Mapping, name: str) -> ColumnKind | str:
     kind = entry["kind"]
     if kind == "numeric":
         return NumericKind()
@@ -110,7 +115,7 @@ def _column_kind_from_json(entry: Mapping, name: str) -> ColumnKind:
     if kind == "nominal":
         symbols = entry.get("symbols")
         if symbols is None:
-            return NominalKind(frozenset({"?"}))  # placeholder; replaced after inference
+            return _OBSERVED
         if not isinstance(symbols, list) or not symbols:
             raise ParseError(f"nominal column {name!r} needs a non-empty 'symbols' list")
         return NominalKind(frozenset(str(v) for v in symbols))
@@ -119,6 +124,8 @@ def _column_kind_from_json(entry: Mapping, name: str) -> ColumnKind:
 
 # ---------------------------------------------------------------------------
 # Dataset loading
+
+Row = tuple[int, list[str]]  # a data row's cells and the file line it ends on
 
 
 def load_dataset(
@@ -130,10 +137,10 @@ def load_dataset(
 
     The feedback column is ``target``, the sidecar's target, or the last
     column.  Undeclared columns are numeric when every value parses as a
-    number and nominal otherwise.  Parse problems name their row and
-    column; duplicate feature vectors name both offending rows.
+    number and nominal otherwise.  Parse problems name their row (the
+    file line) and column; duplicate feature vectors name both rows.
     """
-    declared: dict[str, ColumnKind] = {}
+    declared: dict[str, ColumnKind | str] = {}
     sidecar_target: str | None = None
     if schema_path is not None:
         declared, sidecar_target = load_sidecar_schema(schema_path)
@@ -142,49 +149,49 @@ def load_dataset(
     target_name = target or sidecar_target or header[-1]
     if target_name not in header:
         raise ParseError(f"target column {target_name!r} not in header {header}")
-    target_idx = header.index(target_name)
-    feature_names = tuple(name for i, name in enumerate(header) if i != target_idx)
+    feature_names = tuple(name for name in header if name != target_name)
     if not feature_names:
         raise ParseError("dataset needs at least one feature column")
     unknown = set(declared) - set(header)
     if unknown:
         raise ParseError(f"sidecar declares column(s) not in header: {sorted(unknown)}")
 
-    kinds: list[ColumnKind | None] = []
-    for name in feature_names:
-        kinds.append(declared.get(name))
-    # Infer undeclared kinds: numeric when every token parses as a number.
-    feature_cols = [i for i in range(len(header)) if i != target_idx]
-    for pos, name in enumerate(feature_names):
-        if kinds[pos] is None:
-            col_tokens = [row[feature_cols[pos]] for row in rows]
-            kinds[pos] = _infer_kind(col_tokens)
-        elif isinstance(kinds[pos], NominalKind) and kinds[pos].symbols == frozenset({"?"}):
-            observed = {row[feature_cols[pos]] for row in rows}
-            kinds[pos] = NominalKind(frozenset(observed))
+    kinds = tuple(
+        _column_kind(declared.get(name), [cells[i] for _, cells in rows])
+        for i, name in enumerate(header) if name != target_name
+    )
+    training = _training(rows, header, feature_names, kinds, target_name)
+    return Dataset(training, FeatureSchema(kinds), feature_names, target_name)
 
-    cases = []
-    row_by_vector: dict[tuple, int] = {}
-    for r, row in enumerate(rows):
-        line_no = r + 2  # header is line 1
-        values = []
-        for pos, name in enumerate(feature_names):
-            token = row[feature_cols[pos]]
-            values.append(_parse_value(token, kinds[pos], line_no, name))
-        y = _parse_number(rows[r][target_idx], line_no, target_name, "feedback")
-        vec = tuple(values)
-        if vec in row_by_vector:
-            raise DuplicateFeatureVector(
-                f"rows {row_by_vector[vec]} and {line_no} share feature vector {vec!r}"
-            )
-        row_by_vector[vec] = line_no
-        cases.append(Case(FeatureVector(vec), y))
 
-    schema = FeatureSchema(tuple(kinds))
-    training = TrainingSet(tuple(cases))
-    for case in training.cases:
-        schema.validate_vector(case.x)
-    return Dataset(training, schema, feature_names, target_name)
+def load_dataset_for_model(path: str | Path, model: "Model") -> Dataset:
+    """Parse a dataset using a trained model's column story.
+
+    The header must contain exactly the model's feature columns plus its
+    target column, in any order; cells are parsed under the model's
+    declared kinds rather than re-inferred, so ordinal levels keep the
+    ranks they had at training time.
+    """
+    header, rows = _read_delimited(path)
+    names, target = model.feature_names, model.target_name
+    if set(header) != set(names) | {target}:
+        raise SchemaMismatch(
+            f"columns {header} do not match model columns {list(names)} + target {target!r}"
+        )
+    training = _training(rows, header, names, model.schema.columns, target)
+    return Dataset(training, model.schema, names, target)
+
+
+def load_queries(
+    path: str | Path, feature_names: tuple[str, ...], schema: FeatureSchema
+) -> tuple[FeatureVector, ...]:
+    """Feature-only rows whose header must match the model's columns."""
+    header, rows = _read_delimited(path)
+    if tuple(header) != tuple(feature_names):
+        raise SchemaMismatch(
+            f"query columns {header} do not match model columns {list(feature_names)}"
+        )
+    return tuple(_vectors(rows, header, feature_names, schema.columns))
 
 
 def _read(path: str | Path, error: type[MinconsistError], json_name: str | None = None):
@@ -205,33 +212,67 @@ def _read(path: str | Path, error: type[MinconsistError], json_name: str | None 
         raise error(f"{path} nests too deeply to read") from None
 
 
-def _read_delimited(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    reader = csv.reader(_read(path, ParseError).splitlines())
-    table = [row for row in reader if row]
+def _read_delimited(path: str | Path) -> tuple[list[str], list[Row]]:
+    """The header and the data rows, each row with the file line it ends on.
+
+    Blank lines are skipped, and cells are stripped of surrounding
+    whitespace; a quoted cell may hold the delimiter and line breaks.
+    """
+    reader = csv.reader(io.StringIO(_read(path, ParseError), newline=""))
+    try:
+        table = [(reader.line_num, [cell.strip() for cell in cells]) for cells in reader if cells]
+    except csv.Error as exc:  # a cell longer than the csv module's field limit
+        raise ParseError(str(exc), row=reader.line_num) from None
     if not table:
         raise EmptySet(f"{path} is empty")
-    header = [name.strip() for name in table[0]]
+    (header_line, header), rows = table[0], table[1:]
     if len(set(header)) != len(header):
-        raise ParseError("header column names must be distinct", row=1)
-    rows = []
-    for r, row in enumerate(table[1:]):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, found {len(row)}", row=r + 2
-            )
-        rows.append([cell.strip() for cell in row])
+        raise ParseError("header column names must be distinct", row=header_line)
+    for line, cells in rows:
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} cells, found {len(cells)}", row=line)
     if not rows:
         raise EmptySet(f"{path} has a header but no data rows")
     return header, rows
 
 
-def _infer_kind(tokens: list[str]) -> ColumnKind:
-    for token in tokens:
+def _column_kind(declared: ColumnKind | str | None, tokens: list[str]) -> ColumnKind:
+    """The declared kind; else numeric if every token is a number, else nominal over them."""
+    if declared is None:
         try:
-            float(token)
+            for token in tokens:
+                float(token)
+            return NumericKind()
         except ValueError:
-            return NominalKind(frozenset(tokens))
-    return NumericKind()
+            declared = _OBSERVED
+    return NominalKind(frozenset(tokens)) if declared == _OBSERVED else declared
+
+
+def _vectors(rows: list[Row], header: list[str], names: Sequence[str],
+             kinds: Sequence[ColumnKind]) -> Iterator[FeatureVector]:
+    """Each row's feature vector: the cells of ``names``, parsed under ``kinds``."""
+    columns = [(header.index(name), kind, name) for name, kind in zip(names, kinds)]
+    for line, cells in rows:
+        yield FeatureVector(
+            tuple(_parse_value(cells[i], kind, line, name) for i, kind, name in columns)
+        )
+
+
+def _training(rows: list[Row], header: list[str], names: Sequence[str],
+              kinds: Sequence[ColumnKind], target: str) -> TrainingSet:
+    """The rows as cases: ``_vectors`` plus the feedback cells, no vector twice."""
+    t = header.index(target)
+    cases = []
+    line_of: dict[tuple, int] = {}
+    for (line, cells), x in zip(rows, _vectors(rows, header, names, kinds)):
+        y = _parse_number(cells[t], line, target, "feedback")
+        if x.values in line_of:
+            raise DuplicateFeatureVector(
+                f"rows {line_of[x.values]} and {line} share feature vector {x.values!r}"
+            )
+        line_of[x.values] = line
+        cases.append(Case(x, y))
+    return TrainingSet(tuple(cases))
 
 
 def _parse_value(token: str, kind: ColumnKind, line_no: int, column: str):
@@ -239,16 +280,11 @@ def _parse_value(token: str, kind: ColumnKind, line_no: int, column: str):
         return _parse_number(token, line_no, column, "value")
     if isinstance(kind, OrdinalKind):
         if token not in kind.levels:
-            raise ParseError(
-                f"value {token!r} not among ordinal levels {list(kind.levels)}",
-                row=line_no,
-                column=column,
-            )
+            raise ParseError(f"value {token!r} not among ordinal levels {list(kind.levels)}",
+                             row=line_no, column=column)
         return kind.levels.index(token)
     if token not in kind.symbols:
-        raise ParseError(
-            f"value {token!r} not among declared symbols", row=line_no, column=column
-        )
+        raise ParseError(f"value {token!r} not among declared symbols", row=line_no, column=column)
     return token
 
 
@@ -263,66 +299,6 @@ def _parse_number(token: str, line_no: int, column: str, what: str) -> int | flo
     if not math.isfinite(value):
         raise ParseError(f"{what} {token!r} is not finite", row=line_no, column=column)
     return int(value) if value == int(value) else value
-
-
-def load_dataset_for_model(path: str | Path, model: "Model") -> Dataset:
-    """Parse a dataset using a trained model's column story.
-
-    The header must contain exactly the model's feature columns plus its
-    target column, in any order; cells are parsed under the model's
-    declared kinds rather than re-inferred, so ordinal levels keep the
-    ranks they had at training time.
-    """
-    header, rows = _read_delimited(path)
-    expected = set(model.feature_names) | {model.target_name}
-    if set(header) != expected:
-        raise SchemaMismatch(
-            f"columns {header} do not match model columns "
-            f"{list(model.feature_names)} + target {model.target_name!r}"
-        )
-    position = {name: header.index(name) for name in header}
-    kind_of = dict(zip(model.feature_names, model.schema.columns))
-    cases = []
-    row_by_vector: dict[tuple, int] = {}
-    for r, row in enumerate(rows):
-        line_no = r + 2
-        values = tuple(
-            _parse_value(row[position[name]], kind_of[name], line_no, name)
-            for name in model.feature_names
-        )
-        token = row[position[model.target_name]]
-        y = _parse_number(token, line_no, model.target_name, "feedback")
-        if values in row_by_vector:
-            raise DuplicateFeatureVector(
-                f"rows {row_by_vector[values]} and {line_no} share feature vector {values!r}"
-            )
-        row_by_vector[values] = line_no
-        cases.append(Case(FeatureVector(values), y))
-    training = TrainingSet(tuple(cases))
-    for case in training.cases:
-        model.schema.validate_vector(case.x)
-    return Dataset(training, model.schema, model.feature_names, model.target_name)
-
-
-def load_queries(
-    path: str | Path, feature_names: tuple[str, ...], schema: FeatureSchema
-) -> tuple[FeatureVector, ...]:
-    """Feature-only rows whose header must match the model's columns."""
-    header, rows = _read_delimited(path)
-    if tuple(header) != tuple(feature_names):
-        raise SchemaMismatch(
-            f"query columns {header} do not match model columns {list(feature_names)}"
-        )
-    out = []
-    for r, row in enumerate(rows):
-        values = tuple(
-            _parse_value(token, kind, r + 2, name)
-            for token, kind, name in zip(row, schema.columns, feature_names)
-        )
-        vec = FeatureVector(values)
-        schema.validate_vector(vec)
-        out.append(vec)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ def _column_distances(
     for pos, (column, b) in enumerate(zip(columns, x0.values)):
         if isinstance(column[0], str) or isinstance(b, str):  # columns hold one kind
             raise _nominal(pos)
+        b = float(b)  # all-float terms: faster than mixed, and a huge int squares to inf
         if metric == "euclidean":
             totals = [t + (a - b) * (a - b) for t, a in zip(totals, column)]
         else:
@@ -150,8 +151,9 @@ def smoothing_counterparts(
 
 
 def _columns(training: TrainingSet) -> tuple[tuple[FeatureValue, ...], ...]:
-    """The training features transposed: one tuple of values per position."""
-    return tuple(zip(*(case.x.values for case in training.cases)))
+    """The training features transposed, one tuple per position; numbers become floats."""
+    return tuple(column if isinstance(column[0], str) else tuple(map(float, column))
+                 for column in zip(*(case.x.values for case in training.cases)))
 
 
 def _chosen(

@@ -1,6 +1,9 @@
 """Command-line behavior: flags, exit codes, stream discipline."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -242,6 +245,44 @@ class TestNonFiniteTokens:
                             ["--learner", "erm", "--data", write("d.csv", REAL_CSV)])
         data = write("e.csv", "x,y\n0,1\n" + row.format(token) + "\n")
         self._fail(["audit", "--model", model, "--data", data], capsys, column)
+
+
+class TestHugeIntegralCells:
+    """1e200 parses to a 201-digit int; its distances are floats, not a crash."""
+
+    @pytest.mark.parametrize("learner", ["smoothing", "knn"])
+    @pytest.mark.parametrize("command", ["train", "predict", "audit"])
+    def test_exit_zero(self, write, tmp_path, capsys, learner, command):
+        data = write("d.csv", "x,y\n1e200,1\n0,0\n5,1\n")
+        model = tmp_path / "m.json"
+        train = ["train", "--learner", learner, "--k", "1", "--data", data, "--out", model]
+        argv = {
+            "train": train,
+            "predict": ["predict", "--model", model, "--queries", write("q.csv", "x\n1e200\n2\n"),
+                        "--data", data],
+            "audit": ["audit", "--model", model, "--data", data],
+        }[command]
+        if command != "train":
+            assert run(train) == 0
+        assert run(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_one_without_traceback(write, tmp_path):
+    model = tmp_path / "m.json"
+    assert run(["train", "--learner", "erm", "--data", write("d.csv", REAL_CSV),
+                "--out", model]) == 0
+    queries = write("q.csv", "x\n" + "".join(f"{i}.5\n" for i in range(30_000)))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minconsist", "predict", "--model", model, "--queries", queries],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()  # more than 64 KiB is still to come
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 class TestModelChecks:

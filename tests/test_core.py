@@ -21,7 +21,6 @@ from minconsist import (
     Learner,
     LinearHypothesis,
     NominalKind,
-    OrdinalKind,
     ProblemStatement,
     ReportEntry,
     SchemaMismatch,
@@ -114,18 +113,9 @@ class TestFeatureSchema:
                 (NominalKind(frozenset({"a", "b"})), NominalKind(frozenset({"b"})))
             )
 
-    def test_ordinal_rank_range(self):
-        schema = FeatureSchema((OrdinalKind(("low", "mid", "high")),))
-        schema.validate_vector(FeatureVector.of(2))
-        with pytest.raises(SchemaMismatch):
-            schema.validate_vector(FeatureVector.of(3))
-        with pytest.raises(SchemaMismatch):
-            schema.validate_vector(FeatureVector.of(1.5))
-
     def test_numeric_shortcut(self):
         schema = FeatureSchema.numeric(3)
         assert schema.n == 3
-        schema.validate_vector(FeatureVector.of(1, 2.5, -3))
 
 
 class TestLabels:

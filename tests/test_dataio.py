@@ -128,6 +128,26 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(tmp_path / "absent.csv")
 
+    def test_quoted_cell_keeps_its_line_break(self, write):
+        ds = load_dataset(write("d.csv", 'x,y\n"a\nb",1\nab,0\n'))
+        assert [c.x.values for c in ds.training.cases] == [("a\nb",), ("ab",)]
+
+    def test_next_line_character_stays_in_its_cell(self, write):
+        ds = load_dataset(write("d.csv", "x,y\na\x85b,1\nc,0\n"))
+        assert [c.x.values for c in ds.training.cases] == [("a\x85b",), ("c",)]
+
+    def test_rows_are_file_lines(self, write):
+        with pytest.raises(ParseError, match=r"\(row 4, column 'x'\)") as info:
+            load_dataset(write("d.csv", "x,y\n1,0\n\nnan,1\n"))
+        assert info.value.row == 4
+        with pytest.raises(DuplicateFeatureVector, match="rows 2 and 5 share"):
+            load_dataset(write("e.csv", 'x,y\n1,0\n"a\nb",1\n1,1\n'))
+
+    def test_cell_beyond_the_field_limit(self, write):
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            load_dataset(write("d.csv", "x,y\n1,0\n" + "9" * 200_000 + ",1\n"))
+        assert info.value.row == 3
+
 
 class TestSidecarSchema:
     def test_ordinal_tokens_become_ranks(self, write):
@@ -163,6 +183,20 @@ class TestSidecarSchema:
         }))
         with pytest.raises(ParseError):
             load_dataset(data, schema_path=schema)
+
+    def test_nominal_without_symbols_takes_its_values(self, write):
+        data = write("d.csv", "c,y\n1,0\nred,1\n")
+        schema = write("d.schema.json", json.dumps({"columns": {"c": {"kind": "nominal"}}}))
+        assert load_dataset(data, schema_path=schema).schema.columns[0].symbols == {"1", "red"}
+
+    def test_declared_question_mark_symbol(self, write):
+        data = write("d.csv", "c,y\nx,0\n")
+        schema = write("d.schema.json", json.dumps({
+            "columns": {"c": {"kind": "nominal", "symbols": ["?"]}}
+        }))
+        with pytest.raises(ParseError) as info:
+            load_dataset(data, schema_path=schema)
+        assert str(info.value) == "value 'x' not among declared symbols (row 2, column 'c')"
 
     def test_unknown_kind(self, write):
         data = write("d.csv", "c,y\n1,0\n")

@@ -1,4 +1,4 @@
-"""Every narrated walkthrough in demos/ runs to completion."""
+"""Every narrated walkthrough in demos/ runs to completion and cleans up after itself."""
 
 import os
 import subprocess
@@ -12,10 +12,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
-def test_demo_exits_zero(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def test_demo_exits_zero(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []
