@@ -82,7 +82,6 @@ from .linear import (
     ErmLearner,
     HalfSpace,
     SlackVector,
-    SolverConfig,
     SvmLearner,
     SvmParams,
     SvrLearner,

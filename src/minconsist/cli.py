@@ -46,7 +46,7 @@ def _train_params() -> tuple[Param, ...]:
     """Every family's ``train`` parameters, each once."""
     found: dict[str, Param] = {}
     for name in family_names():
-        for param in family_spec(name).file_params:
+        for param in family_spec(name).params:
             found.setdefault(param.key, param)
     return tuple(found.values())
 
@@ -103,10 +103,10 @@ def _train_values(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     given = {p.key: getattr(args, p.key) for p in params if getattr(args, p.key) is not None}
     flags = {p.key: p.flag for p in params}
     try:
-        spec.check(given, spec.file_params, name=flags.__getitem__)
+        spec.check(given, name=flags.__getitem__)
     except InvalidParameter as exc:
         parser.error(str(exc))
-    return spec.complete(given, spec.file_params)
+    return spec.complete(given)
 
 
 def _infer_y_kind(training: TrainingSet, family: str) -> YKind:
@@ -137,7 +137,7 @@ def _fmt_float(v: float) -> str:
 
 
 def _fmt_prediction(v: float) -> str:
-    if isinstance(v, float) and v.is_integer():
+    if isinstance(v, float) and v.is_integer() and abs(v) < 2**53:
         return str(int(v))
     return str(v)
 

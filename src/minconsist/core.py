@@ -54,7 +54,7 @@ class InvalidParameter(MinconsistError):
 
 
 class SolverDiverged(MinconsistError):
-    """The iterative solver produced a non-finite objective value."""
+    """A fit's optimum or its total lies beyond the floating-point range."""
 
 
 class EmptyNeighborhood(MinconsistError):
@@ -520,14 +520,13 @@ class Param:
     """One learner parameter, described once for the library, the CLI and model files.
 
     ``key`` names it in problem statements and model files; ``flag`` is
-    the ``train`` option that sets it, or ``None`` for a library-only
-    parameter, which model files do not record.  The range rule is
+    the ``train`` option that sets it.  The range rule is
     ``low <= value`` (``low < value`` when ``strict``), ``value <= high``
     and ``value in choices``; NaN meets no bound.
     """
 
     key: str
-    flag: str | None
+    flag: str
     type: type
     default: object = REQUIRED
     low: float | None = None
@@ -583,23 +582,12 @@ class FamilySpec:
     one_of: tuple[str, ...] = ()
     pointwise: bool = False
 
-    @property
-    def file_params(self) -> tuple[Param, ...]:
-        """The parameters that ``train`` sets and model files record."""
-        return tuple(p for p in self.params if p.flag is not None)
-
-    def check(
-        self,
-        values: Mapping[str, object],
-        params: Sequence[Param] | None = None,
-        name: Callable[[str], str] = str,
-    ) -> None:
+    def check(self, values: Mapping[str, object], name: Callable[[str], str] = str) -> None:
         """Raise :class:`InvalidParameter` for an unknown, missing or out-of-range value.
 
-        ``params`` defaults to all of the family's parameters; ``name``
-        turns a key into the word that messages use for it.
+        ``name`` turns a key into the word that messages use for it.
         """
-        by_key = {p.key: p for p in (self.params if params is None else params)}
+        by_key = {p.key: p for p in self.params}
         unknown = sorted(name(key) for key in values if key not in by_key)
         if unknown:
             raise InvalidParameter(
@@ -619,13 +607,11 @@ class FamilySpec:
         for key, value in values.items():
             by_key[key].check(value, name(key))
 
-    def complete(
-        self, values: Mapping[str, object], params: Sequence[Param] | None = None
-    ) -> dict:
+    def complete(self, values: Mapping[str, object]) -> dict:
         """``values`` in registry order, with the default of every unset parameter."""
         return {
             p.key: values[p.key] if p.key in values else p.default
-            for p in (self.params if params is None else params)
+            for p in self.params
             if p.key in values or not p.required
         }
 

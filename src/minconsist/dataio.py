@@ -289,7 +289,7 @@ def _parse_value(token: str, kind: ColumnKind, line_no: int, column: str):
 
 
 def _parse_number(token: str, line_no: int, column: str, what: str) -> int | float:
-    """A finite number; integral values become ints, as the content hash expects."""
+    """A finite number; integral values below 2**53 become ints, as the content hash expects."""
     try:
         value = float(token)
     except ValueError:
@@ -298,7 +298,7 @@ def _parse_number(token: str, line_no: int, column: str, what: str) -> int | flo
         ) from None
     if not math.isfinite(value):
         raise ParseError(f"{what} {token!r} is not finite", row=line_no, column=column)
-    return int(value) if value == int(value) else value
+    return int(value) if value.is_integer() and abs(value) < 2**53 else value
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +416,10 @@ def _checked_params(doc: dict, path: str | Path) -> tuple[str, dict]:
         spec = family_spec(family)
         if not isinstance(params, dict):
             raise InvalidParameter(f"params must be an object, got {params!r}")
-        spec.check(params, spec.file_params)
+        spec.check(params)
     except InvalidParameter as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    return family, spec.complete(params, spec.file_params)
+    return family, spec.complete(params)
 
 
 def _column_kind_to_json(kind: ColumnKind) -> dict:

@@ -8,14 +8,17 @@ form of the smallest feasible slack) so the equality between them can
 be checked rather than assumed.  The regression learner swaps the
 half-space for a tube of width epsilon and drops the sample-size
 normalization; with a zero-width tube and no regularization it
-collapses to plain absolute-loss fitting.
+collapses to plain absolute-loss fitting.  One exact active-set solver
+finds the least total of all three.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     Aggregation,
@@ -44,6 +47,8 @@ from .core import (
 
 # ---------------------------------------------------------------------------
 # Parameters and small value types
+
+Fit = tuple[LinearHypothesis, InconsistencyReport]
 
 W = Param("w", "--w", float, low=0.0, strict=True, help="weight-norm coefficient")
 EPSILON = Param("epsilon", "--epsilon", float, low=0.0, help="tube half-width")
@@ -104,39 +109,6 @@ class HalfSpace:
 
     def contains(self, x: FeatureVector) -> bool:
         return self.y * self.f(x) >= 1.0
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Subgradient descent controls.
-
-    The step at epoch t is ``eta0 / (1 + t * decay)``.  Subgradient
-    steps are not monotone, so a single flat pass proves nothing; the
-    solver stops only after the best objective seen has failed to
-    improve by at least ``tol`` for ``patience`` consecutive passes, or
-    at ``max_iters`` passes.
-    """
-
-    eta0: float = 0.1
-    decay: float = 0.01
-    tol: float = 1e-8
-    max_iters: int = 50000
-    patience: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.eta0 > 0:
-            raise InvalidParameter(f"eta0 must be positive, got {self.eta0!r}")
-        if not self.decay >= 0:
-            raise InvalidParameter(f"decay must be >= 0, got {self.decay!r}")
-        if not self.tol >= 0:
-            raise InvalidParameter(f"tol must be >= 0, got {self.tol!r}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if not isinstance(self.patience, int) or self.patience < 1:
-            raise InvalidParameter(f"patience must be >= 1, got {self.patience!r}")
-
-
-SOLVER = Param("solver", None, SolverConfig, default=SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +268,7 @@ def svr_report(
         entries,
         Aggregation.SUM,
         describe_hypothesis(f),
-        regularizer=params.lam * squared_weight_norm(f),
+        regularizer=params.lam * squared_weight_norm(f) if params.lam else 0.0,
     )
 
 
@@ -340,126 +312,159 @@ def svr_objective_subgradient(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic subgradient descent
+# The exact solver
 
 
-def _descend(
-    training: TrainingSet,
-    n: int,
-    cfg: SolverConfig,
-    case_subgradient: Callable[[list[float], float, Case], tuple[list[float], float]],
-    objective: Callable[[list[float], float], float],
-) -> tuple[list[float], float, list[float]]:
-    """Shared engine: fixed-order per-case updates, best-seen iterate kept.
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return sum(map(operator.mul, u, v))
 
-    Returns the best coefficients, the best intercept, and the per-epoch
-    history of the best objective (non-increasing by construction).
+
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
+    """``x`` with ``matrix x = rhs``, by Gauss-Jordan elimination with partial pivoting."""
+    n = len(rhs)
+    rows = [[*row, r] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n] / row[i] for i, row in enumerate(rows)]
+
+
+def _project(basis: Sequence[Sequence[float]], v: Sequence[float]) -> list[float]:
+    """``v`` less its part in the span of the orthonormal ``basis``."""
+    for q in basis:
+        c = _dot(q, v)
+        v = [x - c * qj for x, qj in zip(v, q)]
+    return list(v)
+
+
+def _orthonormal(vectors, basis=(), floor: float = 1e-13) -> list[list[float]]:
+    """``basis`` extended by Gram-Schmidt with each vector more than ``floor`` outside it."""
+    out = list(basis)
+    for v in vectors:
+        r = _project(out, _project(out, v))  # the second pass undoes rounding
+        if math.hypot(*r) > floor * math.hypot(*v):
+            out.append([x / math.hypot(*r) for x in r])
+    return out
+
+
+def _least_total(rows, offsets, kinks, slopes, rho: float) -> tuple[float, ...]:
+    """The exact minimizer z = (b, a) of sum_i L(rows[i]·z + offsets[i]) + rho ||b||^2.
+
+    L is convex and piecewise linear, slope ``slopes[k]`` left of ``kinks[k]``;
+    each row ends with a nonzero intercept entry.  A primal active-set method
+    (Nocedal & Wright, ch. 16): each step heads for the least total on the
+    subspace where the working set's cases stay on their kinks, by a Newton
+    step or down the projected gradient where nothing curves it, and the first
+    case to reach a kink joins the set.  At a subspace minimum, multipliers
+    between their kinks' two slopes certify the optimum; otherwise the worst
+    case, or after a zero-length step the lowest-numbered (Bland), leaves.
     """
-    b = [0.0] * n
-    a = 0.0
-    best_obj = objective(b, a)
-    if not math.isfinite(best_obj):
-        raise SolverDiverged("objective is not finite at the starting point")
-    best_b = list(b)
-    best_a = a
-    history = [best_obj]
-    stale = 0
-    for t in range(cfg.max_iters):
-        eta = cfg.eta0 / (1.0 + t * cfg.decay)
-        for case in training.cases:
-            gb, ga = case_subgradient(b, a, case)
-            for j in range(n):
-                b[j] -= eta * gb[j]
-            a -= eta * ga
-        if not all(math.isfinite(v) for v in (*b, a)):
-            raise SolverDiverged(
-                f"iterate became non-finite at epoch {t + 1}; lower eta0"
-            )
-        current = objective(b, a)
-        if not math.isfinite(current):
-            raise SolverDiverged(
-                f"objective became non-finite at epoch {t + 1}; lower eta0"
-            )
-        if current < best_obj:
-            improvement = best_obj - current
-            best_obj = current
-            best_b = list(b)
-            best_a = a
-        else:
-            improvement = 0.0
-        history.append(best_obj)
-        if improvement < cfg.tol:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-        else:
-            stale = 0
-    return best_b, best_a, history
+    p = len(rows[0])
+    # Powers of two put each column's largest entry in [1, 2): exact, and no
+    # product of two entries overflows.  The scaled curvature 2 rho 4**shift
+    # is held as 2**level times a factor in [2**-40, 1] (raising a smaller one
+    # moves the total by under 1e-12 of the regularizer and keeps the Newton
+    # system regular); a coefficient whose curvature overflows is 0 at the
+    # float optimum, so its column is zeroed.
+    shifts = [1 - math.frexp(max(abs(row[j]) for row in rows))[1] for j in range(p)]
+    mantissa, power = math.frexp(rho)
+    exponents = [power + 1 + 2 * s for s in shifts[:-1]]
+    fixed = [rho > 0 and e > 1024 for e in exponents] + [False]
+    level = max((e for e, fix in zip(exponents, fixed) if not fix), default=0)
+    scaled = [0.0 if not rho else 1.0 if fix else max(math.ldexp(mantissa, e - level), 2**-40)
+              for e, fix in zip(exponents, fixed)] + [0.0]
+    curvature = [0.0 if fix else math.ldexp(h, level) for h, fix in zip(scaled, fixed)]
+    reach = math.ldexp(1.0, -level) if level > -1024 else math.inf
+    U = [[0.0 if fix else math.ldexp(x, s) for x, s, fix in zip(row, shifts, fixed)]
+         for row in rows]
+    cols, small = list(zip(*U)), [1e-12 * math.hypot(*u) for u in U]
+    axes = [[float(i == j) for i in range(p)] for j in range(p)]
+    tol = 2e-11 * len(U) * max(map(abs, slopes))
+
+    z, stalled = [0.0] * p, False
+    piece = [bisect.bisect_left(kinks, v) for v in offsets]
+    work: list[tuple[int, int]] = []  # (case, kink) pairs pinned in place
+    while True:
+        pinned = {i for i, _ in work}
+        G = [U[i] for i, _ in work]
+        weights = [0.0 if i in pinned else slopes[k] for i, k in enumerate(piece)]
+        g = [hj * zj + _dot(weights, col) for hj, zj, col in zip(curvature, z, cols)]
+        span = _orthonormal(G)
+        drift = _project(span, g)
+        if len(span) < p and max(map(abs, drift)) > tol + 1e-12 * max(map(abs, g)):
+            if not rho or (not work and abs(g[-1]) > tol):
+                # Nothing curves the whole drift (no regularizer) or the intercept.
+                d = [-x for x in drift] if not rho else [0.0] * (p - 1) + [-g[-1]]
+                alpha = math.inf
+            else:  # Newton, in an orthonormal basis Y; the intercept held if nothing is pinned
+                held = span or axes[-1:]
+                Y = _orthonormal(axes, held, 0.5 / math.sqrt(p))[len(held):]
+                M = [[_dot([h * x for h, x in zip(scaled, a)], b) for b in Y] for a in Y]
+                d = [_dot(_solve(M, [-_dot(y, g) for y in Y]), col) for col in zip(*Y)]
+                alpha = reach
+            # Ratio test: the first unpinned case to reach a kink stops the step.  One
+            # moving at under 1e-12 |u| |d| never does: pinned rows stay independent.
+            norm, blocker = math.hypot(*d), None
+            for i, u in enumerate(U):
+                rate = _dot(u, d)
+                k = piece[i] if rate > 0 else piece[i] - 1
+                if i in pinned or not 0 <= k < len(kinks) or abs(rate) <= small[i] * norm:
+                    continue
+                step = max(0.0, (kinks[k] - _dot(u, z) - offsets[i]) / rate)
+                if step < alpha:
+                    alpha, blocker = step, (i, k)
+            z = [zj + alpha * dj for zj, dj in zip(z, d)]
+            if not all(map(math.isfinite, z)):
+                raise SolverDiverged("the fit left the floating-point range")
+            stalled = alpha == 0.0
+            work += [blocker] if blocker else []
+            continue
+        # A subspace minimum: certify it, or release one pinned case.
+        mu = _solve([[_dot(a, b) for b in G] for a in G], [-_dot(a, g) for a in G])
+        excess = [max(slopes[k] - mk, mk - slopes[k + 1]) for (_, k), mk in zip(work, mu)]
+        wrong = [pos for pos, e in enumerate(excess) if e > tol]
+        if not wrong:
+            return tuple(math.ldexp(zj, s) for zj, s in zip(z, shifts))
+        leave = min(wrong, key=lambda pos: work[pos][0] if stalled else -excess[pos])
+        i, k = work.pop(leave)
+        piece[i] = k + 1 if mu[leave] > slopes[k + 1] else k
 
 
-def svm_solve(
-    training: TrainingSet,
-    params: SvmParams,
-    cfg: SolverConfig = SOLVER.default,
-) -> tuple[LinearHypothesis, InconsistencyReport]:
-    """Minimize the margin objective from the zero hypothesis."""
+def _fit(report, training: TrainingSet, params, *problem) -> Fit:
+    """The least-total hypothesis of ``problem``, with its report, if its total is finite."""
+    try:
+        z = _least_total(*problem)
+    except OverflowError:
+        raise SolverDiverged("the fit left the floating-point range") from None
+    f = LinearHypothesis(z[:-1], z[-1])
+    if all(math.isfinite(f(case.x)) for case in training.cases):
+        scored = report(f, training, params)
+        if math.isfinite(scored.total):
+            return f, scored
+    raise SolverDiverged("the least total inconsistency is beyond the floating-point range")
+
+
+def svm_solve(training: TrainingSet, params: SvmParams) -> Fit:
+    """The hypothesis of least margin objective, with its report."""
+    _require_numeric_features(training)
     require_labels(training, YKind.PM1)
-    n = training.n
-    m = training.m
-    w = params.w
-
-    def case_subgradient(b: list[float], a: float, case: Case):
-        fx = a
-        for bj, xj in zip(b, case.x.values):
-            fx += bj * xj
-        active = case.y * fx < 1.0
-        gb = [2.0 * w * bj / m for bj in b]
-        ga = 0.0
-        if active:
-            for j, xj in enumerate(case.x.values):
-                gb[j] -= case.y * xj / m
-            ga = -case.y / m
-        return gb, ga
-
-    def objective(b: list[float], a: float) -> float:
-        return svm_objective(LinearHypothesis(tuple(b), a), training, params)
-
-    best_b, best_a, _ = _descend(training, n, cfg, case_subgradient, objective)
-    f = LinearHypothesis(tuple(best_b), best_a)
-    return f, svm_report(f, training, params)
+    rows = [[case.y * float(x) for x in (*case.x.values, 1.0)] for case in training.cases]
+    slopes = (-1.0 / training.m, 0.0)
+    return _fit(svm_report, training, params, rows, [0.0] * len(rows), (1.0,), slopes, params.w)
 
 
-def svr_solve(
-    training: TrainingSet,
-    params: SvrParams,
-    cfg: SolverConfig = SOLVER.default,
-) -> tuple[LinearHypothesis, InconsistencyReport]:
-    """Minimize the tube objective from the zero hypothesis."""
-    n = training.n
-    m = training.m
-    lam = params.lam
+def svr_solve(training: TrainingSet, params: SvrParams) -> Fit:
+    """The hypothesis of least tube objective, with its report."""
+    _require_numeric_features(training)
     eps = params.epsilon
-
-    def case_subgradient(b: list[float], a: float, case: Case):
-        fx = a
-        for bj, xj in zip(b, case.x.values):
-            fx += bj * xj
-        r = case.y - fx
-        gb = [2.0 * lam * bj / m for bj in b]
-        ga = 0.0
-        if abs(r) > eps:
-            s = 1.0 if r > 0 else -1.0
-            for j, xj in enumerate(case.x.values):
-                gb[j] -= s * xj
-            ga = -s
-        return gb, ga
-
-    def objective(b: list[float], a: float) -> float:
-        return svr_objective(LinearHypothesis(tuple(b), a), training, params)
-
-    best_b, best_a, _ = _descend(training, n, cfg, case_subgradient, objective)
-    f = LinearHypothesis(tuple(best_b), best_a)
-    return f, svr_report(f, training, params)
+    kinks, slopes = ((-eps, eps), (-1.0, 0.0, 1.0)) if eps else ((0.0,), (-1.0, 1.0))
+    rows = [[float(x) for x in (*case.x.values, 1.0)] for case in training.cases]
+    offsets = [-float(case.y) for case in training.cases]
+    return _fit(svr_report, training, params, rows, offsets, kinks, slopes, params.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +493,7 @@ class SvmLearner(Learner):
         return svm_report(h, training, self._params(problem))
 
     def solve(self, problem, training):
-        _require_numeric_features(training)
-        return svm_solve(training, self._params(problem), problem.v[SOLVER.key])
+        return svm_solve(training, self._params(problem))
 
 
 class SvrLearner(Learner):
@@ -505,37 +509,25 @@ class SvrLearner(Learner):
         return svr_report(h, training, self._params(problem))
 
     def solve(self, problem, training):
-        _require_numeric_features(training)
-        return svr_solve(training, self._params(problem), problem.v[SOLVER.key])
+        return svr_solve(training, self._params(problem))
 
 
 class ErmLearner(Learner):
-    """Absolute-loss fitting: each case against its single hypothetical twin.
-
-    Solving reuses the tube solver with a zero-width tube and no
-    regularization, which evaluates to the identical objective.
-    """
+    """Absolute-loss fitting: tube regression with zero width and no regularization."""
 
     family = "erm"
 
     def report(self, h, problem, training):
         _require_numeric_features(training)
-        entries = tuple(
-            ReportEntry(case, abs(case.y - h(case.x)), 1) for case in training.cases
-        )
-        return InconsistencyReport.build(
-            entries, Aggregation.SUM, describe_hypothesis(h)
-        )
+        return svr_report(h, training, SvrParams(0.0, 0.0))
 
     def solve(self, problem, training):
-        _require_numeric_features(training)
-        f, _ = svr_solve(training, SvrParams(0.0, 0.0), problem.v[SOLVER.key])
-        return f, self.report(f, problem, training)
+        return svr_solve(training, SvrParams(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # Family registration
 
-register_family(FamilySpec("svm", (W, SOLVER), frozenset({YKind.PM1})))
-register_family(FamilySpec("svr", (EPSILON, LAMBDA, SOLVER), frozenset(YKind)))
-register_family(FamilySpec("erm", (SOLVER,), frozenset(YKind)))
+register_family(FamilySpec("svm", (W,), frozenset({YKind.PM1})))
+register_family(FamilySpec("svr", (EPSILON, LAMBDA), frozenset(YKind)))
+register_family(FamilySpec("erm", (), frozenset(YKind)))

@@ -248,7 +248,7 @@ class TestNonFiniteTokens:
 
 
 class TestHugeIntegralCells:
-    """1e200 parses to a 201-digit int; its distances are floats, not a crash."""
+    """1e200 stays a float, and neither distances nor linear fits crash on it."""
 
     @pytest.mark.parametrize("learner", ["smoothing", "knn"])
     @pytest.mark.parametrize("command", ["train", "predict", "audit"])
@@ -266,6 +266,44 @@ class TestHugeIntegralCells:
             assert run(train) == 0
         assert run(argv) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, total", [
+        (["--learner", "erm"], 1.0),
+        (["--learner", "svr", "--epsilon", "0", "--lambda", "0"], 1.0),
+        (["--learner", "svr", "--epsilon", "0.1", "--lambda", "0.01"], 0.8),
+    ])
+    def test_linear_fit_reaches_the_least_total(self, write, tmp_path, capsys, flags, total):
+        # The line through (1e200, 1) and either other case leaves 1 (or 0.8,
+        # with the tube) on the third: the brute-force minimum.
+        data = write("d.csv", "x,y\n1e200,1\n0,0\n5,1\n")
+        assert run(["train", *flags, "--data", data, "--out", tmp_path / "m.json"]) == 0
+        out, err = capsys.readouterr()
+        found = float(out.split("total_inconsistency=")[1].split()[0])
+        assert abs(found - total) <= 1e-12
+        assert "eta0" not in err
+
+    def test_huge_weight_trains(self, write, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        data = write("d.csv", "x,y\n2,1\n-2,-1\n")
+        assert run(["train", "--learner", "svm", "--w", "1e308", "--data", data,
+                    "--out", out]) == 0
+        assert "total_inconsistency=1.0" in capsys.readouterr().out
+        # w b^2 + 1 - 2b is least at b = 1/w, which is 0 to float precision.
+        assert json.loads(out.read_text())["hypothesis"]["b"] == [1 / 1e308]
+
+    def test_huge_cells_keep_their_value(self, write, tmp_path, capsys):
+        data = write("d.csv", "x,y\n1e300,1e300\n0,-1e300\n5,1\n")
+        model = tmp_path / "m.json"
+        assert run(["train", "--learner", "smoothing", "--k", "1", "--data", data,
+                    "--out", model]) == 0
+        capsys.readouterr()
+        queries = write("q.csv", "x\n1e300\n")
+        assert run(["predict", "--model", model, "--queries", queries, "--data", data]) == 0
+        assert capsys.readouterr().out == "1e+300\n"
+        assert run(["audit", "--model", model, "--data", data]) == 0
+        text = capsys.readouterr().out
+        assert text.count("1e+300") == 3  # x and y of case 1, y of case 2
+        assert str(int(1e300)) not in text
 
 
 def test_closed_pipe_exits_one_without_traceback(write, tmp_path):
@@ -465,17 +503,17 @@ def flag_table() -> str:
              "|---|---|---|---|---|"]
     for name in family_names():
         spec = family_spec(name)
-        for param in spec.file_params:
+        for param in spec.params:
             if param.key in spec.one_of:
                 default = "exactly one of " + ", ".join(
-                    f"`{p.flag}`" for p in spec.file_params if p.key in spec.one_of)
+                    f"`{p.flag}`" for p in spec.params if p.key in spec.one_of)
             elif param.required:
                 default = "required"
             else:
                 default = f"`{json.dumps(param.default)}`"
             lines.append(f"| `{name}` | `{param.flag}` | `{param.key}` | {default} "
                          f"| {param.rule} |")
-        if not spec.file_params:
+        if not spec.params:
             lines.append(f"| `{name}` | none | | | |")
     return "\n".join(lines)
 

@@ -1,4 +1,10 @@
-"""Margin classification, tube regression, and the shared descent engine."""
+"""Margin classification, tube regression, and the exact solver."""
+
+import importlib.util
+import itertools
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +24,6 @@ from minconsist import (
     ProblemStatement,
     SchemaMismatch,
     SlackVector,
-    SolverConfig,
     SolverDiverged,
     SvmLearner,
     SvmParams,
@@ -257,21 +262,13 @@ class TestSubgradients:
 
 
 class TestSolver:
-    def test_config_validation(self):
-        with pytest.raises(InvalidParameter):
-            SolverConfig(eta0=0.0)
-        with pytest.raises(InvalidParameter):
-            SolverConfig(max_iters=0)
-        with pytest.raises(InvalidParameter):
-            SolverConfig(patience=0)
-
     def test_separable_instance_reaches_a_wide_margin(self):
         T = training_set([((2.0,), 1), ((-2.0,), -1)])
         f, report = svm_solve(T, SvmParams(0.5))
         assert report.total == svm_objective(f, T, SvmParams(0.5))
         # Optimal coefficient for this instance is b = 0.5, a = 0.
-        assert abs(f.b[0] - 0.5) < 0.01
-        assert abs(f.a) < 0.01
+        assert abs(f.b[0] - 0.5) < 1e-12
+        assert abs(f.a) < 1e-12
 
     def test_deterministic(self):
         T = training_set([((2.0, 0.0), 1), ((-1.0, 1.0), -1), ((0.5, -2.0), 1)])
@@ -279,17 +276,96 @@ class TestSolver:
         f2, r2 = svm_solve(T, SvmParams(0.2))
         assert f1.b == f2.b and f1.a == f2.a and r1.total == r2.total
 
-    def test_divergence_is_reported(self):
-        T = training_set([((2.0,), 1), ((-2.0,), -1)])
-        with pytest.raises(SolverDiverged):
-            svm_solve(T, SvmParams(1.0), SolverConfig(eta0=1e300, patience=5))
-
     def test_svr_interpolates_clean_line(self):
         xs = [(-1.0,), (0.0,), (1.0,), (2.0,)]
         T = training_set([(x, 3.0 * x[0] + 1.0) for x in xs])
         f, _ = svr_solve(T, SvrParams(0.0, 0.0))
-        assert abs(f.b[0] - 3.0) < 0.05
-        assert abs(f.a - 1.0) < 0.05
+        assert abs(f.b[0] - 3.0) < 1e-12
+        assert abs(f.a - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("pairs", [
+        # No line fits all three: the second difference of the residuals is 4e308.
+        [((0.0,), 1e308), ((1.0,), -1e308), ((2.0,), 1e308)],
+        # The one interpolating line has slope -2e308.
+        [((0.0,), 1e308), ((1.0,), -1e308)],
+    ])
+    def test_an_optimum_beyond_the_float_range_is_reported(self, pairs):
+        with pytest.raises(SolverDiverged):
+            svr_solve(training_set(pairs), SvrParams(0.0, 0.0))
+
+
+def _interpolating_minimum(xs, ys):
+    """The least absolute-deviation total, over every line through n+1 cases.
+
+    When ``[X 1]`` has full column rank some optimum interpolates n+1
+    cases, so this is the exact minimum; it is computed in rationals and
+    rounded once.  None when no n+1 cases determine a line.
+    """
+    n = len(xs[0])
+    best = None
+    for subset in itertools.combinations(range(len(xs)), n + 1):
+        rows = [[Fraction(v) for v in (*xs[i], 1.0)] + [Fraction(ys[i])] for i in subset]
+        for col in range(n + 1):  # Gauss-Jordan elimination, exact
+            pivot = next((r for r in range(col, n + 1) if rows[r][col] != 0), None)
+            if pivot is None:
+                break
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            for r in range(n + 1):
+                if r != col and rows[r][col] != 0:
+                    factor = rows[r][col] / rows[col][col]
+                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+        else:
+            coef = [rows[j][n + 1] / rows[j][j] for j in range(n + 1)]
+            total = sum(abs(Fraction(y) - sum(c * Fraction(v) for c, v in zip(coef, (*x, 1.0))))
+                        for x, y in zip(xs, ys))
+            best = total if best is None else min(best, total)
+    return None if best is None else float(best)
+
+
+def test_erm_matches_subset_enumeration():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 200:
+        n, m = rng.randint(1, 2), rng.randint(2, 8)
+        grid = checked % 2 == 0  # integer grids have ties; float draws have none
+        draw = (lambda: float(rng.randint(-2, 2))) if grid else (lambda: rng.uniform(-3, 3))
+        xs = list({tuple(draw() for _ in range(n)) for _ in range(m)})
+        ys = [draw() for _ in xs]
+        least = _interpolating_minimum(xs, ys)
+        if least is None:
+            continue
+        _, report = svr_solve(training_set(zip(xs, ys)), SvrParams(0.0, 0.0))
+        assert abs(report.total - least) <= 1e-12 * max(1.0, least), (xs, ys)
+        checked += 1
+
+
+def test_all_linear_families_match_the_lp_reference():
+    pytest.importorskip("scipy")
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    rng = random.Random(11)
+    for trial in range(30):
+        family = ("svm", "svr", "erm")[trial % 3]
+        n = rng.randint(1, 3)
+        m = rng.randint(2, n + 1) if trial % 5 == 0 else rng.randint(2, 12)  # some with m <= n
+        xs = list({tuple(float(rng.randint(-2, 2)) for _ in range(n)) for _ in range(m)})
+        if family == "svm":
+            ys = [rng.choice((-1, 1)) for _ in xs]
+            params = {"w": rng.choice((0.01, 0.5, 2.0))}
+            _, report = svm_solve(training_set(zip(xs, ys)), SvmParams(params["w"]))
+        else:
+            ys = [float(rng.randint(-2, 2)) for _ in xs]
+            params = {"epsilon": 0.0, "lambda": 0.0}
+            if family == "svr":
+                params = {"epsilon": rng.choice((0.0, 0.5, 1.0)),
+                          "lambda": rng.choice((0.0, 1e-6, 0.5))}
+            svr = SvrParams(params["epsilon"], params["lambda"])
+            _, report = svr_solve(training_set(zip(xs, ys)), svr)
+        lower, upper = checks.linear_optimum(family, [list(x) for x in xs], ys, params)
+        slack = 1e-9 * max(1.0, abs(upper))  # cases pinned to a kink may miss it by an ulp
+        assert lower - slack <= report.total <= upper + slack, (family, params, xs, ys)
 
 
 class TestLearnerAdapters:
