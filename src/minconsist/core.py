@@ -55,7 +55,10 @@ class InvalidParameter(MinconsistError):
 
 
 class SolverDiverged(MinconsistError):
-    """A fit's optimum, an answer or a total lies beyond the floating-point range."""
+    """A fit's optimum, an answer or a total lies beyond the floating-point range.
+
+    Also raised when the exact linear solver exceeds its step bound.
+    """
 
 
 class EmptyNeighborhood(MinconsistError):

@@ -290,6 +290,10 @@ def svr_objective_subgradient(
 # ---------------------------------------------------------------------------
 # The exact solver
 
+# The exact solver's step bound is this many steps per case and coefficient.
+# No fit comes near it; it turns a cycling bug into an error.
+STEPS_PER_ROW = 50
+
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return sum(map(operator.mul, u, v))
@@ -334,10 +338,13 @@ def _least_total(rows, offsets, kinks, slopes, rho: float) -> tuple[float, ...]:
     each row ends with a nonzero intercept entry.  A primal active-set method
     (Nocedal & Wright, ch. 16): each step heads for the least total on the
     subspace where the working set's cases stay on their kinks, by a Newton
-    step or down the projected gradient where nothing curves it, and the first
-    case to reach a kink joins the set.  At a subspace minimum, multipliers
-    between their kinks' two slopes certify the optimum; otherwise the worst
-    case, or after a zero-length step the lowest-numbered (Bland), leaves.
+    step or down the projected gradient where nothing curves it.  The step is
+    long (Fourer, 1985): it crosses every kink at which the total still falls
+    and stops where its slope turns non-negative, at a kink whose case joins
+    the set or at the Newton point between two kinks.  At a subspace minimum,
+    multipliers between their kinks' two slopes certify the optimum; otherwise
+    the worst case, or after a zero-length step the lowest-numbered (Bland),
+    leaves.  More than ``STEPS_PER_ROW (m + p)`` steps raise SolverDiverged.
     """
     p = len(rows[0])
     # Powers of two put each column's largest entry in [1, 2): exact, and no
@@ -364,7 +371,8 @@ def _least_total(rows, offsets, kinks, slopes, rho: float) -> tuple[float, ...]:
     z, stalled = [0.0] * p, False
     piece = [bisect.bisect_left(kinks, v) for v in offsets]
     work: list[tuple[int, int]] = []  # (case, kink) pairs pinned in place
-    while True:
+    bound = STEPS_PER_ROW * (len(U) + p)
+    for _ in range(bound):
         pinned = {i for i, _ in work}
         G = [U[i] for i, _ in work]
         weights = [0.0 if i in pinned else slopes[k] for i, k in enumerate(piece)]
@@ -382,30 +390,25 @@ def _least_total(rows, offsets, kinks, slopes, rho: float) -> tuple[float, ...]:
                 M = [[_dot([h * x for h, x in zip(scaled, a)], b) for b in Y] for a in Y]
                 d = [_dot(_solve(M, [-_dot(y, g) for y in Y]), col) for col in zip(*Y)]
                 alpha = reach
-            # Ratio test: the first unpinned case to reach a kink stops the step.  One
-            # moving at under 1e-12 |u| |d| never does: pinned rows stay independent.
-            # An unbounded step finds no case when every quotient overflows, although
-            # the kinks may be in range; then it looks again along 2**600 d (such a d
-            # is a projected gradient, so it stays in range).
+            # The long step: walk the kinks that unpinned cases reach along d, nearest
+            # first (ties to the lowest-numbered case), each adding its slope jump to
+            # the total's slope.  A case moving at under 1e-12 |u| |d| has none:
+            # pinned rows stay independent.  A linear walk whose next kink's quotient
+            # overflows, although the kink may be in range, walks again along 2**600 d
+            # (such a d is a projected gradient, so it stays in range).
             for retry in (False, True):
                 if retry:
                     d = [math.ldexp(x, 600) for x in d]
-                step_to, norm, blocker = alpha, math.hypot(*d), None
-                for i, u in enumerate(U):
-                    rate = _dot(u, d)
-                    k = piece[i] if rate > 0 else piece[i] - 1
-                    if i in pinned or not 0 <= k < len(kinks) or abs(rate) <= small[i] * norm:
-                        continue
-                    step = max(0.0, (kinks[k] - _dot(u, z) - offsets[i]) / rate)
-                    if step < step_to:
-                        step_to, blocker = step, (i, k)
-                if blocker or alpha < math.inf:
+                step_to, blocker, crossed = _walk(U, z, d, offsets, kinks, slopes,
+                                                  piece, pinned, small, _dot(g, d), alpha)
+                if step_to < math.inf or alpha < math.inf:
                     break
-            alpha = step_to
-            z = [zj + alpha * dj for zj, dj in zip(z, d)]
+            z = [zj + step_to * dj for zj, dj in zip(z, d)]
             if not all(map(math.isfinite, z)):
                 raise SolverDiverged("the fit left the floating-point range")
-            stalled = alpha == 0.0
+            for i, k, rate in crossed:
+                piece[i] = k + 1 if rate > 0 else k
+            stalled = step_to == 0.0
             work += [blocker] if blocker else []
             continue
         # A subspace minimum: certify it, or release one pinned case.
@@ -417,6 +420,47 @@ def _least_total(rows, offsets, kinks, slopes, rho: float) -> tuple[float, ...]:
         leave = min(wrong, key=lambda pos: work[pos][0] if stalled else -excess[pos])
         i, k = work.pop(leave)
         piece[i] = k + 1 if mu[leave] > slopes[k + 1] else k
+    raise SolverDiverged(f"the solver found no certified optimum in {bound} steps")
+
+
+def _walk(U, z, d, offsets, kinks, slopes, piece, pinned, small, slope, reach):
+    """(length, case and kink to pin or None, (case, kink, rate) crossed) of a step along d.
+
+    The total's slope along d starts at ``slope`` < 0.  On a Newton step it
+    rises linearly to 0 at ``reach``, the Newton point; on a ray nothing curves
+    (``reach`` inf) it stays.  Each kink an unpinned case crosses adds
+    (s_{k+1} - s_k) |u·d|.  The walk stops at the first kink after which the
+    slope is non-negative, pinning its case, or at the Newton point between
+    two kinks.  The total is bounded below, so on a ray a slope still under 0
+    after the last kink is rounding, and that kink's case is pinned.  A length
+    of inf means the ray found no kink in range.
+    """
+    norm, ahead = math.hypot(*d), []
+    for i, u in enumerate(U):
+        rate = _dot(u, d)
+        if i in pinned or abs(rate) <= small[i] * norm:
+            continue
+        uz = _dot(u, z)
+        reached = range(piece[i], len(kinks)) if rate > 0 else range(piece[i] - 1, -1, -1)
+        ahead += [(max(0.0, (kinks[k] - uz - offsets[i]) / rate), i, k, rate) for k in reached]
+    ahead.sort(key=operator.itemgetter(0, 1))  # stable: a case's nearer kink first
+    curved, jumps, crossed = reach < math.inf, 0.0, []
+    for t, i, k, rate in ahead:
+        if not curved and t == math.inf:
+            return math.inf, None, []
+        smooth = slope * (1.0 - t / reach) if curved else slope
+        if smooth + jumps >= 0.0:  # the Newton point comes first
+            break
+        jumps += (slopes[k + 1] - slopes[k]) * abs(rate)
+        if smooth + jumps >= 0.0:
+            return t, (i, k), crossed
+        crossed.append((i, k, rate))
+    if curved:
+        return reach * (1.0 + jumps / slope), None, crossed
+    if crossed:
+        i, k, _ = crossed.pop()
+        return t, (i, k), crossed
+    return math.inf, None, []
 
 
 def _fit(report, training: TrainingSet, params, *problem) -> Fit:

@@ -185,7 +185,14 @@ def _mean(values: Sequence[float]) -> float:
     total = 0.0
     for v in values:
         total += v
-    return total / len(values)
+    if math.isfinite(total):
+        return total / len(values)
+    # The sum overflowed, though the mean may not: sum again scaled by a power of two.
+    shift = len(values).bit_length()
+    total = 0.0
+    for v in values:
+        total += math.ldexp(v, -shift)
+    return math.ldexp(total / len(values), shift)
 
 
 def smoothing_fit(

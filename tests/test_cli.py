@@ -17,6 +17,7 @@ from minconsist import (
     svr_report,
     training_set,
 )
+from minconsist import linear
 from minconsist.core import family_spec
 from minconsist.cli import main
 
@@ -55,6 +56,15 @@ class TestTrain:
         model = load_model(out)
         assert model.family == "svm"
         assert model.hypothesis is not None
+
+    def test_a_fit_past_the_step_bound_is_an_error(self, write, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(linear, "STEPS_PER_ROW", 0)
+        out = tmp_path / "m.json"
+        assert run(["train", "--learner", "erm", "--data", write("d.csv", REAL_CSV),
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the solver found no certified optimum in 0 steps\n"
+        assert not out.exists()
 
     def test_knn_train_binds_training_hash(self, write, tmp_path):
         data = write("d.csv", BIN_CSV)
@@ -265,7 +275,8 @@ class TestNonFiniteResults:
     No output then holds ``NaN`` or ``Infinity``, which are not JSON.
     """
 
-    HUGE_CSV = "x,y\n0,1e308\n1,1e308\n5,0\n"  # the mean of the first two overflows
+    HUGE_CSV = "x,y\n0,1e308\n1,1e308\n5,0\n"  # the sum of the first two overflows
+    LINE_CSV = "x,y\n0,0\n1,2\n2,4.5\n"  # the least-total line is 2.25 x
 
     def _fail(self, argv, capsys, named):
         assert run(argv) == 1
@@ -275,26 +286,38 @@ class TestNonFiniteResults:
             assert word not in captured.out
 
     def test_train(self, write, tmp_path, capsys):
+        # No line fits all three: the second difference of the residuals is 4e308.
         model = tmp_path / "m.json"
-        self._fail(["train", "--learner", "smoothing", "--k", "2",
-                    "--data", write("d.csv", self.HUGE_CSV), "--out", model],
-                   capsys, "the inconsistency of case 1")
+        self._fail(["train", "--learner", "erm", "--out", model,
+                    "--data", write("d.csv", "x,y\n0,1e308\n1,-1e308\n2,1e308\n")],
+                   capsys, "the least total inconsistency")
         assert not model.exists()
 
     def test_predict(self, write, tmp_path, capsys):
-        data, model = write("d.csv", self.HUGE_CSV), tmp_path / "m.json"
-        assert run(["train", "--learner", "smoothing", "--k", "1", "--data", data,
+        model = tmp_path / "m.json"
+        assert run(["train", "--learner", "erm", "--data", write("d.csv", self.LINE_CSV),
                     "--out", model]) == 0
         capsys.readouterr()
-        queries = write("q.csv", "x\n5\n0.5\n")  # 0.5 ties the first two cases
-        assert run(["predict", "--model", model, "--queries", queries, "--data", data]) == 1
+        queries = write("q.csv", "x\n5\n1e308\n")
+        assert run(["predict", "--model", model, "--queries", queries]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "0\n"
+        assert float(captured.out) == pytest.approx(11.25)
         assert captured.err == "error: the answer to query 2 is beyond the floating-point range\n"
+
+    def test_a_mean_whose_sum_overflows_is_answered(self, write, tmp_path, capsys):
+        data, model = write("d.csv", self.HUGE_CSV), tmp_path / "m.json"
+        assert run(["train", "--learner", "smoothing", "--k", "2", "--data", data,
+                    "--out", model]) == 0
+        assert capsys.readouterr().out.splitlines()[5] == "total_inconsistency=0.0"
+        queries = write("q.csv", "x\n0.5\n3\n")  # 0.5 ties the first two cases
+        assert run(["predict", "--model", model, "--queries", queries, "--data", data]) == 0
+        assert capsys.readouterr().out == "1e+308\n5e+307\n"
+        assert run(["audit", "--model", model, "--data", data]) == 0
+        assert json.loads(capsys.readouterr().out)["total_inconsistency"] == 0.0
 
     def test_audit(self, write, tmp_path, capsys):
         model = tmp_path / "m.json"
-        data = write("d.csv", "x,y\n0,0\n1,2\n2,4.5\n")
+        data = write("d.csv", self.LINE_CSV)
         assert run(["train", "--learner", "erm", "--data", data, "--out", model]) == 0
         capsys.readouterr()
         self._fail(["audit", "--model", model, "--data", write("e.csv", "x,y\n1e308,0\n")],

@@ -3,12 +3,14 @@
 import importlib.util
 import itertools
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from minconsist import linear
 from minconsist import (
     Aggregation,
     Case,
@@ -293,17 +295,22 @@ class TestSolver:
             svr_solve(training_set(pairs), SvrParams(0.0, 0.0))
 
 
-def _interpolating_minimum(xs, ys):
-    """The least absolute-deviation total, over every line through n+1 cases.
+def _interpolating_minimum(xs, ys, eps=0.0):
+    """The least tube-loss total, over every line through n+1 cases' tube edges.
 
-    When ``[X 1]`` has full column rank some optimum interpolates n+1
-    cases, so this is the exact minimum; it is computed in rationals and
+    When ``[X 1]`` has full column rank some optimum puts n+1 cases on an
+    edge of the tube of half-width ``eps`` (on the line itself when ``eps``
+    is 0), so this is the exact minimum; it is computed in rationals and
     rounded once.  None when no n+1 cases determine a line.
     """
-    n = len(xs[0])
+    n, eps = len(xs[0]), Fraction(eps)
     best = None
-    for subset in itertools.combinations(range(len(xs)), n + 1):
-        rows = [[Fraction(v) for v in (*xs[i], 1.0)] + [Fraction(ys[i])] for i in subset]
+    edges = itertools.product((-eps, eps), repeat=n + 1) if eps else [(eps,) * (n + 1)]
+    for subset, edge in itertools.product(
+        itertools.combinations(range(len(xs)), n + 1), edges
+    ):
+        rows = [[Fraction(v) for v in (*xs[i], 1.0)] + [Fraction(ys[i]) - e]
+                for i, e in zip(subset, edge)]
         for col in range(n + 1):  # Gauss-Jordan elimination, exact
             pivot = next((r for r in range(col, n + 1) if rows[r][col] != 0), None)
             if pivot is None:
@@ -315,7 +322,8 @@ def _interpolating_minimum(xs, ys):
                     rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
         else:
             coef = [rows[j][n + 1] / rows[j][j] for j in range(n + 1)]
-            total = sum(abs(Fraction(y) - sum(c * Fraction(v) for c, v in zip(coef, (*x, 1.0))))
+            total = sum(max(Fraction(0), abs(Fraction(y) - sum(
+                c * Fraction(v) for c, v in zip(coef, (*x, 1.0)))) - eps)
                         for x, y in zip(xs, ys))
             best = total if best is None else min(best, total)
     return None if best is None else float(best)
@@ -338,12 +346,18 @@ def test_erm_matches_subset_enumeration():
         checked += 1
 
 
-def test_all_linear_families_match_the_lp_reference():
+@pytest.fixture(scope="module")
+def checks():
+    """The benchmark's checks, whose ``linear_optimum`` bounds the least total by LP."""
     pytest.importorskip("scipy")
     path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
     spec = importlib.util.spec_from_file_location("checks", path)
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_all_linear_families_match_the_lp_reference(checks):
     rng = random.Random(11)
     for trial in range(30):
         family = ("svm", "svr", "erm")[trial % 3]
@@ -365,6 +379,89 @@ def test_all_linear_families_match_the_lp_reference():
         lower, upper = checks.linear_optimum(family, [list(x) for x in xs], ys, params)
         slack = 1e-9 * max(1.0, abs(upper))  # cases pinned to a kink may miss it by an ulp
         assert lower - slack <= report.total <= upper + slack, (family, params, xs, ys)
+
+
+def _assert_least(checks, family, xs, ys, params):
+    """The fit's total is the least: by enumeration for m <= 8 without ``||b||^2``, else by LP.
+
+    A case pinned to a kink misses it by the rounding of ``f(x)``, which
+    grows with ``|a| + sum |b_j x_j|``; so does the tolerance.
+    """
+    T = training_set(zip(xs, ys))
+    if family == "svm":
+        f, report = svm_solve(T, SvmParams(params["w"]))
+    else:
+        f, report = svr_solve(T, SvrParams(params["epsilon"], params["lambda"]))
+    if family != "svm" and not params["lambda"] and len(xs) <= 8:
+        least = _interpolating_minimum(xs, ys, params["epsilon"])
+        scale = max(abs(f.a) + sum(abs(bj * xj) for bj, xj in zip(f.b, x)) for x in xs)
+        tol = 1e-12 * max(1.0, least, scale)
+        assert abs(report.total - least) <= tol, (family, params, xs, ys)
+    else:
+        lower, upper = checks.linear_optimum(family, [list(x) for x in xs], ys, params)
+        slack = 1e-9 * max(1.0, abs(upper))
+        assert lower - slack <= report.total <= upper + slack, (family, params, xs, ys)
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Each step the solver walks: (length, (case, kink) pairs reached, those at the length)."""
+    taken, walk = [], linear._walk
+
+    def recording(U, z, d, offsets, kinks, *rest):
+        t, blocker, crossed = out = walk(U, z, d, offsets, kinks, *rest)
+        reached = [(i, k) for i, k, _ in crossed] + ([blocker] if blocker else [])
+        at_t = [(i, k) for i, k in reached if t == max(
+            0.0, (kinks[k] - linear._dot(U[i], z) - offsets[i]) / linear._dot(U[i], d))]
+        taken.append((t, reached, at_t))
+        return out
+
+    monkeypatch.setattr(linear, "_walk", recording)
+    return taken
+
+
+def test_a_step_carries_cases_across_both_tube_edges(checks, steps):
+    rng = random.Random(17)
+    for trial in range(40):
+        n, m = rng.randint(1, 2), rng.randint(3, 8) if trial % 2 else rng.randint(9, 40)
+        params = {"epsilon": rng.choice((0.25, 0.5, 1.0)),
+                  "lambda": 0.0 if m <= 8 else rng.choice((0.0, 0.01, 0.5))}
+        xs = list({tuple(rng.uniform(-3, 3) for _ in range(n)) for _ in range(m)})
+        _assert_least(checks, "svr", xs, [rng.uniform(-3, 3) for _ in xs], params)
+    across = [reached for _, reached, _ in steps
+              if any((i, 1) in reached for i, k in reached if k == 0)]
+    assert len(across) >= 10
+
+
+def test_cases_sharing_a_kink_are_crossed_in_one_step(checks, steps):
+    """Most cases lie on one integer line, on its tube's edge or on its side, so kinks tie."""
+    rng = random.Random(23)
+    for trial in range(60):
+        family = ("svm", "svr", "erm")[trial % 3]
+        n, m = rng.randint(1, 2), rng.randint(4, 8) if trial % 2 else rng.randint(9, 30)
+        coef, a = [rng.randint(-1, 1) for _ in range(n)], rng.randint(-1, 1)
+        xs = list({tuple(float(rng.randint(-3, 3)) for _ in range(n)) for _ in range(m)})
+        line = [sum(c * x for c, x in zip(coef, xi)) + a for xi in xs]
+        off = [rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in xs]
+        if family == "svm":
+            ys = [(1 if v >= 0 else -1) * (-1 if o else 1) for v, o in zip(line, off)]
+            params = {"w": 0.01}
+        else:
+            eps = 0.0 if family == "erm" else rng.choice((0.0, 1.0))
+            lam = 0.0 if family == "erm" or m <= 8 else rng.choice((0.0, 0.5))
+            ys = [float(v + o + eps * rng.choice((-1, 1))) for v, o in zip(line, off)]
+            params = {"epsilon": eps, "lambda": lam}
+        _assert_least(checks, family, xs, ys, params)
+    assert sum(t > 0 and len(at_t) >= 2 for t, _, at_t in steps) >= 10
+
+
+def test_a_two_thousand_case_tube_fit_takes_under_three_seconds():
+    rng = random.Random(3)
+    xs = [tuple(rng.uniform(-3, 3) for _ in range(3)) for _ in range(2000)]
+    T = training_set((x, sum(x) + rng.gauss(0.0, 1.0)) for x in xs)
+    start = time.perf_counter()
+    svr_solve(T, SvrParams(0.1, 0.05))
+    assert time.perf_counter() - start < 3.0
 
 
 class TestLearnerAdapters:
