@@ -341,10 +341,11 @@ def _least_total(rows, offsets, kinks, slopes, rho: float) -> tuple[float, ...]:
     step or down the projected gradient where nothing curves it.  The step is
     long (Fourer, 1985): it crosses every kink at which the total still falls
     and stops where its slope turns non-negative, at a kink whose case joins
-    the set or at the Newton point between two kinks.  At a subspace minimum,
-    multipliers between their kinks' two slopes certify the optimum; otherwise
-    the worst case, or after a zero-length step the lowest-numbered (Bland),
-    leaves.  More than ``STEPS_PER_ROW (m + p)`` steps raise SolverDiverged.
+    the set or at the Newton point between two kinks.  A step of length 0
+    crosses no kink and pins the first.  At a subspace minimum, multipliers
+    between their kinks' two slopes certify the optimum; otherwise the worst
+    case, or after a zero-length step the lowest-numbered (Bland), leaves.
+    More than ``STEPS_PER_ROW (m + p)`` steps raise SolverDiverged.
     """
     p = len(rows[0])
     # Powers of two put each column's largest entry in [1, 2): exact, and no
@@ -403,6 +404,10 @@ def _least_total(rows, offsets, kinks, slopes, rho: float) -> tuple[float, ...]:
                                                   piece, pinned, small, _dot(g, d), alpha)
                 if step_to < math.inf or alpha < math.inf:
                     break
+            if step_to == 0.0 and crossed:
+                # A step of length 0 crosses nothing: it pins the first kink, so
+                # pieces change while z stands still only on release (Bland's rule).
+                blocker, crossed = crossed[0][:2], []
             z = [zj + step_to * dj for zj, dj in zip(z, d)]
             if not all(map(math.isfinite, z)):
                 raise SolverDiverged("the fit left the floating-point range")

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, exit codes, stream discipline."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from minconsist import (
     svr_report,
     training_set,
 )
-from minconsist import linear
+from minconsist import cli, linear
 from minconsist.core import family_spec
 from minconsist.cli import main
 
@@ -285,7 +286,21 @@ class TestNonFiniteResults:
         for word in ("nan", "inf", "NaN", "Infinity"):
             assert word not in captured.out
 
-    def test_train(self, write, tmp_path, capsys):
+    def test_train(self, write, tmp_path, capsys, monkeypatch):
+        # A pointwise fit's training scores are bounded: a smoothing answer is its
+        # neighborhood's mean, so its gap is 0, and a vote's gap is at most 1.  So
+        # the check behind them is reached here by scores no learner gives today.
+        data, answers = write("d.csv", self.HUGE_CSV), cli.pointwise_answers
+        for mu, named in ((1e308, "the total inconsistency"),
+                          (math.inf, "the inconsistency of case 1")):
+            monkeypatch.setattr(cli, "pointwise_answers", lambda *args: (
+                (value, mu, count) for value, _, count in answers(*args)))
+            model = tmp_path / "m.json"
+            self._fail(["train", "--learner", "smoothing", "--k", "2", "--out", model,
+                        "--data", data], capsys, named)
+            assert not model.exists()
+
+    def test_train_a_line(self, write, tmp_path, capsys):
         # No line fits all three: the second difference of the residuals is 4e308.
         model = tmp_path / "m.json"
         self._fail(["train", "--learner", "erm", "--out", model,

@@ -428,8 +428,8 @@ def test_a_step_carries_cases_across_both_tube_edges(checks, steps):
                   "lambda": 0.0 if m <= 8 else rng.choice((0.0, 0.01, 0.5))}
         xs = list({tuple(rng.uniform(-3, 3) for _ in range(n)) for _ in range(m)})
         _assert_least(checks, "svr", xs, [rng.uniform(-3, 3) for _ in xs], params)
-    across = [reached for _, reached, _ in steps
-              if any((i, 1) in reached for i, k in reached if k == 0)]
+    across = [reached for t, reached, _ in steps
+              if t > 0 and any((i, 1) in reached for i, k in reached if k == 0)]
     assert len(across) >= 10
 
 
@@ -455,13 +455,16 @@ def test_cases_sharing_a_kink_are_crossed_in_one_step(checks, steps):
     assert sum(t > 0 and len(at_t) >= 2 for t, _, at_t in steps) >= 10
 
 
-def test_a_two_thousand_case_tube_fit_takes_under_three_seconds():
+def test_a_two_thousand_case_tube_fit_takes_few_steps(steps):
+    """A step crosses many kinks: a one-kink step needs about 2m steps here, near 4,000."""
     rng = random.Random(3)
     xs = [tuple(rng.uniform(-3, 3) for _ in range(3)) for _ in range(2000)]
     T = training_set((x, sum(x) + rng.gauss(0.0, 1.0)) for x in xs)
     start = time.perf_counter()
     svr_solve(T, SvrParams(0.1, 0.05))
-    assert time.perf_counter() - start < 3.0
+    elapsed = time.perf_counter() - start
+    assert len(steps) < 400
+    assert elapsed < 3.0  # loose: about 0.2 s on a 2-vCPU host
 
 
 class TestLearnerAdapters:
