@@ -25,6 +25,7 @@ from .core import (
     DuplicateFeatureVector,
     EmptySet,
     FeatureSchema,
+    FeatureValue,
     FeatureVector,
     InvalidParameter,
     LinearHypothesis,
@@ -250,55 +251,107 @@ def _column_kind(declared: ColumnKind | str | None, tokens: list[str]) -> Column
 
 def _vectors(rows: list[Row], header: list[str], names: Sequence[str],
              kinds: Sequence[ColumnKind]) -> Iterator[FeatureVector]:
-    """Each row's feature vector: the cells of ``names``, parsed under ``kinds``."""
-    columns = [(header.index(name), kind, name) for name, kind in zip(names, kinds)]
+    """Each row's feature vector: the cells of ``names``, parsed under ``kinds``.
+
+    They are built without ``FeatureVector``'s checks; ``_training`` names
+    the loader check that stands in for each.
+    """
+    if not names or len(names) != len(kinds):
+        raise SchemaMismatch(f"{len(names)} feature names but {len(kinds)} column kinds")
+    columns = [(header.index(name), _parser(kind, name)) for name, kind in zip(names, kinds)]
     for line, cells in rows:
-        yield FeatureVector(
-            tuple(_parse_value(cells[i], kind, line, name) for i, kind, name in columns)
-        )
+        values = tuple([parse(cells[i], line) for i, parse in columns])
+        yield _trusted(FeatureVector, values=values)
 
 
 def _training(rows: list[Row], header: list[str], names: Sequence[str],
               kinds: Sequence[ColumnKind], target: str) -> TrainingSet:
-    """The rows as cases: ``_vectors`` plus the feedback cells, no vector twice."""
-    t = header.index(target)
+    """The rows as cases: ``_vectors`` plus the feedback cells, no vector twice.
+
+    The vectors, cases and set are built without their constructors'
+    checks, because the loader has made each one already:
+
+    - ``FeatureVector``'s finite numbers and symbols: each cell comes from
+      its column's parser (``_parser``), which returns a finite number, a
+      rank or a declared symbol, or raises naming the row and column;
+    - its at least one value: ``_vectors``'s check of the names against
+      the kinds, one kind per name and at least one name;
+    - ``Case``'s finite, numeric feedback: the target column's number parser;
+    - ``TrainingSet``'s at least one case: ``_read_delimited``'s ``EmptySet``;
+    - its one length and one value kind per column: every vector comes
+      from the same column parsers, and a parser returns numbers only
+      (numeric, ordinal) or symbols only (nominal);
+    - its distinct vectors: ``line_of``, which names both file lines.
+    """
+    t, parse_y = header.index(target), _number_parser(target, "feedback")
     cases = []
     line_of: dict[tuple, int] = {}
     for (line, cells), x in zip(rows, _vectors(rows, header, names, kinds)):
-        y = _parse_number(cells[t], line, target, "feedback")
+        y = parse_y(cells[t], line)
         if x.values in line_of:
             raise DuplicateFeatureVector(
                 f"rows {line_of[x.values]} and {line} share feature vector {x.values!r}"
             )
         line_of[x.values] = line
-        cases.append(Case(x, y))
-    return TrainingSet(tuple(cases))
+        cases.append(_trusted(Case, x=x, y=y))
+    return _trusted(TrainingSet, cases=tuple(cases))
 
 
-def _parse_value(token: str, kind: ColumnKind, line_no: int, column: str):
+def _trusted(cls: type, **fields):
+    """An instance of the frozen dataclass ``cls``, built without its ``__post_init__``.
+
+    Only for values the loader has already checked; library callers go
+    through the constructors, which keep every check.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _parser(kind: ColumnKind, column: str) -> Callable[[str, int], FeatureValue]:
+    """The parser of one column's cells, ``parse(token, line)``, chosen once per column."""
     if isinstance(kind, NumericKind):
-        return _parse_number(token, line_no, column, "value")
+        return _number_parser(column, "value")
     if isinstance(kind, OrdinalKind):
-        if token not in kind.levels:
-            raise ParseError(f"value {token!r} not among ordinal levels {list(kind.levels)}",
-                             row=line_no, column=column)
-        return kind.levels.index(token)
-    if token not in kind.symbols:
-        raise ParseError(f"value {token!r} not among declared symbols", row=line_no, column=column)
-    return token
+        rank = {level: r for r, level in enumerate(kind.levels)}
+
+        def parse_ordinal(token: str, line: int) -> int:
+            try:
+                return rank[token]
+            except KeyError:
+                raise ParseError(f"value {token!r} not among ordinal levels {list(kind.levels)}",
+                                 row=line, column=column) from None
+
+        return parse_ordinal
+    symbols = kind.symbols
+
+    def parse_nominal(token: str, line: int) -> str:
+        if token not in symbols:
+            raise ParseError(f"value {token!r} not among declared symbols",
+                             row=line, column=column)
+        return token
+
+    return parse_nominal
 
 
-def _parse_number(token: str, line_no: int, column: str, what: str) -> int | float:
-    """A finite number; integral values below 2**53 become ints, as the content hash expects."""
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(
-            f"{what} {token!r} is not a number", row=line_no, column=column
-        ) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{what} {token!r} is not finite", row=line_no, column=column)
-    return int(value) if value.is_integer() and abs(value) < 2**53 else value
+def _number_parser(column: str, what: str) -> Callable[[str, int], int | float]:
+    """The parser of a column of finite numbers, each cell a ``what`` in errors.
+
+    Integral values below 2**53 become ints, as the content hash expects.
+    """
+    def parse_number(token: str, line: int) -> int | float:
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(
+                f"{what} {token!r} is not a number", row=line, column=column
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"{what} {token!r} is not finite", row=line, column=column)
+        return int(value) if value.is_integer() and abs(value) < 2**53 else value
+
+    return parse_number
 
 
 # ---------------------------------------------------------------------------

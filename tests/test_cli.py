@@ -409,6 +409,37 @@ class TestHugeIntegralCells:
         assert found <= svr_report(known, T, SvrParams(0.0, 0.0)).total
 
 
+class TestOpenSolverFaults:
+    """Fits that stop above the least total; ROADMAP item 5 is to make them reach it."""
+
+    @staticmethod
+    def _trained_total(write, tmp_path, capsys, flags, text):
+        assert run(["train", *flags, "--data", write("d.csv", text),
+                    "--out", tmp_path / "m.json"]) == 0
+        return float(capsys.readouterr().out.split("total_inconsistency=")[1].split()[0])
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the multiplier test passes a "
+                                           "vertex at 3.99e292 on this 1e308 input")
+    def test_erm_at_1e308_reaches_one(self, write, tmp_path, capsys):
+        # b = (0, 1e308/1.5), a = -1e308 - 1e308/1.5 scores 1.0 in floating point.
+        total = self._trained_total(write, tmp_path, capsys, ["--learner", "erm"],
+                                    "x1,x2,y\n-1,1,-1e308\n-1e308,2.5,-1\n")
+        assert total <= 1.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the fit stops on the boundary of "
+                                           "the least-total region, 1.42e-12 outside it")
+    def test_svr_tube_holding_every_case_reaches_zero(self, write, tmp_path, capsys):
+        # A line with all three cases inside the 0.5-tube exists.
+        total = self._trained_total(
+            write, tmp_path, capsys, ["--learner", "svr", "--epsilon", "0.5", "--lambda", "0"],
+            "x1,x2,y\n"
+            "-1.6153699806353738,-2.3251473124682143,2.410690042677353\n"
+            "-1.6009862501181131,-2.825626010815908,-2.9067714298334684\n"
+            "-2.632780258571458,2.7429104213476228,2.1880013817520467\n",
+        )
+        assert total == 0.0
+
+
 def test_closed_pipe_exits_one_without_traceback(write, tmp_path):
     model = tmp_path / "m.json"
     assert run(["train", "--learner", "erm", "--data", write("d.csv", REAL_CSV),
@@ -577,6 +608,30 @@ class TestAudit:
             total += row["mu"]
         assert total == doc["total_inconsistency"]
         assert doc["aggregation"] == "sum-over-queries"
+
+
+# One training file per family, by the feedback and feature kinds it takes.  The
+# nominal file's symbols hold a quote, a backslash, non-ASCII and astral text
+# and U+2028, which the audit must escape as json does.
+AUDIT_DATA = {
+    "svm": PM1_CSV,
+    "nb": 'x1,x2,y\n"a""q",c\\d,0\nb\u00e9,c\\d,1\n"a""q",\U0001d538\u2028,1\n'
+          'b\u00e9,\U0001d538\u2028,0\n',
+}
+AUDIT_FLAGS = {"smoothing": ["--k", "2"], "knn": ["--k", "3"], "svm": ["--w", "1"],
+               "svr": ["--epsilon", "0.1", "--lambda", "0.01"]}
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_audit_text_is_json_indent_2(write, tmp_path, capsys, family):
+    data = write("d.csv", AUDIT_DATA.get(family, BIN_CSV))
+    model = tmp_path / "m.json"
+    assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                "--out", model]) == 0
+    capsys.readouterr()
+    assert run(["audit", "--model", model, "--data", data]) == 0
+    out = capsys.readouterr().out
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 class TestVerify:

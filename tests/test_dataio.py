@@ -286,6 +286,14 @@ class TestLoadForModel:
         ds = load_dataset_for_model(write("d.csv", "size,y\nlarge,1\n"), model)
         assert ds.training.cases[0].x.values == (1,)
 
+    def test_a_model_without_features(self, write):
+        from minconsist import FeatureSchema
+
+        model = Model(family="erm", params={}, feature_names=(),
+                      schema=FeatureSchema.numeric(1), target_name="y", y_kind=YKind.REAL)
+        with pytest.raises(SchemaMismatch, match="0 feature names but 1 column kinds"):
+            load_dataset_for_model(write("d.csv", "y\n1\n"), model)
+
 
 class TestLoadQueries:
     def test_header_must_match(self, write):
@@ -301,6 +309,12 @@ class TestLoadQueries:
         schema = FeatureSchema.numeric(2)
         queries = load_queries(write("q.csv", "x1,x2\n1,2\n3,4\n"), ("x1", "x2"), schema)
         assert [q.values for q in queries] == [(1, 2), (3, 4)]
+
+    def test_names_and_kinds_must_pair_up(self, write):
+        from minconsist import FeatureSchema
+
+        with pytest.raises(SchemaMismatch, match="2 feature names but 1 column kinds"):
+            load_queries(write("q.csv", "x1,x2\n1,2\n"), ("x1", "x2"), FeatureSchema.numeric(1))
 
 
 class TestModelFiles:
@@ -454,3 +468,62 @@ class TestRowFaults:
         assert str(info.value) == message
         assert getattr(info.value, "row", None) == row
         assert getattr(info.value, "column", None) == column
+
+
+class TestCheckedOnce:
+    """The loaders build their rows without running the constructors' checks again."""
+
+    ROWS = 2_000
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Calls of each checking ``__post_init__``, by class name."""
+        from minconsist import Case, FeatureVector, TrainingSet
+
+        calls = {}
+        for cls in (FeatureVector, Case, TrainingSet):
+            def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+                calls[_name] = calls.get(_name, 0) + 1
+                _check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        FeatureVector((1,))
+        assert calls == {"FeatureVector": 1}  # the counters are live
+        calls.clear()
+        return calls
+
+    def _load(self, write, loader, last=None):
+        """``ROWS`` distinct ``x,s,o`` rows, then ``last`` (file line ``ROWS + 2``) if given."""
+        from minconsist import FeatureSchema
+
+        rows = [f"{i},{'ab'[i % 2]},{('lo', 'hi')[i // 2 % 2]}" for i in range(self.ROWS)]
+        rows += [last] if last else []
+        schema = FeatureSchema((
+            NumericKind(), NominalKind(frozenset({"a", "b"})), OrdinalKind(("lo", "hi")),
+        ))
+        if loader == "load_queries":
+            path = write("q.csv", "x,s,o\n" + "".join(f"{row}\n" for row in rows))
+            return load_queries(path, ("x", "s", "o"), schema)
+        path = write("d.csv", "x,s,o,y\n" + "".join(f"{row},1\n" for row in rows))
+        model = Model(family="knn", params={"k": 1, "metric": "euclidean"},
+                      feature_names=("x", "s", "o"), schema=schema, target_name="y",
+                      y_kind=YKind.BINARY01)
+        return load_dataset_for_model(path, model).training.features
+
+    @pytest.mark.parametrize("loader", ["load_queries", "load_dataset_for_model"])
+    def test_no_row_is_checked_again(self, write, checks, loader):
+        vectors = self._load(write, loader)
+        assert checks == {}
+        assert len(vectors) == self.ROWS
+        assert vectors[3].values == (3, "b", 1)
+
+    @pytest.mark.parametrize("loader", ["load_queries", "load_dataset_for_model"])
+    @pytest.mark.parametrize("last, message, column", [
+        ("7,a,mid", "value 'mid' not among ordinal levels ['lo', 'hi']", "o"),
+        ("7,zz,lo", "value 'zz' not among declared symbols", "s"),
+    ])
+    def test_a_bad_cell_names_its_row_and_column(self, write, loader, last, message, column):
+        with pytest.raises(ParseError) as info:
+            self._load(write, loader, last)
+        assert str(info.value) == f"{message} (row {self.ROWS + 2}, column {column!r})"
+        assert (info.value.row, info.value.column) == (self.ROWS + 2, column)

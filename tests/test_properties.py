@@ -1,10 +1,15 @@
-"""Generated files never take a command outside the exit-code contract.
+"""Generated inputs never take a command outside the exit-code contract.
 
 Every ``train``, ``predict`` and ``audit`` run on generated CSV text must
-return 0, 1 or 2 from ``main``, and every ``predict`` and ``audit`` run on
-a model document with one field, parameter or tree node replaced by a
-generated JSON value must return 0 or 1.  An exception escaping ``main``
-would reach the user as a traceback.
+return 0, 1 or 2 from ``main``, as must every generated argument list and
+every ``train`` with a generated sidecar schema.  Every ``predict`` and
+``audit`` run on a model document with one field, parameter or tree node
+replaced by a generated JSON value must return 0 or 1.  An exception
+escaping ``main`` would reach the user as a traceback.
+
+The loader's rows, built without the constructors' checks, must be rows
+the constructors accept, and the audit's template must write the text
+``json.dumps(..., indent=2)`` writes.
 """
 
 import contextlib
@@ -20,7 +25,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from minconsist import family_names  # noqa: E402
-from minconsist.cli import main  # noqa: E402
+from minconsist.cli import _audit_text, _json_value, main  # noqa: E402
+from minconsist.core import Case, FeatureVector, TrainingSet, YKind  # noqa: E402
+from minconsist.dataio import (  # noqa: E402
+    Model,
+    load_dataset,
+    load_dataset_for_model,
+    load_queries,
+)
 
 FAMILY_FLAGS = {
     "smoothing": ["--k", "1"],
@@ -152,3 +164,171 @@ def test_edited_model_documents_keep_the_exit_code_contract(trained, data):
         _run(["predict", "--model", model, "--queries", queries_csv, "--data", training_csv],
              codes=(0, 1))
         _run(["audit", "--model", model, "--data", training_csv], codes=(0, 1))
+
+
+# -- the audit's template against json ---------------------------------------
+
+# Where json's choices show: signed zero, the least subnormal, the switch to
+# exponent form at 1e16, 1e22 (the largest power of ten a float holds
+# exactly), 2**53 - 1 (an int at the edge of float precision), and symbols
+# json must escape (a quote, a backslash, control characters, non-ASCII and
+# astral text, U+2028).
+EDGE_NUMBERS = [-0.0, 0.0, 5e-324, 1e16, 1e22, 2**53 - 1, -(2**53 - 1), 0, 1, 2.5]
+NUMBER = (st.sampled_from(EDGE_NUMBERS) | st.integers()
+          | st.floats(allow_nan=False, allow_infinity=False))
+SYMBOL = st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
+                                           "\u2028", "\U0001d538", "a", ",", " "]),
+                 max_size=5) | st.text(max_size=5)
+MU = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e22]) | NUMBER  # often tied
+
+
+@st.composite
+def scored_rows(draw):
+    """An audit's ``(case, mu, counterparts)`` rows: one kind per column, as loaded."""
+    columns = draw(st.lists(st.sampled_from([NUMBER, SYMBOL]), min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(st.tuples(*columns), NUMBER, MU,
+                                   st.none() | st.integers(0, 10**6)),
+                         min_size=1, max_size=8))
+    return [(Case(FeatureVector(x), y), mu, count) for x, y, mu, count in rows]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scored=scored_rows(), family=st.sampled_from(sorted(FAMILY_FLAGS)),
+       regularizer=NUMBER, total=NUMBER)
+def test_audit_template_writes_what_json_writes(scored, family, regularizer, total):
+    header = {"family": family, "aggregation": "sum", "regularizer": regularizer,
+              "total_inconsistency": total}
+    rows = [{"case": n, "x": list(case.x.values), "y": case.y, "mu": mu, "counterparts": count}
+            for n, (case, mu, count) in enumerate(scored, 1)]
+    rows.sort(key=lambda row: (-row["mu"], row["case"]))  # tied mus in case order
+    assert _audit_text(header, scored) == json.dumps({**header, "rows": rows}, indent=2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(value=NUMBER | SYMBOL | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                                True, False, None]))
+def test_scalars_are_written_as_json_writes_them(value):
+    assert _json_value(value) == json.dumps(value)
+
+
+# -- the loader's rows against the constructors ------------------------------
+
+# Numeric tokens (with spellings of one value, and one with spaces around it),
+# symbols that need CSV quoting, and ordinal levels.
+NUMERIC_TOKENS = ["0", "-0.0", "7", "7.0", "2.5", " -3 ", "1e16", "1e300", "9007199254740993"]
+NOMINAL_TOKENS = ["a", '"b,c"', '"d""e"', "\u00e9", "\U0001d538"]
+LEVELS = ["lo", "mid", "hi"]
+SIDECAR = {"columns": {"s": {"kind": "nominal"}, "o": {"kind": "ordinal", "levels": LEVELS}}}
+
+
+@st.composite
+def valid_table(draw):
+    """Rows of ``x,s,o,y`` cells whose parsed feature vectors are distinct."""
+    return draw(st.lists(
+        st.tuples(st.sampled_from(NUMERIC_TOKENS), st.sampled_from(NOMINAL_TOKENS),
+                  st.sampled_from(LEVELS), st.sampled_from(NUMERIC_TOKENS)),
+        min_size=1, max_size=8, unique_by=lambda row: (float(row[0]), row[1], row[2]),
+    ))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rows=valid_table())
+def test_loaded_rows_are_rows_the_constructors_accept(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, queries = Path(tmp, "d.csv"), Path(tmp, "q.csv")
+        sidecar = Path(tmp, "d.schema.json")
+        data.write_text("x,s,o,y\n" + "".join(",".join(r) + "\n" for r in rows),
+                        encoding="utf-8")
+        queries.write_text("x,s,o\n" + "".join(",".join(r[:3]) + "\n" for r in rows),
+                           encoding="utf-8")
+        sidecar.write_text(json.dumps(SIDECAR), encoding="utf-8")
+        dataset = load_dataset(data, schema_path=sidecar)
+        model = Model(family="knn", params={"k": 1, "metric": "euclidean"},
+                      feature_names=dataset.feature_names, schema=dataset.schema,
+                      target_name="y", y_kind=YKind.REAL)
+        for training in (dataset.training, load_dataset_for_model(data, model).training):
+            rebuilt = TrainingSet(tuple(Case(FeatureVector(c.x.values), c.y)
+                                        for c in training.cases))
+            assert rebuilt == training
+        loaded = load_queries(queries, dataset.feature_names, dataset.schema)
+        assert tuple(FeatureVector(q.values) for q in loaded) == loaded
+        assert loaded == dataset.training.features
+
+
+# -- generated argument lists and sidecar schemas ----------------------------
+
+NUMBER_ARGS = ["0", "1", "3", "-1", "2.5", "1e308", "nan", "inf", "x", ""]
+FLAG_VALUES = {
+    "--learner": [*FAMILY_FLAGS, "wizard"],
+    "--target": ["x1", "x2", "y", "zz"],
+    "--metric": ["euclidean", "manhattan", "cosine"],
+    "--seed": ["0", "3", "-1", "x"],
+    "--trials": ["1", "3", "0", "-1", "x"],
+    **{flag: NUMBER_ARGS for flag in ["--k", "--radius", "--w", "--epsilon", "--lambda",
+                                      "--max-depth", "--min-leaf", "--purity"]},
+}
+FILE_FLAGS = ["--data", "--queries", "--model", "--schema"]
+REQUIRED = {"train": ["--learner", "--data", "--out"], "predict": ["--model", "--queries"],
+            "audit": ["--model", "--data"], "verify": []}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_generated_arguments_keep_the_exit_code_contract(trained, data):
+    inputs = [str(path) for family, (_, data_csv, queries_csv) in trained.items()
+              for path in (data_csv.parent / f"{family}.json", data_csv, queries_csv)]
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar = Path(tmp, "s.json")
+        sidecar.write_text(json.dumps({"columns": {"x1": {"kind": "numeric"}}}),
+                           encoding="utf-8")
+        files = [*inputs, str(sidecar), str(Path(tmp, "missing.csv")), tmp]
+        pools = {**FLAG_VALUES, **{flag: files for flag in FILE_FLAGS},
+                 "--out": [str(Path(tmp, "out.json")), str(Path(tmp, "no", "out.json")), tmp],
+                 "--help": [], "--zeal": []}
+        command = data.draw(st.sampled_from(sorted(REQUIRED)))
+        flags = data.draw(st.lists(st.sampled_from(sorted(pools)), max_size=6))
+        if data.draw(st.booleans()):  # half the lists start from the required flags
+            flags = REQUIRED[command] + flags
+        argv = [command]
+        for flag in flags:
+            argv.append(flag)
+            if pools[flag] and data.draw(st.integers(0, 9)):  # now and then no value
+                argv.append(data.draw(st.sampled_from(pools[flag])))
+        if command == "verify":  # its default of 1000 trials is too slow to generate
+            argv += ["--trials", data.draw(st.sampled_from(FLAG_VALUES["--trials"]))]
+        _run(argv)
+
+
+def either(shaped, anything=JSON):
+    """A value drawn from ``shaped`` or from ``anything``, each half the time.
+
+    (``|`` would flatten ``anything``'s branches in beside ``shaped``.)
+    """
+    return st.booleans().flatmap(lambda pick: shaped if pick else anything)
+
+
+SIDECAR_VALUE = either(st.sampled_from(["x1", "x2", "y", "a", "0", "1", "2"]))
+COLUMN_ENTRY = st.fixed_dictionaries(
+    {"kind": either(st.sampled_from(["numeric", "ordinal", "nominal", "weird"]))},
+    optional={"levels": either(st.lists(SIDECAR_VALUE, max_size=3)),
+              "symbols": either(st.lists(SIDECAR_VALUE, max_size=3))},
+)
+SIDECAR_DOC = either(st.fixed_dictionaries(
+    {"columns": either(st.dictionaries(st.sampled_from(["x1", "x2", "y", "zz"]),
+                                       either(COLUMN_ENTRY), max_size=3))},
+    optional={"target": SIDECAR_VALUE},
+))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=SIDECAR_DOC, family=st.sampled_from(sorted(FAMILY_FLAGS)))
+def test_generated_sidecars_keep_the_exit_code_contract(doc, family):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, sidecar = Path(tmp, "d.csv"), Path(tmp, "d.schema.json")
+        labels = ("-1", "1") if family == "svm" else ("0", "1")
+        data.write_text("x1,x2,y\n" + "".join(f"{x1},{x2},{labels[y]}\n" for x1, x2, y in
+                                               [(0, 0, 0), (1, 1, 1), (2, 0, 1), (1, 0, 0)]),
+                        encoding="utf-8")
+        sidecar.write_text(json.dumps(doc), encoding="utf-8")
+        _run(["train", "--learner", family, *FAMILY_FLAGS[family], "--data", data,
+              "--schema", sidecar, "--out", Path(tmp, "m.json")])
