@@ -321,6 +321,11 @@ def _json_value(v) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    try:
+        import numpy  # noqa: F401  the oracle draws and scans with it
+    except ImportError:
+        print("error: verify needs numpy: pip install 'minconsist[verify]'", file=sys.stderr)
+        return 1
     results = run_all_checks(args.trials, seed=args.seed)
     for result in results:
         print(result.line())

@@ -5,6 +5,10 @@ reference answers are computed by deliberately plain code that never
 calls the implementation it validates, and the drivers sweep seeded
 random instances so a failure always comes with the seed that
 reproduces it.
+
+numpy is imported inside the functions that draw or scan, not here, so
+importing this module (as the command line does) costs only the
+standard library.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import (
     BoxTooLarge,
@@ -33,6 +35,9 @@ from .linear import (
     svm_slack_is_feasible,
     svm_slack_is_minimal,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRID_POINT_LIMIT = 10_000_000
 
@@ -141,6 +146,8 @@ def svm_objective_grids(
     half-space, one accumulating the closed-form slack.  Vectorized so
     wide scans stay affordable.
     """
+    import numpy as np
+
     n = training.n
     axis = np.round(np.arange(-box, box + step / 2, step), 12)
     grids = np.meshgrid(*([axis] * (n + 1)), indexing="ij")
@@ -165,6 +172,8 @@ def lattice_hypothesis(
     flat_index: int, shape: tuple[int, ...], box: float = 3.0, step: float = 0.05
 ) -> LinearHypothesis:
     """The lattice point behind a flat scan index."""
+    import numpy as np
+
     coords = np.unravel_index(flat_index, shape)
     values = [-box + int(c) * step for c in coords]
     return LinearHypothesis(tuple(values[:-1]), values[-1])
@@ -176,6 +185,8 @@ def random_feasible_slack(
     """The determined slack plus seeded non-negative noise; zero noise returns it unchanged."""
     if noise < 0:
         raise InvalidParameter(f"noise must be >= 0, got {noise!r}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     base = svm_slack(f, training)
     bumps = rng.uniform(0.0, 1.0, size=training.m) * noise
@@ -230,6 +241,8 @@ def generate_instance(
     ``m`` distinct vectors the attempt budget runs out and
     :class:`ExhaustedRetries` is raised rather than looping forever.
     """
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed)
     seen: set[tuple, ...] = set()
     cases = []
@@ -272,6 +285,8 @@ def _draw_label(rng: np.random.Generator, spec: RandomInstance) -> float:
 
 def random_linear_instance(seed: int) -> tuple[LinearHypothesis, TrainingSet]:
     """A random affine hypothesis, in 1 to 3 dimensions, with 1 to 20 matching -1/+1 cases."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     m = int(rng.integers(1, 21))
@@ -323,6 +338,8 @@ def verify_slack_minimality(trials: int = 1000, seed: int = 0) -> CheckResult:
 
 def verify_objective_identity(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Both objective forms agree exactly at the determined slacks."""
+    import numpy as np
+
     for t in range(trials):
         f, training = random_linear_instance(seed + t)
         rng = np.random.default_rng(seed + t)
@@ -337,6 +354,8 @@ def verify_argmin_agreement(instances: int = 8, seed: int = 0) -> CheckResult:
 
     The instances are one-dimensional, with 2 to 6 cases.
     """
+    import numpy as np
+
     for t in range(instances):
         rng = np.random.default_rng(seed + t)
         m = int(rng.integers(2, 7))

@@ -690,3 +690,70 @@ def flag_table() -> str:
 def test_readme_flag_table_matches_the_registry():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     assert flag_table() in readme
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import minconsist.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+# Runs the command line as the `minconsist` script does; with "blocked" first,
+# numpy cannot be imported.
+ENTRYPOINT = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from minconsist.cli import entrypoint
+sys.argv = ["minconsist", *sys.argv[2:]]
+entrypoint()
+"""
+
+
+def launch(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_the_command_line_imports_only_the_standard_library():
+    proc = launch(NEW_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.decode().split()
+    assert "minconsist.cli" in added
+    allowed = sys.stdlib_module_names | {"minconsist"}
+    assert [name for name in added if name.split(".")[0] not in allowed] == []
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize("learner, table, query_table", [
+        (["knn", "--k", "3"], BIN_CSV, "x\n0.5\n4\n"),
+        (["svm", "--w", "0.1"], PM1_CSV, "x1,x2\n1,1\n2.5,0\n"),
+    ], ids=["knn", "svm"])
+    def test_train_predict_and_audit_print_the_same_bytes(self, write, tmp_path, learner,
+                                                          table, query_table):
+        data = write("d.csv", table)
+        queries = write("q.csv", query_table)
+        model = tmp_path / "m.json"  # one path for both modes: train prints it
+        seen = {}
+        for mode in ("numpy", "blocked"):
+            runs = [launch(ENTRYPOINT, mode, "train", "--learner", *learner,
+                           "--data", data, "--out", model),
+                    launch(ENTRYPOINT, mode, "predict", "--model", model, "--queries", queries,
+                           "--data", data),
+                    launch(ENTRYPOINT, mode, "audit", "--model", model, "--data", data)]
+            assert [proc.returncode for proc in runs] == [0, 0, 0], runs
+            seen[mode] = ([(proc.stdout, proc.stderr) for proc in runs], model.read_bytes())
+        assert seen["blocked"] == seen["numpy"]
+
+    def test_verify_names_the_extra(self):
+        proc = launch(ENTRYPOINT, "blocked", "verify", "--trials", "2")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "minconsist[verify]" in lines[0]
