@@ -12,24 +12,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from . import get_learner
 from .core import (
-    Aggregation,
-    Case,
     InvalidParameter,
-    LinearHypothesis,
     MinconsistError,
     ModelFormatError,
     Param,
-    ProblemStatement,
+    Scored,
     SolverDiverged,
     TrainingDataMismatch,
     TrainingSet,
     YKind,
-    aggregate_mus,
     family_names,
     family_spec,
     select_hypothesis,
@@ -44,7 +38,6 @@ from .dataio import (
     save_model,
 )
 from .oracle import run_all_checks
-from .pointwise import pointwise_answers, pointwise_fit
 
 
 def _train_params() -> tuple[Param, ...]:
@@ -161,33 +154,9 @@ def _echo_params(family: str, params: dict, dataset: Dataset, total: float, out:
 def cmd_train(args: argparse.Namespace, params: dict) -> int:
     dataset = load_dataset(args.data, target=args.target, schema_path=args.schema)
     family = args.learner
-    training = dataset.training
-    y_kind = _infer_y_kind(training, family)
-    model = Model(
-        family=family,
-        params=params,
-        feature_names=dataset.feature_names,
-        schema=dataset.schema,
-        target_name=dataset.target_name,
-        y_kind=y_kind,
-    )
-
-    if family_spec(family).pointwise:
-        # The parameters were checked as flags and every vector by the loader.
-        tree = pointwise_fit(family, params, training)
-        answers = pointwise_answers(family, params, tree, training, training.features)
-        mus = [mu for _, mu, _ in answers]
-        total = _finite_total(aggregate_mus(mus, Aggregation.SUM), mus)
-        model = replace(
-            model, tree=tree, training_hash=dataset.content_hash, total_inconsistency=total
-        )
-    else:
-        problem = ProblemStatement(dataset.schema, y_kind, family, params)
-        hypothesis, report = select_hypothesis(get_learner(family), problem, training)
-        total = report.total
-        model = replace(model, hypothesis=hypothesis, total_inconsistency=total)
-
-    save_model(model, args.out)
+    y_kind = _infer_y_kind(dataset.training, family)
+    fitted, total = select_hypothesis(family, params, dataset.training)
+    save_model(Model.trained(family, params, dataset, y_kind, fitted, total), args.out)
     _echo_params(family, params, dataset, total, args.out)
     return 0
 
@@ -207,40 +176,18 @@ def _require_matching_data(model: Model, path: str) -> Dataset:
     return dataset
 
 
-def _hypothesis(model: Model) -> LinearHypothesis:
-    if not isinstance(model.hypothesis, LinearHypothesis):
-        raise TrainingDataMismatch(f"model for {model.family!r} carries no hypothesis")
-    return model.hypothesis
-
-
-def _finite_total(total: float, mus: Iterable[float]) -> float:
-    """``total``, if it is finite; else the error names the first case whose ``mu`` is not.
-
-    A total folded from finite scores can still overflow; then it is named.
-    """
-    if not math.isfinite(total):
-        bad = next((n for n, mu in enumerate(mus, 1) if not math.isfinite(mu)), None)
-        what = "the total inconsistency" if bad is None else f"the inconsistency of case {bad}"
-        raise SolverDiverged(f"{what} is beyond the floating-point range")
-    return total
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     queries = load_queries(args.queries, model.feature_names, model.schema)
-
-    if family_spec(model.family).pointwise:
+    spec = family_spec(model.family)
+    training = None
+    if spec.pointwise:
         if args.data is None:
             raise TrainingDataMismatch(
                 f"{model.family} answers queries from its training data; pass --data"
             )
-        dataset = _require_matching_data(model, args.data)
-        answers = pointwise_answers(
-            model.family, model.params, model.tree, dataset.training, queries
-        )
-        values = (value for value, _, _ in answers)
-    else:
-        values = map(_hypothesis(model), queries)
+        training = _require_matching_data(model, args.data).training
+    values = spec.answers(model.params, model.fitted, training, queries)
     for n, value in enumerate(values, 1):
         if not math.isfinite(value):
             raise SolverDiverged(f"the answer to query {n} is beyond the floating-point range")
@@ -250,27 +197,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    dataset = _require_matching_data(model, args.data)
-    training = dataset.training
-
-    if family_spec(model.family).pointwise:
-        answers = pointwise_answers(
-            model.family, model.params, model.tree, training, training.features
-        )
-        scored = [(case, mu, count) for case, (_, mu, count) in zip(training.cases, answers)]
-        aggregation, regularizer = "sum-over-queries", 0.0
-        total = aggregate_mus([mu for _, mu, _ in scored], Aggregation.SUM)
-    else:
-        problem = ProblemStatement(model.schema, model.y_kind, model.family, model.params)
-        report = get_learner(model.family).report(_hypothesis(model), problem, training)
-        scored = [(e.case, e.mu, e.counterpart_count) for e in report.entries]
-        aggregation, regularizer = report.aggregation.value, report.regularizer
-        total = report.total
+    training = _require_matching_data(model, args.data).training
+    scored, aggregation, regularizer, total = family_spec(model.family).audit(
+        model.params, model.fitted, training
+    )
     header = {
         "family": model.family,
         "aggregation": aggregation,
         "regularizer": regularizer,
-        "total_inconsistency": _finite_total(total, (mu for _, mu, _ in scored)),
+        "total_inconsistency": total,
     }
     print(_audit_text(header, scored))
     return 0
@@ -288,7 +223,7 @@ _ROW = """    {{
     }}"""
 
 
-def _audit_text(header: dict, scored: Sequence[tuple[Case, float, int | None]]) -> str:
+def _audit_text(header: dict, scored: Sequence[Scored]) -> str:
     """The audit document: ``header``, then one row per scored case.
 
     Largest inconsistencies come first, so candidate outliers lead the

@@ -24,6 +24,7 @@ from .core import (
     ColumnKind,
     DuplicateFeatureVector,
     EmptySet,
+    FamilySpec,
     FeatureSchema,
     FeatureValue,
     FeatureVector,
@@ -373,6 +374,28 @@ class Model:
     training_hash: str | None = None
     total_inconsistency: float | None = None
 
+    @classmethod
+    def trained(cls, family: str, params: dict, dataset: Dataset, y_kind: YKind,
+                fitted: LinearHypothesis | TreePartition | None, total: float) -> "Model":
+        """The model of ``fitted``, what the family's fit to ``dataset`` returned.
+
+        A hypothesis answers on its own.  Any other model answers from
+        its training data, so it names them by their content hash.
+        """
+        linear = isinstance(fitted, LinearHypothesis)
+        return cls(
+            family, params, dataset.feature_names, dataset.schema, dataset.target_name, y_kind,
+            hypothesis=fitted if linear else None,
+            tree=None if linear else fitted,
+            training_hash=None if linear else dataset.content_hash,
+            total_inconsistency=total,
+        )
+
+    @property
+    def fitted(self) -> LinearHypothesis | TreePartition | None:
+        """What the family's fit returned: the hypothesis, else the tree, if any."""
+        return self.tree if self.hypothesis is None else self.hypothesis
+
 
 def save_model(model: Model, path: str | Path) -> None:
     doc = {
@@ -401,6 +424,12 @@ def _write(path: str | Path, text: str) -> None:
 
 
 def load_model(path: str | Path) -> Model:
+    """A model file, checked against its family's registry row.
+
+    The family must know the parameters and learn from the feedback
+    domain; a linear family needs a hypothesis over numbers, and a
+    query-time family keeps none.
+    """
     doc = _read(path, ModelFormatError, str(path))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
@@ -408,7 +437,8 @@ def load_model(path: str | Path) -> Model:
         raise ModelFormatError(
             f"unsupported model version {doc.get('version')!r}; this build reads {MODEL_VERSION}"
         )
-    family, params = _checked_params(doc, path)
+    spec, params = _checked_params(doc, path)
+    family = spec.name
     try:
         names = _field(doc, "feature_names", _is_names, "a non-empty list of column names")
         schema_doc = _field(
@@ -419,10 +449,17 @@ def load_model(path: str | Path) -> Model:
         schema = FeatureSchema(tuple(_column_kind_from_model(e) for e in schema_doc))
         target = _field(doc, "target", lambda v: isinstance(v, str), "a column name")
         y_kinds = [kind.value for kind in YKind]
-        y_kind = _field(doc, "y_kind", lambda v: v in y_kinds, f"one of {y_kinds}")
+        y_kind = YKind(_field(doc, "y_kind", lambda v: v in y_kinds, f"one of {y_kinds}"))
+        if y_kind not in spec.y_kinds:
+            raise SchemaMismatch(f"{family} cannot learn from {y_kind.value} feedback")
         hypothesis = _hypothesis_from_json(_field(
             doc, "hypothesis", lambda v: v is None or isinstance(v, dict), "an object or null"
         ))
+        if (hypothesis is None) != spec.pointwise:
+            keeps = "keeps no" if spec.pointwise else "needs its"
+            raise ModelFormatError(f"a {family} model {keeps} hypothesis")
+        if hypothesis is not None and any(isinstance(c, NominalKind) for c in schema.columns):
+            raise ModelFormatError("a linear hypothesis takes no nominal feature")
         tree_doc = _field(doc, "tree", lambda v: v is None or isinstance(v, dict),
                           "an object or null")
         if family == "dtree" and tree_doc is None:
@@ -438,7 +475,7 @@ def load_model(path: str | Path) -> Model:
         feature_names=tuple(names),
         schema=schema,
         target_name=target,
-        y_kind=YKind(y_kind),
+        y_kind=y_kind,
         hypothesis=hypothesis,
         tree=tree,
         training_hash=doc.get("training_hash"),
@@ -457,8 +494,8 @@ def _is_names(value: object) -> bool:
     return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
 
 
-def _checked_params(doc: dict, path: str | Path) -> tuple[str, dict]:
-    """The model's family and its parameters, checked against the family's row.
+def _checked_params(doc: dict, path: str | Path) -> tuple[FamilySpec, dict]:
+    """The model family's registry row and its parameters, checked against that row.
 
     Parameters left out take their defaults.
     """
@@ -472,7 +509,7 @@ def _checked_params(doc: dict, path: str | Path) -> tuple[str, dict]:
         spec.check(params)
     except InvalidParameter as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    return family, spec.complete(params)
+    return spec, spec.complete(params)
 
 
 def _column_kind_to_json(kind: ColumnKind) -> dict:

@@ -18,7 +18,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     Aggregation,
@@ -30,15 +30,14 @@ from .core import (
     InconsistencyReport,
     InfeasibleSlack,
     InvalidParameter,
-    Learner,
     LinearHypothesis,
     Param,
-    ProblemStatement,
     ReportEntry,
     SolverDiverged,
     TrainingSet,
     YKind,
     aggregate_mus,
+    finite_total,
     register_family,
     require_labels,
 )
@@ -502,7 +501,7 @@ def svr_solve(training: TrainingSet, params: SvrParams) -> Fit:
 
 
 # ---------------------------------------------------------------------------
-# Learner contract adapters
+# The family rows
 
 
 def _require_numeric_features(training: TrainingSet) -> None:
@@ -514,54 +513,60 @@ def _require_numeric_features(training: TrainingSet) -> None:
                 )
 
 
-class SvmLearner(Learner):
-    """Margin classification over affine hypotheses."""
-
-    family = "svm"
-
-    def _params(self, problem: ProblemStatement) -> SvmParams:
-        return SvmParams(problem.v[W.key])
-
-    def report(self, h, problem, training):
-        _require_numeric_features(training)
-        return svm_report(h, training, self._params(problem))
-
-    def solve(self, problem, training):
-        return svm_solve(training, self._params(problem))
+def _svr_params(params: Mapping[str, object]) -> SvrParams:
+    """The tube of ``svr``; ``erm``, which has no parameters, gets zero width and weight."""
+    return SvrParams(params.get(EPSILON.key, 0.0), params.get(LAMBDA.key, 0.0))
 
 
-class SvrLearner(Learner):
-    """Tube regression over affine hypotheses."""
-
-    family = "svr"
-
-    def _params(self, problem: ProblemStatement) -> SvrParams:
-        return SvrParams(problem.v[EPSILON.key], problem.v[LAMBDA.key])
-
-    def report(self, h, problem, training):
-        _require_numeric_features(training)
-        return svr_report(h, training, self._params(problem))
-
-    def solve(self, problem, training):
-        return svr_solve(training, self._params(problem))
+def _svm_fit(params: Mapping[str, object], training: TrainingSet):
+    f, report = svm_solve(training, SvmParams(params[W.key]))
+    return f, report.total
 
 
-class ErmLearner(Learner):
+def _svr_fit(params: Mapping[str, object], training: TrainingSet):
+    f, report = svr_solve(training, _svr_params(params))
+    return f, report.total
+
+
+def _answers(params, f: LinearHypothesis, training, queries: Iterable[FeatureVector]):
+    return map(f, queries)
+
+
+def _svm_audit(params: Mapping[str, object], f: LinearHypothesis, training: TrainingSet):
+    _require_numeric_features(training)
+    require_labels(training, YKind.PM1)
+    mus = [svm_case_inconsistency(case, f) for case in training.cases]
+    return _audit(training, mus, None, Aggregation.MEAN, params[W.key] * squared_weight_norm(f))
+
+
+def _svr_audit(params: Mapping[str, object], f: LinearHypothesis, training: TrainingSet):
+    _require_numeric_features(training)
+    tube = _svr_params(params)
+    mus = [svr_case_inconsistency(case, f, tube) for case in training.cases]
+    return _audit(training, mus, 1, Aggregation.SUM,
+                  tube.lam * squared_weight_norm(f) if tube.lam else 0.0)
+
+
+def _audit(training: TrainingSet, mus: list[float], count: int | None,
+           aggregation: Aggregation, regularizer: float):
+    """Each case with its ``mu`` and ``count``, then the audit header's fields."""
+    scored = [(case, mu, count) for case, mu in zip(training.cases, mus)]
+    return scored, aggregation.value, regularizer, finite_total(mus, aggregation, regularizer)
+
+
+# Kept because the benchmark's tracer patches ``ErmLearner.report``; no command calls it.
+class ErmLearner:
     """Absolute-loss fitting: tube regression with zero width and no regularization."""
-
-    family = "erm"
 
     def report(self, h, problem, training):
         _require_numeric_features(training)
         return svr_report(h, training, SvrParams(0.0, 0.0))
 
-    def solve(self, problem, training):
-        return svr_solve(training, SvrParams(0.0, 0.0))
-
 
 # ---------------------------------------------------------------------------
 # Family registration
 
-register_family(FamilySpec("svm", (W,), frozenset({YKind.PM1})))
-register_family(FamilySpec("svr", (EPSILON, LAMBDA), frozenset(YKind)))
-register_family(FamilySpec("erm", (), frozenset(YKind)))
+register_family(FamilySpec("svm", (W,), frozenset({YKind.PM1}), _svm_fit, _answers, _svm_audit))
+register_family(FamilySpec("svr", (EPSILON, LAMBDA), frozenset(YKind), _svr_fit, _answers,
+                           _svr_audit))
+register_family(FamilySpec("erm", (), frozenset(YKind), _svr_fit, _answers, _svr_audit))

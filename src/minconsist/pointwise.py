@@ -5,12 +5,16 @@ constants anchored at the query, the baseline case is the hypothetical
 case the hypothesis generates there (or, for naive Bayes, one per
 feature), and the counterparts are observed cases selected around the
 query: by distance, by tree subdomain, or by shared feature value.
+Each family's registry row fits, answers and audits through one engine,
+:func:`pointwise_answers`; a fit's total scores every training case as a
+query.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping, Sequence, Union
 
 from .core import (
@@ -33,6 +37,7 @@ from .core import (
     TrainingSet,
     YKind,
     aggregate_mus,
+    finite_total,
     least_inconsistent,
     register_family,
     require_labels,
@@ -489,15 +494,6 @@ def nb_predict(
 # The engine: every pointwise answer, from a complete parameter set
 
 
-def pointwise_fit(
-    family: str, params: Mapping[str, object], training: TrainingSet
-) -> TreePartition | None:
-    """What a pointwise model keeps from training: the grown tree for ``dtree``."""
-    if family == "dtree":
-        return dtree_build(training, _tree_config(params))
-    return None
-
-
 def pointwise_answers(
     family: str,
     params: Mapping[str, object],
@@ -507,10 +503,11 @@ def pointwise_answers(
 ) -> Iterator[tuple[float, float, int]]:
     """(answer, query inconsistency, counterpart count) at each query, in order.
 
-    ``tree`` is what :func:`pointwise_fit` returned.  This is the one
-    implementation of each pointwise rule; the per-query functions
-    (:func:`smoothing_fit`, :func:`knn_predict`, :func:`dtree_predict`,
-    :func:`nb_predict`) run it on a single query.  The work that
+    ``tree`` is the grown tree of ``dtree``; the other families ignore
+    it.  This is the one implementation of each pointwise rule: the
+    family rows run it over every query or training case, and the
+    per-query functions (:func:`smoothing_fit`, :func:`knn_predict`,
+    :func:`dtree_predict`, :func:`nb_predict`) on one query.  The work that
     depends on the training set alone is done once per call: the label
     check, the transposed columns of ``smoothing`` and ``knn``, the
     value table of ``nb`` (with its check that every training value is
@@ -610,12 +607,36 @@ def _nb_fractions(tallies: Sequence[tuple[int, int]], label: int) -> list[float]
 
 
 # ---------------------------------------------------------------------------
-# Family registration
+# The family rows: fit, answer and audit through the engine
 
-register_family(FamilySpec(
-    "smoothing", (K, RADIUS, METRIC), frozenset(YKind), one_of=(K.key, RADIUS.key),
-    pointwise=True,
-))
-register_family(FamilySpec("knn", (K, METRIC), frozenset({YKind.BINARY01}), pointwise=True))
-register_family(FamilySpec("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}), pointwise=True))
-register_family(FamilySpec("nb", (), frozenset({YKind.BINARY01}), pointwise=True))
+
+def _fit(
+    family: str, params: Mapping[str, object], training: TrainingSet
+) -> tuple[TreePartition | None, float]:
+    """What a model keeps (the grown tree of ``dtree``), and the audit's total."""
+    tree = dtree_build(training, _tree_config(params)) if family == "dtree" else None
+    return tree, _audit(family, params, tree, training)[-1]
+
+
+def _answers(family, params, tree, training, queries) -> Iterator[float]:
+    return (value for value, _, _ in pointwise_answers(family, params, tree, training, queries))
+
+
+def _audit(family, params, tree, training):
+    answers = pointwise_answers(family, params, tree, training, training.features)
+    scored = [(case, mu, count) for case, (_, mu, count) in zip(training.cases, answers)]
+    total = finite_total([mu for _, mu, _ in scored], Aggregation.SUM)
+    return scored, "sum-over-queries", 0.0, total
+
+
+def _register(name: str, params: tuple[Param, ...], y_kinds: frozenset[YKind], **kw) -> None:
+    register_family(FamilySpec(
+        name, params, y_kinds, partial(_fit, name), partial(_answers, name),
+        partial(_audit, name), pointwise=True, **kw,
+    ))
+
+
+_register("smoothing", (K, RADIUS, METRIC), frozenset(YKind), one_of=(K.key, RADIUS.key))
+_register("knn", (K, METRIC), frozenset({YKind.BINARY01}))
+_register("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}))
+_register("nb", (), frozenset({YKind.BINARY01}))

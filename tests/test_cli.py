@@ -12,13 +12,14 @@ import pytest
 from minconsist import (
     LinearHypothesis,
     SvrParams,
+    YKind,
     family_names,
     load_model,
     svm_slack,
     svr_report,
     training_set,
 )
-from minconsist import cli, linear
+from minconsist import linear, pointwise
 from minconsist.core import family_spec
 from minconsist.cli import main
 
@@ -290,10 +291,10 @@ class TestNonFiniteResults:
         # A pointwise fit's training scores are bounded: a smoothing answer is its
         # neighborhood's mean, so its gap is 0, and a vote's gap is at most 1.  So
         # the check behind them is reached here by scores no learner gives today.
-        data, answers = write("d.csv", self.HUGE_CSV), cli.pointwise_answers
+        data, answers = write("d.csv", self.HUGE_CSV), pointwise.pointwise_answers
         for mu, named in ((1e308, "the total inconsistency"),
                           (math.inf, "the inconsistency of case 1")):
-            monkeypatch.setattr(cli, "pointwise_answers", lambda *args: (
+            monkeypatch.setattr(pointwise, "pointwise_answers", lambda *args: (
                 (value, mu, count) for value, _, count in answers(*args)))
             model = tmp_path / "m.json"
             self._fail(["train", "--learner", "smoothing", "--k", "2", "--out", model,
@@ -459,13 +460,14 @@ def test_closed_pipe_exits_one_without_traceback(write, tmp_path):
 
 class TestModelChecks:
     @staticmethod
-    def _rejected(model, queries, data, capsys):
+    def _rejected(model, queries, data, capsys, named=""):
         for argv in (["predict", "--model", model, "--queries", queries, "--data", data],
                      ["audit", "--model", model, "--data", data]):
             assert run(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:")
+            assert named in captured.err
             assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("edit", [
@@ -523,6 +525,32 @@ class TestModelChecks:
         queries = write("q.csv", "x1,x2\n2,2\n")
         capsys.readouterr()
         self._rejected(model, queries, data, capsys)
+
+    def test_svm_model_over_a_nominal_column_is_a_data_error(self, write, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        run(["train", "--learner", "svm", "--data", write("d.csv", "x,y\n0,-1\n1,1\n"),
+             "--w", "1", "--out", model])
+        nominal = [{"kind": "nominal", "symbols": ["a", "b"]}]
+        model.write_text(json.dumps({**json.loads(model.read_text()), "schema": nominal}))
+        capsys.readouterr()
+        self._rejected(model, write("q.csv", "x\na\n"), write("n.csv", "x,y\na,-1\nb,1\n"),
+                       capsys, "a linear hypothesis takes no nominal feature")
+
+    @pytest.mark.parametrize("family, y_kind", [
+        (family, kind.value) for family in family_names() for kind in YKind
+        if kind not in family_spec(family).y_kinds
+    ])
+    def test_feedback_domain_outside_the_row_is_a_data_error(self, write, tmp_path, capsys,
+                                                            family, y_kind):
+        tables = {"svm": (PM1_CSV, "x1,x2\n2,2\n"), "nb": ("x,y\na,0\nb,1\n", "x\na\n")}
+        table, query_table = tables.get(family, (BIN_CSV, "x\n2\n"))
+        data, model = write("d.csv", table), tmp_path / "m.json"
+        assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                    "--out", model]) == 0
+        model.write_text(json.dumps({**json.loads(model.read_text()), "y_kind": y_kind}))
+        capsys.readouterr()
+        self._rejected(model, write("q.csv", query_table), data, capsys,
+                       f"{family} cannot learn from {y_kind} feedback")
 
 
 class TestPredict:
@@ -632,6 +660,17 @@ def test_audit_text_is_json_indent_2(write, tmp_path, capsys, family):
     assert run(["audit", "--model", model, "--data", data]) == 0
     out = capsys.readouterr().out
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_train_echoes_the_audit_total_bit_for_bit(write, tmp_path, capsys, family):
+    data = write("d.csv", AUDIT_DATA.get(family, BIN_CSV))
+    model = tmp_path / "m.json"
+    assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                "--out", model]) == 0
+    echoed = capsys.readouterr().out.split("total_inconsistency=")[1].split()[0]
+    assert run(["audit", "--model", model, "--data", data]) == 0
+    assert repr(json.loads(capsys.readouterr().out)["total_inconsistency"]) == echoed
 
 
 class TestVerify:

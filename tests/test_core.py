@@ -14,11 +14,8 @@ from minconsist import (
     EmptySet,
     FeatureSchema,
     FeatureVector,
-    IncompatibleFamily,
     InconsistencyReport,
     InvalidParameter,
-    LEARNERS,
-    Learner,
     LinearHypothesis,
     NominalKind,
     ProblemStatement,
@@ -28,7 +25,6 @@ from minconsist import (
     YKind,
     aggregate_mus,
     erm_total_inconsistency,
-    get_learner,
     require_labels,
     select_hypothesis,
     training_set,
@@ -176,24 +172,6 @@ class TestAggregation:
                     assert hi > lo
 
 
-def _report_for(value: float) -> InconsistencyReport:
-    entry = ReportEntry(Case(FeatureVector.of(0), 0), value, None)
-    return InconsistencyReport.build([entry], Aggregation.SUM)
-
-
-class StubLearner(Learner):
-    """A solver that returns a fixed hypothesis."""
-
-    family = "smoothing"
-
-    def solve(self, problem, training):
-        h = LinearHypothesis((0.0,), 0.0)
-        return h, self.report(h, problem, training)
-
-    def report(self, h, problem, training):
-        return _report_for(0.0)
-
-
 class TestSelectHypothesis:
     """The finite argmin, and the solver entry point."""
 
@@ -208,13 +186,13 @@ class TestSelectHypothesis:
         with pytest.raises(EmptySet):
             least_inconsistent((), scores.__getitem__)
 
-    def test_family_mismatch_rejected(self):
-        T = training_set([((0.0,), 1)])
-        smoothing = ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "smoothing", {"k": 1})
-        assert select_hypothesis(StubLearner(), smoothing, T)[1].total == 0.0
-        problem = ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "erm")
-        with pytest.raises(IncompatibleFamily):
-            select_hypothesis(StubLearner(), problem, T)
+    def test_the_family_row_fits_from_checked_parameters(self):
+        T = training_set([((0.0,), 1), ((1.0,), 3)])
+        assert select_hypothesis("smoothing", {"k": 1}, T) == (None, 0.0)
+        with pytest.raises(InvalidParameter):
+            select_hypothesis("smoothing", {"k": 1, "radius": 1.0}, T)
+        with pytest.raises(InvalidParameter):
+            select_hypothesis("mystery", {}, T)
 
 
 class TestProblemStatement:
@@ -261,18 +239,10 @@ class TestProblemStatement:
 
 
 class TestLearnerRegistry:
-    def test_every_learner_pairs_opposite_sources(self):
-        for name, learner in LEARNERS.items():
-            assert learner.family == name
-
     def test_counterpart_set_exposes_feedbacks(self):
         cps = CounterpartSet((Case(FeatureVector.of(0), 1), Case(FeatureVector.of(1), 0)))
         assert cps.feedbacks == (1, 0)
         assert len(cps) == 2
-
-    def test_get_learner_unknown(self):
-        with pytest.raises(InvalidParameter):
-            get_learner("mystery")
 
     def test_math_helpers_stay_exact(self):
         # Folds run in entry order; a permutation may round differently.

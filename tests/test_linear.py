@@ -14,22 +14,16 @@ from minconsist import linear
 from minconsist import (
     Aggregation,
     Case,
-    ErmLearner,
-    FeatureSchema,
     FeatureVector,
     HalfSpace,
     IncompatibleFamily,
     InfeasibleSlack,
     InvalidParameter,
     LinearHypothesis,
-    NominalKind,
-    ProblemStatement,
     SchemaMismatch,
     SolverDiverged,
-    SvmLearner,
     SvmParams,
     SvrParams,
-    YKind,
     erm_total_inconsistency,
     select_hypothesis,
     slack_feasible,
@@ -52,6 +46,7 @@ from minconsist import (
     training_set,
     v_epsilon,
 )
+from minconsist.core import family_spec
 from minconsist.oracle import random_feasible_slack, random_linear_instance
 
 
@@ -470,20 +465,14 @@ def test_a_two_thousand_case_tube_fit_takes_few_steps(steps):
 class TestLearnerAdapters:
     def test_svm_requires_numeric_features(self):
         T = training_set([(("a",), 1), (("b",), -1)])
-        problem = ProblemStatement(
-            FeatureSchema((NominalKind(frozenset({"a", "b"})),)),
-            YKind.PM1,
-            "svm",
-            {"w": 1.0},
-        )
         with pytest.raises(IncompatibleFamily):
-            SvmLearner().report(UNIT, problem, T)
+            select_hypothesis("svm", {"w": 1.0}, T)
 
     def test_plain_fit_reuses_the_tube_solver(self):
         T = training_set([((0.0,), 1.0), ((1.0,), 3.0), ((2.0,), 5.0)])
-        problem = ProblemStatement(FeatureSchema.numeric(1), YKind.REAL, "erm")
-        f_erm, rep_erm = select_hypothesis(ErmLearner(), problem, T)
+        f_erm, total = select_hypothesis("erm", {}, T)
         f_svr, _ = svr_solve(T, SvrParams(0.0, 0.0))
         assert f_erm.b == f_svr.b and f_erm.a == f_svr.a
-        assert rep_erm.total == erm_total_inconsistency(f_erm, T)
-        assert rep_erm.aggregation is Aggregation.SUM
+        assert total == erm_total_inconsistency(f_erm, T)
+        _, aggregation, _, audited = family_spec("erm").audit({}, f_erm, T)
+        assert (aggregation, audited) == (Aggregation.SUM.value, total)

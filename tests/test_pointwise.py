@@ -23,12 +23,13 @@ from minconsist import (
     knn_predict,
     nb_predict,
     nb_transform,
+    select_hypothesis,
     smoothing_case_inconsistency,
     smoothing_counterparts,
     smoothing_fit,
     training_set,
 )
-from minconsist.pointwise import LABELS, pointwise_answers, pointwise_fit
+from minconsist.pointwise import LABELS, pointwise_answers
 
 
 def vec(*values):
@@ -259,7 +260,8 @@ class TestTreeQueries:
     def test_learner_adapter(self):
         # The learner as the CLI runs it: fit the tree once, then answer.
         params = {"max_depth": 8, "min_leaf_size": 1, "purity_threshold": 0.0}
-        tree = pointwise_fit("dtree", params, self.T)
+        tree, total = select_hypothesis("dtree", {}, self.T)
+        assert total == 0.0
         assert list(pointwise_answers("dtree", params, tree, self.T, [vec(1), vec(4)])) == [
             (0, 0.0, 2), (1, 0.0, 2)
         ]

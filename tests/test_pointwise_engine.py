@@ -22,12 +22,13 @@ from minconsist import (
     MinconsistError,
     NonDisjointValueSets,
     SchemaMismatch,
+    TreeConfig,
     TreeLeaf,
     TreeNode,
     training_set,
 )
 from minconsist.oracle import brute_knn_majority, brute_nb_total
-from minconsist.pointwise import TreePartition, pointwise_answers, pointwise_fit
+from minconsist.pointwise import TreePartition, dtree_build, pointwise_answers
 
 TREE_DEFAULTS = {"max_depth": 8, "min_leaf_size": 1, "purity_threshold": 0.0}
 
@@ -88,14 +89,19 @@ def outcomes(answers):
     return out
 
 
+def grown(family, params, training):
+    """The tree the engine answers ``dtree`` queries from; the other families use none."""
+    return dtree_build(training, TreeConfig(**params)) if family == "dtree" else None
+
+
 def engine(family, params, training, queries, tree=None):
     if tree is None:
-        tree = pointwise_fit(family, params, training)
+        tree = grown(family, params, training)
     return outcomes(pointwise_answers(family, params, tree, training, queries))
 
 
 def assert_brute(family, params, training, queries):
-    tree = pointwise_fit(family, params, training)
+    tree = grown(family, params, training)
     expected = outcomes(reference(family, params, tree, training, x0) for x0 in queries)
     assert engine(family, params, training, queries, tree) == expected
 
