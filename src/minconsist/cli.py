@@ -19,7 +19,7 @@ from .core import (
     MinconsistError,
     ModelFormatError,
     Param,
-    Scored,
+    ReportEntry,
     SolverDiverged,
     TrainingDataMismatch,
     TrainingSet,
@@ -198,16 +198,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     training = _require_matching_data(model, args.data).training
-    scored, aggregation, regularizer, total = family_spec(model.family).audit(
-        model.params, model.fitted, training
-    )
+    report = family_spec(model.family).audit(model.params, model.fitted, training)
     header = {
         "family": model.family,
-        "aggregation": aggregation,
-        "regularizer": regularizer,
-        "total_inconsistency": total,
+        "aggregation": report.aggregation.value,
+        "regularizer": report.regularizer,
+        "total_inconsistency": report.total,
     }
-    print(_audit_text(header, scored))
+    print(_audit_text(header, report.entries))
     return 0
 
 
@@ -223,8 +221,8 @@ _ROW = """    {{
     }}"""
 
 
-def _audit_text(header: dict, scored: Sequence[Scored]) -> str:
-    """The audit document: ``header``, then one row per scored case.
+def _audit_text(header: dict, scored: Sequence[ReportEntry]) -> str:
+    """The audit document: ``header``, then one row per report entry.
 
     Largest inconsistencies come first, so candidate outliers lead the
     report.  The text equals ``json.dumps({**header, "rows": rows},

@@ -9,10 +9,11 @@ Training means returning the hypothesis whose total inconsistency is
 smallest.
 
 This module owns the data model (feature vectors, cases, training sets,
-schemas), the hypothesis variants, the per-case report structure, the
-fold of case scores into a total, and the family registry.  A registry
-row describes a learner once: its parameters, the feedback it learns
-from, and how it fits, answers queries and audits a training set.
+schemas), the hypothesis variants, the one report structure
+(:class:`InconsistencyReport`, which folds the case scores into a total
+and checks it), and the family registry.  A registry row describes a
+learner once: its parameters, the feedback it learns from, and how it
+fits, answers queries and audits a training set into a report.
 :func:`least_inconsistent` is the one finite argmin, and
 :func:`select_hypothesis`, the one entry point for training, hands a
 family's parameters and cases to its row.
@@ -24,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,7 @@ class Aggregation(Enum):
     SUM = "sum"
     MEAN = "mean"
     PRODUCT = "product"
+    SUM_OVER_QUERIES = "sum-over-queries"  # a sum over training cases posed as queries
 
 
 @dataclass(frozen=True)
@@ -407,8 +409,7 @@ class CounterpartSet:
         return tuple(case.y for case in self.members)
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     """One baseline case with its inconsistency score.
 
     ``counterpart_count`` is ``None`` when the counterpart set is not
@@ -438,13 +439,24 @@ class InconsistencyReport:
     def build(
         cls, entries: Sequence[ReportEntry], aggregation: Aggregation, regularizer: float = 0.0
     ) -> "InconsistencyReport":
+        """The report of ``entries``, whose total must be finite and scores non-negative.
+
+        A total beyond the floating-point range raises :class:`SolverDiverged`,
+        which names the first case whose ``mu`` is not finite, or the total,
+        when a fold of finite scores overflows.
+        """
         entries = tuple(entries)
         if not entries:
             raise EmptySet("a report needs at least one entry")
-        for e in entries:
-            if not (e.mu >= 0.0):
-                raise InvalidParameter(f"case inconsistency must be >= 0, got {e.mu!r}")
-        total = aggregate_mus([e.mu for e in entries], aggregation) + regularizer
+        mus = [e.mu for e in entries]
+        total = aggregate_mus(mus, aggregation) + regularizer
+        if not math.isfinite(total):
+            bad = next((n for n, mu in enumerate(mus, 1) if not math.isfinite(mu)), None)
+            what = "the total inconsistency" if bad is None else f"the inconsistency of case {bad}"
+            raise SolverDiverged(f"{what} is beyond the floating-point range")
+        for mu in mus:
+            if not mu >= 0.0:
+                raise InvalidParameter(f"case inconsistency must be >= 0, got {mu!r}")
         return cls(entries, aggregation, regularizer, total)
 
 
@@ -460,22 +472,6 @@ def aggregate_mus(mus: Sequence[float], aggregation: Aggregation) -> float:
         total += mu
     if aggregation is Aggregation.MEAN:
         total /= len(mus)
-    return total
-
-
-def finite_total(
-    mus: Sequence[float], aggregation: Aggregation, regularizer: float = 0.0
-) -> float:
-    """``mus`` folded in order, plus ``regularizer``: the total, which must be finite.
-
-    Otherwise :class:`SolverDiverged` names the first case whose ``mu`` is
-    not finite, or the total, when a fold of finite scores overflows.
-    """
-    total = aggregate_mus(mus, aggregation) + regularizer
-    if not math.isfinite(total):
-        bad = next((n for n, mu in enumerate(mus, 1) if not math.isfinite(mu)), None)
-        what = "the total inconsistency" if bad is None else f"the inconsistency of case {bad}"
-        raise SolverDiverged(f"{what} is beyond the floating-point range")
     return total
 
 
@@ -546,11 +542,6 @@ class Param:
             raise InvalidParameter(f"{name or self.key} must be {self.rule}, got {value!r}")
 
 
-# One audited case: the case, its inconsistency mu, and its counterpart count
-# (None where the counterparts are a half-space rather than a list of cases).
-Scored = tuple[Case, float, int | None]
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Registry row: the one description of a hypothesis family, and its learner.
@@ -566,9 +557,9 @@ class FamilySpec:
       and the least total inconsistency over ``training``.
     - ``answers(params, fitted, training, queries)`` yields one answer
       per query, in order.
-    - ``audit(params, fitted, training)`` returns ``(scored, aggregation,
-      regularizer, total)``: one :data:`Scored` row per case, in case
-      order, and the audit header's fields.
+    - ``audit(params, fitted, training)`` returns the
+      :class:`InconsistencyReport` of ``fitted`` over ``training``: one
+      entry per case, in case order, and the total that ``fit`` returns.
 
     ``pointwise`` marks a family that answers each query from its
     training cases rather than from a fitted hypothesis, so its
@@ -580,7 +571,7 @@ class FamilySpec:
     y_kinds: frozenset[YKind]
     fit: Callable[[Mapping[str, object], TrainingSet], tuple[object, float]]
     answers: Callable[..., Iterable[float]]
-    audit: Callable[..., tuple[list[Scored], str, float, float]]
+    audit: Callable[..., InconsistencyReport]
     one_of: tuple[str, ...] = ()
     pointwise: bool = False
 

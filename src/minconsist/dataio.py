@@ -428,7 +428,8 @@ def load_model(path: str | Path) -> Model:
 
     The family must know the parameters and learn from the feedback
     domain; a linear family needs a hypothesis over numbers, and a
-    query-time family keeps none.
+    query-time family keeps none but names its training data by their
+    content hash.
     """
     doc = _read(path, ModelFormatError, str(path))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -460,6 +461,9 @@ def load_model(path: str | Path) -> Model:
             raise ModelFormatError(f"a {family} model {keeps} hypothesis")
         if hypothesis is not None and any(isinstance(c, NominalKind) for c in schema.columns):
             raise ModelFormatError("a linear hypothesis takes no nominal feature")
+        if spec.pointwise:
+            _field(doc, "training_hash", lambda v: isinstance(v, str),
+                   "the content hash of the training data")
         tree_doc = _field(doc, "tree", lambda v: v is None or isinstance(v, dict),
                           "an object or null")
         if family == "dtree" and tree_doc is None:

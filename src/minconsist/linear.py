@@ -9,7 +9,9 @@ be checked rather than assumed.  The regression learner swaps the
 half-space for a tube of width epsilon and drops the sample-size
 normalization; with a zero-width tube and no regularization it
 collapses to plain absolute-loss fitting.  One exact active-set solver
-finds the least total of all three.
+finds the least total of all three.  Each loss is written once, as the
+problem the solver takes, which the subgradients read; a fit and an
+audit both score through :func:`svm_report` or :func:`svr_report`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .core import (
     TrainingSet,
     YKind,
     aggregate_mus,
-    finite_total,
     register_family,
     require_labels,
 )
@@ -201,6 +202,7 @@ def svm_report(
     f: LinearHypothesis, training: TrainingSet, params: SvmParams
 ) -> InconsistencyReport:
     """Per-case margin inconsistencies with the regularized mean total."""
+    _require_numeric_features(training)
     require_labels(training, YKind.PM1)
     entries = tuple(
         ReportEntry(case, svm_case_inconsistency(case, f), None)
@@ -236,6 +238,8 @@ def svr_objective(f: LinearHypothesis, training: TrainingSet, params: SvrParams)
 def svr_report(
     f: LinearHypothesis, training: TrainingSet, params: SvrParams
 ) -> InconsistencyReport:
+    """Per-case tube losses with the summed, regularized total."""
+    _require_numeric_features(training)
     entries = tuple(
         ReportEntry(case, svr_case_inconsistency(case, f, params), 1)
         for case in training.cases
@@ -254,36 +258,35 @@ def svr_report(
 def svm_objective_subgradient(
     f: LinearHypothesis, training: TrainingSet, params: SvmParams
 ) -> tuple[tuple[float, ...], float]:
-    """A subgradient of the margin objective at f.
+    """A subgradient of the margin objective at f, from :func:`svm_solve`'s problem.
 
     Cases on the margin boundary contribute nothing; that is a valid
     subgradient choice at the kink.
     """
-    m = training.m
-    gb = [2.0 * params.w * bj for bj in f.b]
-    ga = 0.0
-    for case in training.cases:
-        if case.y * f(case.x) < 1.0:
-            for j, xj in enumerate(case.x.values):
-                gb[j] -= case.y * xj / m
-            ga -= case.y / m
-    return tuple(gb), ga
+    return _subgradient(f, *_svm_problem(training, params))
 
 
 def svr_objective_subgradient(
     f: LinearHypothesis, training: TrainingSet, params: SvrParams
 ) -> tuple[tuple[float, ...], float]:
-    """A subgradient of the tube objective at f; tube-boundary kinks give zero."""
-    gb = [2.0 * params.lam * bj for bj in f.b]
-    ga = 0.0
-    for case in training.cases:
-        r = case.y - f(case.x)
-        if abs(r) > params.epsilon:
-            s = 1.0 if r > 0 else -1.0
-            for j, xj in enumerate(case.x.values):
-                gb[j] -= s * xj
-            ga -= s
-    return tuple(gb), ga
+    """A subgradient of the tube objective at f, from :func:`svr_solve`'s problem; kinks give 0."""
+    return _subgradient(f, *_svr_problem(training, params))
+
+
+def _subgradient(f: LinearHypothesis, rows, offsets, kinks, slopes, rho: float):
+    """``2 rho b + sum_i slope(r_i) u_i`` at z = (b, a), split as (b part, a part).
+
+    ``r_i = u_i·z + o_i`` is case i's place on the loss of :func:`_least_total`;
+    a case exactly on a kink contributes nothing.
+    """
+    z = (*f.b, f.a)
+    g = [2.0 * rho * bj for bj in f.b] + [0.0]
+    for u, o in zip(rows, offsets):
+        r = _dot(u, z) + o
+        slope = 0.0 if r in kinks else slopes[bisect.bisect_left(kinks, r)]
+        if slope:
+            g = [gj + slope * uj for gj, uj in zip(g, u)]
+    return tuple(g[:-1]), g[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -475,29 +478,47 @@ def _fit(report, training: TrainingSet, params, *problem) -> Fit:
         raise SolverDiverged("the fit left the floating-point range") from None
     f = LinearHypothesis(z[:-1], z[-1])
     if all(math.isfinite(f(case.x)) for case in training.cases):
-        scored = report(f, training, params)
-        if math.isfinite(scored.total):
-            return f, scored
+        try:
+            return f, report(f, training, params)
+        except SolverDiverged:  # the report's total is beyond the range
+            pass
     raise SolverDiverged("the least total inconsistency is beyond the floating-point range")
 
 
 def svm_solve(training: TrainingSet, params: SvmParams) -> Fit:
     """The hypothesis of least margin objective, with its report."""
-    _require_numeric_features(training)
-    require_labels(training, YKind.PM1)
-    rows = [[case.y * float(x) for x in (*case.x.values, 1.0)] for case in training.cases]
-    slopes = (-1.0 / training.m, 0.0)
-    return _fit(svm_report, training, params, rows, [0.0] * len(rows), (1.0,), slopes, params.w)
+    return _fit(svm_report, training, params, *_svm_problem(training, params))
 
 
 def svr_solve(training: TrainingSet, params: SvrParams) -> Fit:
     """The hypothesis of least tube objective, with its report."""
+    return _fit(svr_report, training, params, *_svr_problem(training, params))
+
+
+def _svm_problem(training: TrainingSet, params: SvmParams):
+    """(rows, offsets, kinks, slopes, rho) of the margin objective, for :func:`_least_total`.
+
+    A case's row is y (x, 1), so its place is its margin y f(x); its loss
+    falls at 1/m up to the kink at 1 and is flat after it.
+    """
+    _require_numeric_features(training)
+    require_labels(training, YKind.PM1)
+    rows = [[case.y * float(x) for x in (*case.x.values, 1.0)] for case in training.cases]
+    return rows, [0.0] * len(rows), (1.0,), (-1.0 / training.m, 0.0), params.w
+
+
+def _svr_problem(training: TrainingSet, params: SvrParams):
+    """(rows, offsets, kinks, slopes, rho) of the tube objective, for :func:`_least_total`.
+
+    A case's place is f(x) - y, its residual negated; its loss is flat
+    inside the tube [-epsilon, epsilon] and has slope 1 outside it.
+    """
     _require_numeric_features(training)
     eps = params.epsilon
     kinks, slopes = ((-eps, eps), (-1.0, 0.0, 1.0)) if eps else ((0.0,), (-1.0, 1.0))
     rows = [[float(x) for x in (*case.x.values, 1.0)] for case in training.cases]
     offsets = [-float(case.y) for case in training.cases]
-    return _fit(svr_report, training, params, rows, offsets, kinks, slopes, params.lam)
+    return rows, offsets, kinks, slopes, params.lam
 
 
 # ---------------------------------------------------------------------------
@@ -532,41 +553,24 @@ def _answers(params, f: LinearHypothesis, training, queries: Iterable[FeatureVec
     return map(f, queries)
 
 
-def _svm_audit(params: Mapping[str, object], f: LinearHypothesis, training: TrainingSet):
-    _require_numeric_features(training)
-    require_labels(training, YKind.PM1)
-    mus = [svm_case_inconsistency(case, f) for case in training.cases]
-    return _audit(training, mus, None, Aggregation.MEAN, params[W.key] * squared_weight_norm(f))
-
-
-def _svr_audit(params: Mapping[str, object], f: LinearHypothesis, training: TrainingSet):
-    _require_numeric_features(training)
-    tube = _svr_params(params)
-    mus = [svr_case_inconsistency(case, f, tube) for case in training.cases]
-    return _audit(training, mus, 1, Aggregation.SUM,
-                  tube.lam * squared_weight_norm(f) if tube.lam else 0.0)
-
-
-def _audit(training: TrainingSet, mus: list[float], count: int | None,
-           aggregation: Aggregation, regularizer: float):
-    """Each case with its ``mu`` and ``count``, then the audit header's fields."""
-    scored = [(case, mu, count) for case, mu in zip(training.cases, mus)]
-    return scored, aggregation.value, regularizer, finite_total(mus, aggregation, regularizer)
-
-
 # Kept because the benchmark's tracer patches ``ErmLearner.report``; no command calls it.
 class ErmLearner:
     """Absolute-loss fitting: tube regression with zero width and no regularization."""
 
     def report(self, h, problem, training):
-        _require_numeric_features(training)
         return svr_report(h, training, SvrParams(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # Family registration
 
-register_family(FamilySpec("svm", (W,), frozenset({YKind.PM1}), _svm_fit, _answers, _svm_audit))
-register_family(FamilySpec("svr", (EPSILON, LAMBDA), frozenset(YKind), _svr_fit, _answers,
-                           _svr_audit))
-register_family(FamilySpec("erm", (), frozenset(YKind), _svr_fit, _answers, _svr_audit))
+# The audits look their report function up when called, as the benchmark's tracer needs.
+register_family(FamilySpec(
+    "svm", (W,), frozenset({YKind.PM1}), _svm_fit, _answers,
+    lambda params, f, training: svm_report(f, training, SvmParams(params[W.key])),
+))
+for _name, _params in (("svr", (EPSILON, LAMBDA)), ("erm", ())):
+    register_family(FamilySpec(
+        _name, _params, frozenset(YKind), _svr_fit, _answers,
+        lambda params, f, training: svr_report(f, training, _svr_params(params)),
+    ))

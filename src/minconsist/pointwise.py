@@ -37,7 +37,6 @@ from .core import (
     TrainingSet,
     YKind,
     aggregate_mus,
-    finite_total,
     least_inconsistent,
     register_family,
     require_labels,
@@ -615,18 +614,18 @@ def _fit(
 ) -> tuple[TreePartition | None, float]:
     """What a model keeps (the grown tree of ``dtree``), and the audit's total."""
     tree = dtree_build(training, _tree_config(params)) if family == "dtree" else None
-    return tree, _audit(family, params, tree, training)[-1]
+    return tree, _audit(family, params, tree, training).total
 
 
 def _answers(family, params, tree, training, queries) -> Iterator[float]:
     return (value for value, _, _ in pointwise_answers(family, params, tree, training, queries))
 
 
-def _audit(family, params, tree, training):
+def _audit(family, params, tree, training) -> InconsistencyReport:
     answers = pointwise_answers(family, params, tree, training, training.features)
-    scored = [(case, mu, count) for case, (_, mu, count) in zip(training.cases, answers)]
-    total = finite_total([mu for _, mu, _ in scored], Aggregation.SUM)
-    return scored, "sum-over-queries", 0.0, total
+    entries = [ReportEntry(case, mu, count)
+               for case, (_, mu, count) in zip(training.cases, answers)]
+    return InconsistencyReport.build(entries, Aggregation.SUM_OVER_QUERIES)
 
 
 def _register(name: str, params: tuple[Param, ...], y_kinds: frozenset[YKind], **kw) -> None:

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 from minconsist import (
+    InconsistencyReport,
     LinearHypothesis,
     SvrParams,
     YKind,
     family_names,
+    load_dataset,
     load_model,
     svm_slack,
     svr_report,
@@ -536,6 +538,22 @@ class TestModelChecks:
         self._rejected(model, write("q.csv", "x\na\n"), write("n.csv", "x,y\na,-1\nb,1\n"),
                        capsys, "a linear hypothesis takes no nominal feature")
 
+    @pytest.mark.parametrize("edit", [None, DELETE, 5], ids=["null", "absent", "number"])
+    @pytest.mark.parametrize("family", [f for f in family_names() if family_spec(f).pointwise])
+    def test_query_time_model_without_its_data_hash_is_a_data_error(self, write, tmp_path,
+                                                                    capsys, family, edit):
+        tables = {"nb": ("x,y\na,0\nb,1\n", "x\na\n")}
+        table, query_table = tables.get(family, (BIN_CSV, "x\n2\n"))
+        data, model = write("d.csv", table), tmp_path / "m.json"
+        assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                    "--out", model]) == 0
+        doc = {**json.loads(model.read_text()), "training_hash": edit}
+        model.write_text(json.dumps({k: v for k, v in doc.items() if v is not DELETE}))
+        capsys.readouterr()
+        self._rejected(model, write("q.csv", query_table), data, capsys,
+                       f"training_hash must be the content hash of the training data, got "
+                       f"{None if edit is DELETE else edit!r}")
+
     @pytest.mark.parametrize("family, y_kind", [
         (family, kind.value) for family in family_names() for kind in YKind
         if kind not in family_spec(family).y_kinds
@@ -671,6 +689,27 @@ def test_train_echoes_the_audit_total_bit_for_bit(write, tmp_path, capsys, famil
     echoed = capsys.readouterr().out.split("total_inconsistency=")[1].split()[0]
     assert run(["audit", "--model", model, "--data", data]) == 0
     assert repr(json.loads(capsys.readouterr().out)["total_inconsistency"]) == echoed
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_each_row_audits_into_the_report_of_its_fit(write, tmp_path, capsys, family):
+    data = write("d.csv", AUDIT_DATA.get(family, BIN_CSV))
+    model = tmp_path / "m.json"
+    assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                "--out", model]) == 0
+    capsys.readouterr()
+    assert run(["audit", "--model", model, "--data", data]) == 0
+    header = json.loads(capsys.readouterr().out)
+    spec, params = family_spec(family), load_model(model).params
+    training = load_dataset(data).training
+    fitted, total = spec.fit(params, training)
+    report = spec.audit(params, fitted, training)
+    assert isinstance(report, InconsistencyReport)
+    assert [entry.case for entry in report.entries] == list(training.cases)
+    assert report.total.hex() == total.hex()
+    assert report.aggregation.value == header["aggregation"]
+    assert (report.regularizer, report.total) == (header["regularizer"],
+                                                  header["total_inconsistency"])
 
 
 class TestVerify:

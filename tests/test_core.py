@@ -21,6 +21,7 @@ from minconsist import (
     ProblemStatement,
     ReportEntry,
     SchemaMismatch,
+    SolverDiverged,
     TrainingSet,
     YKind,
     aggregate_mus,
@@ -151,6 +152,19 @@ class TestAggregation:
         entry = ReportEntry(Case(FeatureVector.of(1), 0), -0.1, None)
         with pytest.raises(InvalidParameter):
             InconsistencyReport.build([entry], Aggregation.SUM)
+
+    def test_a_total_beyond_the_range_names_its_first_non_finite_score(self):
+        def build(*mus):
+            entries = [ReportEntry(Case(FeatureVector.of(i), 0), mu, None)
+                       for i, mu in enumerate(mus)]
+            return InconsistencyReport.build(entries, Aggregation.SUM)
+
+        for mus, named in (((1.0, math.inf, math.nan), "the inconsistency of case 2"),
+                           ((-1.0, math.nan), "the inconsistency of case 2"),
+                           ((1e308, 1e308), "the total inconsistency")):
+            with pytest.raises(SolverDiverged) as caught:
+                build(*mus)
+            assert str(caught.value) == f"{named} is beyond the floating-point range"
 
     def test_empty_report_rejected(self):
         with pytest.raises(EmptySet):

@@ -468,11 +468,22 @@ class TestLearnerAdapters:
         with pytest.raises(IncompatibleFamily):
             select_hypothesis("svm", {"w": 1.0}, T)
 
+    def test_linear_reports_and_audits_require_numeric_features(self):
+        T = training_set([(("a",), 1), (("b",), -1)])
+        with pytest.raises(IncompatibleFamily):
+            svm_report(UNIT, T, SvmParams(1.0))
+        with pytest.raises(IncompatibleFamily):
+            svr_report(UNIT, T, SvrParams(0.0, 0.0))
+        for family, params in (("svm", {"w": 1.0}), ("svr", {"epsilon": 0.0, "lambda": 0.0}),
+                               ("erm", {})):
+            with pytest.raises(IncompatibleFamily):
+                family_spec(family).audit(params, UNIT, T)
+
     def test_plain_fit_reuses_the_tube_solver(self):
         T = training_set([((0.0,), 1.0), ((1.0,), 3.0), ((2.0,), 5.0)])
         f_erm, total = select_hypothesis("erm", {}, T)
         f_svr, _ = svr_solve(T, SvrParams(0.0, 0.0))
         assert f_erm.b == f_svr.b and f_erm.a == f_svr.a
         assert total == erm_total_inconsistency(f_erm, T)
-        _, aggregation, _, audited = family_spec("erm").audit({}, f_erm, T)
-        assert (aggregation, audited) == (Aggregation.SUM.value, total)
+        report = family_spec("erm").audit({}, f_erm, T)
+        assert (report.aggregation, report.total) == (Aggregation.SUM, total)
