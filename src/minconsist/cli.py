@@ -24,6 +24,7 @@ from .core import (
     TrainingDataMismatch,
     TrainingSet,
     YKind,
+    _LABELS,
     family_names,
     family_spec,
     select_hypothesis,
@@ -101,10 +102,9 @@ def _train_values(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     given = {p.key: getattr(args, p.key) for p in params if getattr(args, p.key) is not None}
     flags = {p.key: p.flag for p in params}
     try:
-        spec.check(given, name=flags.__getitem__)
+        return spec.complete(given, name=flags.__getitem__)
     except InvalidParameter as exc:
         parser.error(str(exc))
-    return spec.complete(given)
 
 
 def _infer_y_kind(training: TrainingSet, family: str) -> YKind:
@@ -114,11 +114,7 @@ def _infer_y_kind(training: TrainingSet, family: str) -> YKind:
     needs -1/+1 labels is a data error, not a conversion.
     """
     values = set(training.feedbacks)
-    candidates = []
-    if values <= {0, 1}:
-        candidates.append(YKind.BINARY01)
-    if values <= {-1, 1}:
-        candidates.append(YKind.PM1)
+    candidates = [kind for kind, labels in _LABELS.items() if values <= set(labels)]
     candidates.append(YKind.REAL)
     allowed = family_spec(family).y_kinds
     for kind in candidates:

@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +199,9 @@ class FeatureSchema:
         object.__setattr__(self, "columns", tuple(self.columns))
         if not self.columns:
             raise InvalidParameter("schema needs at least one column")
-        nominal = [(i, c) for i, c in enumerate(self.columns) if isinstance(c, NominalKind)]
-        for pos, (i, ci) in enumerate(nominal):
-            for j, cj in nominal[pos + 1:]:
-                shared = ci.symbols & cj.symbols
-                if shared:
-                    raise NonDisjointValueSets(
-                        f"features {i + 1} and {j + 1} share value(s) {sorted(shared)!r}"
-                    )
+        _require_disjoint([
+            c.symbols if isinstance(c, NominalKind) else frozenset() for c in self.columns
+        ])
 
     @property
     def n(self) -> int:
@@ -215,6 +210,17 @@ class FeatureSchema:
     @classmethod
     def numeric(cls, n: int) -> "FeatureSchema":
         return cls(tuple(NumericKind() for _ in range(n)))
+
+
+def _require_disjoint(value_sets: Sequence[AbstractSet[str]]) -> None:
+    """Raise :class:`NonDisjointValueSets` unless the value sets are pairwise disjoint."""
+    for i, first in enumerate(value_sets):
+        for j in range(i + 1, len(value_sets)):
+            shared = first & value_sets[j]
+            if shared:
+                raise NonDisjointValueSets(
+                    f"features {i + 1} and {j + 1} share value(s) {sorted(shared)!r}"
+                )
 
 
 def _is_number(value: object) -> bool:
@@ -332,11 +338,15 @@ def training_set(pairs: Iterable[tuple[Sequence[FeatureValue], float]]) -> Train
     return TrainingSet(tuple(Case(FeatureVector(tuple(xs)), y) for xs, y in pairs))
 
 
+# The values of each labelled feedback domain; a REAL feedback is any number.
+_LABELS = {YKind.BINARY01: (0, 1), YKind.PM1: (-1, 1)}
+
+
 def require_labels(training: TrainingSet, kind: YKind) -> None:
     """Raise :class:`SchemaMismatch` unless every feedback fits ``kind``."""
-    if kind is YKind.REAL:
+    allowed = _LABELS.get(kind)
+    if allowed is None:
         return
-    allowed = (0, 1) if kind is YKind.BINARY01 else (-1, 1)
     for idx, y in enumerate(training.feedbacks):
         if y not in allowed:
             raise SchemaMismatch(
@@ -575,10 +585,11 @@ class FamilySpec:
     one_of: tuple[str, ...] = ()
     pointwise: bool = False
 
-    def check(self, values: Mapping[str, object], name: Callable[[str], str] = str) -> None:
-        """Raise :class:`InvalidParameter` for an unknown, missing or out-of-range value.
+    def complete(self, values: Mapping[str, object], name: Callable[[str], str] = str) -> dict:
+        """``values`` in registry order, with the default of every unset parameter.
 
-        ``name`` turns a key into the word that messages use for it.
+        An unknown, missing or out-of-range value raises :class:`InvalidParameter`
+        first; ``name`` turns a key into the word that messages use for it.
         """
         by_key = {p.key: p for p in self.params}
         unknown = sorted(name(key) for key in values if key not in by_key)
@@ -599,14 +610,16 @@ class FamilySpec:
             )
         for key, value in values.items():
             by_key[key].check(value, name(key))
-
-    def complete(self, values: Mapping[str, object]) -> dict:
-        """``values`` in registry order, with the default of every unset parameter."""
         return {
             p.key: values[p.key] if p.key in values else p.default
             for p in self.params
             if p.key in values or not p.required
         }
+
+    def require_y_kind(self, kind: YKind) -> None:
+        """Raise :class:`SchemaMismatch` unless the family learns from ``kind`` feedback."""
+        if kind not in self.y_kinds:
+            raise SchemaMismatch(f"{self.name} cannot learn from {kind.value} feedback")
 
 
 _FAMILIES: dict[str, FamilySpec] = {}
@@ -640,7 +653,7 @@ class ProblemStatement:
 
     Construction rejects unknown families, missing or unknown
     parameters, out-of-range parameter values, and a feedback domain
-    the family cannot learn from.  It then fills in the default of
+    outside the family's.  It then fills in the default of
     every parameter not given, so ``v`` holds the whole parameter set.
     """
 
@@ -651,12 +664,9 @@ class ProblemStatement:
 
     def __post_init__(self) -> None:
         spec = family_spec(self.family)
-        spec.check(self.v)
-        if self.y_kind not in spec.y_kinds:
-            raise SchemaMismatch(
-                f"{self.family} cannot learn from {self.y_kind.value} feedback"
-            )
-        object.__setattr__(self, "v", spec.complete(self.v))
+        v = spec.complete(self.v)
+        spec.require_y_kind(self.y_kind)
+        object.__setattr__(self, "v", v)
 
 
 T = TypeVar("T")
@@ -689,7 +699,6 @@ def select_hypothesis(
     are compared by :func:`least_inconsistent` instead.
     """
     spec = family_spec(family)
-    spec.check(params)
     return spec.fit(spec.complete(params), training)
 
 

@@ -438,9 +438,9 @@ def load_model(path: str | Path) -> Model:
         raise ModelFormatError(
             f"unsupported model version {doc.get('version')!r}; this build reads {MODEL_VERSION}"
         )
-    spec, params = _checked_params(doc, path)
-    family = spec.name
     try:
+        spec, params = _checked_params(doc)
+        family = spec.name
         names = _field(doc, "feature_names", _is_names, "a non-empty list of column names")
         schema_doc = _field(
             doc, "schema",
@@ -451,8 +451,7 @@ def load_model(path: str | Path) -> Model:
         target = _field(doc, "target", lambda v: isinstance(v, str), "a column name")
         y_kinds = [kind.value for kind in YKind]
         y_kind = YKind(_field(doc, "y_kind", lambda v: v in y_kinds, f"one of {y_kinds}"))
-        if y_kind not in spec.y_kinds:
-            raise SchemaMismatch(f"{family} cannot learn from {y_kind.value} feedback")
+        spec.require_y_kind(y_kind)
         hypothesis = _hypothesis_from_json(_field(
             doc, "hypothesis", lambda v: v is None or isinstance(v, dict), "an object or null"
         ))
@@ -498,21 +497,17 @@ def _is_names(value: object) -> bool:
     return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
 
 
-def _checked_params(doc: dict, path: str | Path) -> tuple[FamilySpec, dict]:
+def _checked_params(doc: dict) -> tuple[FamilySpec, dict]:
     """The model family's registry row and its parameters, checked against that row.
 
     Parameters left out take their defaults.
     """
     family, params = doc.get("family"), doc.get("params")
-    try:
-        if not isinstance(family, str):
-            raise InvalidParameter(f"family must be a name, got {family!r}")
-        spec = family_spec(family)
-        if not isinstance(params, dict):
-            raise InvalidParameter(f"params must be an object, got {params!r}")
-        spec.check(params)
-    except InvalidParameter as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    if not isinstance(family, str):
+        raise InvalidParameter(f"family must be a name, got {family!r}")
+    spec = family_spec(family)
+    if not isinstance(params, dict):
+        raise InvalidParameter(f"params must be an object, got {params!r}")
     return spec, spec.complete(params)
 
 

@@ -81,7 +81,7 @@ class HalfSpace:
     """The region where a hypothesis honors one case's label with margin one."""
 
     f: LinearHypothesis
-    y: int
+    y: float
 
     def __post_init__(self) -> None:
         if self.y not in (-1, 1):
@@ -109,18 +109,10 @@ def svm_case_inconsistency(alpha: Case, f: LinearHypothesis) -> float:
     This is the geometric route to the slack value; it never writes the
     closed form down.
     """
-    hs = HalfSpace(f, _pm1_label(alpha.y))
+    hs = HalfSpace(f, alpha.y)
     if hs.contains(alpha.x):
         return 0.0
     return abs(hs.y * hs.f(alpha.x) - 1.0)
-
-
-def _pm1_label(y: float) -> int:
-    if y == 1:
-        return 1
-    if y == -1:
-        return -1
-    raise InvalidParameter(f"margin classification needs -1/+1 feedback, got {y!r}")
 
 
 def svm_slack(f: LinearHypothesis, training: TrainingSet) -> tuple[float, ...]:
@@ -232,7 +224,12 @@ def svr_case_inconsistency(alpha: Case, f: LinearHypothesis, params: SvrParams) 
 def svr_objective(f: LinearHypothesis, training: TrainingSet, params: SvrParams) -> float:
     """Summed tube losses plus lambda ||b||^2; no sample-size normalization."""
     mus = [svr_case_inconsistency(case, f, params) for case in training.cases]
-    return aggregate_mus(mus, Aggregation.SUM) + params.lam * squared_weight_norm(f)
+    return aggregate_mus(mus, Aggregation.SUM) + _tube_regularizer(f, params)
+
+
+def _tube_regularizer(f: LinearHypothesis, params: SvrParams) -> float:
+    """lambda ||b||^2, and 0 at lambda = 0 even where ||b||^2 overflows."""
+    return params.lam * squared_weight_norm(f) if params.lam else 0.0
 
 
 def svr_report(
@@ -245,9 +242,7 @@ def svr_report(
         for case in training.cases
     )
     return InconsistencyReport.build(
-        entries,
-        Aggregation.SUM,
-        regularizer=params.lam * squared_weight_norm(f) if params.lam else 0.0,
+        entries, Aggregation.SUM, regularizer=_tube_regularizer(f, params)
     )
 
 

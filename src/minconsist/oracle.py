@@ -168,17 +168,6 @@ def svm_objective_grids(
     return shape, via_distance.ravel(), via_slack.ravel()
 
 
-def lattice_hypothesis(
-    flat_index: int, shape: tuple[int, ...], box: float = 3.0, step: float = 0.05
-) -> LinearHypothesis:
-    """The lattice point behind a flat scan index."""
-    import numpy as np
-
-    coords = np.unravel_index(flat_index, shape)
-    values = [-box + int(c) * step for c in coords]
-    return LinearHypothesis(tuple(values[:-1]), values[-1])
-
-
 def random_feasible_slack(
     f: LinearHypothesis, training: TrainingSet, seed: int, noise: float = 1.0
 ) -> tuple[float, ...]:
@@ -317,36 +306,38 @@ class CheckResult:
         return f"{status} {self.name}: {self.trials} trials{extra}"
 
 
+def _sweep(name: str, trials: int, seed: int, holds: Callable[..., bool]) -> CheckResult:
+    """Test ``holds(f, training, s)`` on the random linear instance of each seed s in turn.
+
+    The result names the first seed that fails.
+    """
+    for s in range(seed, seed + trials):
+        f, training = random_linear_instance(s)
+        if not holds(f, training, s):
+            return CheckResult(name, trials, False, s)
+    return CheckResult(name, trials, True)
+
+
 def verify_slack_feasibility(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Determined slacks are feasible on every random instance."""
-    for t in range(trials):
-        f, training = random_linear_instance(seed + t)
-        if not svm_slack_is_feasible(f, training):
-            return CheckResult("slack-feasibility", trials, False, seed + t)
-    return CheckResult("slack-feasibility", trials, True)
+    return _sweep("slack-feasibility", trials, seed,
+                  lambda f, training, s: svm_slack_is_feasible(f, training))
 
 
 def verify_slack_minimality(trials: int = 1000, seed: int = 0) -> CheckResult:
     """No random feasible slack undercuts the determined one."""
-    for t in range(trials):
-        f, training = random_linear_instance(seed + t)
-        zeta = random_feasible_slack(f, training, seed=seed + t)
-        if not svm_slack_is_minimal(f, training, zeta):
-            return CheckResult("slack-minimality", trials, False, seed + t)
-    return CheckResult("slack-minimality", trials, True)
+    return _sweep("slack-minimality", trials, seed, lambda f, training, s: svm_slack_is_minimal(
+        f, training, random_feasible_slack(f, training, seed=s)
+    ))
 
 
 def verify_objective_identity(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Both objective forms agree exactly at the determined slacks."""
     import numpy as np
 
-    for t in range(trials):
-        f, training = random_linear_instance(seed + t)
-        rng = np.random.default_rng(seed + t)
-        params = SvmParams(float(rng.uniform(0.01, 1.0)))
-        if not svm_objectives_agree(f, training, params):
-            return CheckResult("objective-identity", trials, False, seed + t)
-    return CheckResult("objective-identity", trials, True)
+    return _sweep("objective-identity", trials, seed, lambda f, training, s: svm_objectives_agree(
+        f, training, SvmParams(float(np.random.default_rng(s).uniform(0.01, 1.0)))
+    ))
 
 
 def verify_argmin_agreement(instances: int = 8, seed: int = 0) -> CheckResult:

@@ -29,13 +29,13 @@ from .core import (
     InconsistencyReport,
     InvalidParameter,
     KExceedsSampleSize,
-    NonDisjointValueSets,
     Param,
     PointwiseHypothesis,
     ReportEntry,
     SchemaMismatch,
     TrainingSet,
     YKind,
+    _require_disjoint,
     aggregate_mus,
     least_inconsistent,
     register_family,
@@ -460,16 +460,6 @@ def _observed_values(vectors: Sequence[FeatureVector]) -> list[set[str]]:
         for pos, v in enumerate(_nominal_values(x)):
             observed[pos].add(v)
     return observed
-
-
-def _require_disjoint(observed: Sequence[set[str]]) -> None:
-    for i in range(len(observed)):
-        for j in range(i + 1, len(observed)):
-            shared = observed[i] & observed[j]
-            if shared:
-                raise NonDisjointValueSets(
-                    f"features {i + 1} and {j + 1} share value(s) {sorted(shared)!r}"
-                )
 
 
 def nb_predict(

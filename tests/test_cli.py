@@ -46,6 +46,12 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def edits(*cases):
+    """Parametrize ``edit, named`` over (model-file edit, its error after the model's path)."""
+    return pytest.mark.parametrize("edit, named", cases,
+                                   ids=[f"edit{i}" for i in range(len(cases))])
+
+
 class TestTrain:
     def test_svm_train_writes_model_and_echoes(self, write, tmp_path, capsys):
         data = write("d.csv", PM1_CSV)
@@ -487,6 +493,7 @@ class TestModelChecks:
         {"tree": {"feature": 0, "threshold": True,
                   "left": {"leaf": 0, "cases": [0, 1]}, "right": {"leaf": 1, "cases": [2, 3]}}},
         {"tree": {"leaf": 0, "cases": [0, 1, 2, 7]}},
+        {"schema": [{"kind": "interval"}]},
     ])
     def test_edited_dtree_model_is_a_data_error(self, write, tmp_path, capsys, edit):
         data = write("d.csv", BIN_CSV)
@@ -498,35 +505,42 @@ class TestModelChecks:
         capsys.readouterr()
         self._rejected(model, queries, data, capsys)
 
-    @pytest.mark.parametrize("edit", [
-        {"params": {}},
-        {"params": {"k": 3, "metric": "euclidean", "zeal": 1}},
-        {"params": {"k": 0, "metric": "euclidean"}},
-        {"params": {"k": 3, "metric": "cosine"}},
-        {"family": "wizard"},
-        {"hypothesis": {"kind": "pointwise", "x0": [2], "value": 0}},
-    ])
-    def test_edited_knn_model_is_a_data_error(self, write, tmp_path, capsys, edit):
+    @edits(
+        ({"params": {}}, "learner 'knn' requires k"),
+        ({"params": {"k": 3, "metric": "euclidean", "zeal": 1}},
+         "zeal not applicable to learner 'knn'"),
+        ({"params": {"k": 0, "metric": "euclidean"}}, "k must be an integer >= 1, got 0"),
+        ({"params": {"k": 3, "metric": "cosine"}},
+         "metric must be one of euclidean, manhattan, got 'cosine'"),
+        ({"family": "wizard"}, "unknown family 'wizard'; known: "),
+        ({"hypothesis": {"kind": "pointwise", "x0": [2], "value": 0}},
+         "unknown hypothesis kind 'pointwise'"),
+        ({"hypothesis": {"kind": "linear", "b": [1.0], "a": 0.0}},
+         "a knn model keeps no hypothesis"),
+    )
+    def test_edited_knn_model_is_a_data_error(self, write, tmp_path, capsys, edit, named):
         data = write("d.csv", BIN_CSV)
         model = tmp_path / "m.json"
         run(["train", "--learner", "knn", "--data", data, "--k", "3", "--out", model])
         model.write_text(json.dumps({**json.loads(model.read_text()), **edit}))
         queries = write("q.csv", "x\n2\n")
         capsys.readouterr()
-        self._rejected(model, queries, data, capsys)
+        self._rejected(model, queries, data, capsys, f"{model}: {named}")
 
-    @pytest.mark.parametrize("edit", [  # numbers that do not convert to a float
-        {"params": {"w": 2**1024}},
-        {"hypothesis": {"kind": "linear", "b": [1.0, -10**400], "a": 0.0}},
-    ])
-    def test_edited_svm_model_is_a_data_error(self, write, tmp_path, capsys, edit):
+    @edits(  # numbers that do not convert to a float, and no hypothesis
+        ({"params": {"w": 2**1024}}, f"w must be a number > 0, got {2**1024}"),
+        ({"hypothesis": {"kind": "linear", "b": [1.0, -10**400], "a": 0.0}},
+         "linear coefficients must be finite"),
+        ({"hypothesis": None}, "a svm model needs its hypothesis"),
+    )
+    def test_edited_svm_model_is_a_data_error(self, write, tmp_path, capsys, edit, named):
         data = write("d.csv", PM1_CSV)
         model = tmp_path / "m.json"
         run(["train", "--learner", "svm", "--data", data, "--w", "1", "--out", model])
         model.write_text(json.dumps({**json.loads(model.read_text()), **edit}))
         queries = write("q.csv", "x1,x2\n2,2\n")
         capsys.readouterr()
-        self._rejected(model, queries, data, capsys)
+        self._rejected(model, queries, data, capsys, f"{model}: {named}")
 
     def test_svm_model_over_a_nominal_column_is_a_data_error(self, write, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -710,6 +724,24 @@ def test_each_row_audits_into_the_report_of_its_fit(write, tmp_path, capsys, fam
     assert report.aggregation.value == header["aggregation"]
     assert (report.regularizer, report.total) == (header["regularizer"],
                                                   header["total_inconsistency"])
+
+
+def test_ordinal_model_keeps_its_levels_and_reads_level_tokens(write, tmp_path, capsys):
+    levels = ["small", "medium", "large"]
+    data = write("d.csv", "size,y\nsmall,0\nmedium,0\nlarge,1\n")
+    schema = write("s.json", json.dumps({"columns": {"size": {"kind": "ordinal",
+                                                              "levels": levels}}}))
+    model = tmp_path / "m.json"
+    assert run(["train", "--learner", "dtree", "--data", data, "--schema", schema,
+                "--out", model]) == 0
+    assert json.loads(model.read_text())["schema"] == [{"kind": "ordinal", "levels": levels}]
+    capsys.readouterr()
+    queries = write("q.csv", "size\nlarge\nsmall\nmedium\n")
+    assert run(["predict", "--model", model, "--queries", queries, "--data", data]) == 0
+    assert capsys.readouterr().out == "1\n0\n0\n"
+    assert run(["audit", "--model", model, "--data", data]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {row["case"]: row["x"] for row in rows} == {1: [0], 2: [1], 3: [2]}
 
 
 class TestVerify:

@@ -197,6 +197,9 @@ class TestTube:
 
     def test_zero_tube_equals_absolute_loss(self):
         rng = np.random.default_rng(21)
+        instances = [  # ||b||^2 overflows while every residual is 0
+            (LinearHypothesis((1e200,), 1.0), training_set([((0.0,), 1.0), ((1e-200,), 2.0)])),
+        ]
         for _ in range(100):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 10))
@@ -209,7 +212,11 @@ class TestTube:
             )
             f = LinearHypothesis(tuple(map(float, rng.uniform(-2, 2, n))),
                                  float(rng.uniform(-2, 2)))
-            assert svr_objective(f, T, SvrParams(0.0, 0.0)) == erm_total_inconsistency(f, T)
+            instances.append((f, T))
+        zero = SvrParams(0.0, 0.0)
+        for f, T in instances:
+            total = erm_total_inconsistency(f, T)
+            assert svr_objective(f, T, zero) == total == svr_report(f, T, zero).total
 
     def test_report_structure(self):
         T = training_set([((1.0,), 2.0), ((2.0,), 4.0)])

@@ -23,7 +23,6 @@ from minconsist.oracle import (
     brute_nb_total,
     generate_instance,
     grid_search_linear,
-    lattice_hypothesis,
     random_feasible_slack,
     random_linear_instance,
     run_all_checks,
@@ -109,7 +108,8 @@ class TestObjectiveGrids:
         assert shape == (9, 9)
         assert np.array_equal(via_distance, via_slack)
         idx = int(np.argmin(via_distance))
-        f = lattice_hypothesis(idx, shape, box=1.0, step=0.25)
+        *b, a = (-1.0 + int(c) * 0.25 for c in np.unravel_index(idx, shape))
+        f = LinearHypothesis(tuple(b), a)
         assert via_distance[idx] == svm_objective(f, T, params)
 
     def test_grid_agrees_with_scalar_scan(self):
@@ -120,7 +120,8 @@ class TestObjectiveGrids:
             lambda f: svm_objective(f, T, params), [(-1.0, 1.0), (-1.0, 1.0)], 0.5
         )
         idx = int(np.argmin(via_distance))
-        f_grid = lattice_hypothesis(idx, shape, box=1.0, step=0.5)
+        *b, a = (-1.0 + int(c) * 0.5 for c in np.unravel_index(idx, shape))
+        f_grid = LinearHypothesis(tuple(b), a)
         assert v_scan == via_distance[idx]
         assert (f_grid.b, f_grid.a) == (f_scan.b, f_scan.a)
 
