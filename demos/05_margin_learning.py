@@ -48,8 +48,8 @@ print()
 # The report is the audit view: per-case rows plus the folded total,
 # which equals the objective exactly (mean fold plus the weight term).
 print("report rows (mu per case):")
-for entry in report.entries:
-    print(f"   x={entry.case.x.values} y={entry.case.y:+d} mu={entry.mu:.6f}")
+for case, mu in zip(report.cases, report.mus):
+    print(f"   x={case.x.values} y={case.y:+d} mu={mu:.6f}")
 print("report total:", report.total)
 print()
 

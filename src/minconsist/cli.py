@@ -15,11 +15,11 @@ import sys
 from typing import Sequence
 
 from .core import (
+    InconsistencyReport,
     InvalidParameter,
     MinconsistError,
     ModelFormatError,
     Param,
-    ReportEntry,
     SolverDiverged,
     TrainingDataMismatch,
     TrainingSet,
@@ -195,13 +195,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     training = _require_matching_data(model, args.data).training
     report = family_spec(model.family).audit(model.params, model.fitted, training)
-    header = {
-        "family": model.family,
-        "aggregation": report.aggregation.value,
-        "regularizer": report.regularizer,
-        "total_inconsistency": report.total,
-    }
-    print(_audit_text(header, report.entries))
+    print(_audit_text(model.family, report))
     return 0
 
 
@@ -217,25 +211,27 @@ _ROW = """    {{
     }}"""
 
 
-def _audit_text(header: dict, scored: Sequence[ReportEntry]) -> str:
-    """The audit document: ``header``, then one row per report entry.
+def _audit_text(family: str, report: InconsistencyReport) -> str:
+    """The audit document of ``family``'s report: a header, then one row per case.
 
-    Largest inconsistencies come first, so candidate outliers lead the
-    report.  The text equals ``json.dumps({**header, "rows": rows},
-    indent=2)``, where ``rows`` holds ``{"case", "x", "y", "mu",
-    "counterparts"}`` for each case (numbered from 1), sorted by
-    ``(-mu, case)``.  Only the header goes through ``json``; the rows are
-    written from a template, in under half the time ``json``'s indenting
-    encoder takes.
+    The header holds ``family``, ``aggregation``, ``regularizer`` and
+    ``total_inconsistency``.  Largest inconsistencies come first, so
+    candidate outliers lead the report.  The text equals
+    ``json.dumps({**header, "rows": rows}, indent=2)``, where ``rows``
+    holds ``{"case", "x", "y", "mu", "counterparts"}`` for each case
+    (numbered from 1), sorted by ``(-mu, case)``.  Only the header goes
+    through ``json``; the rows are written from a template, in under half
+    the time ``json``'s indenting encoder takes.
     """
-    # A stable sort keeps tied mus in case order, as the (-mu, case) key would.
-    order = sorted(range(len(scored)), key=lambda i: scored[i][1], reverse=True)
+    cases, mus, counts = report.cases, report.mus, report.counts
     rows = []
-    for i in order:
-        case, mu, count = scored[i]
-        x = ",\n        ".join(map(_json_value, case.x.values))
-        rows.append(_ROW.format(i + 1, x, _json_value(case.y), _json_value(mu),
-                                _json_value(count)))
+    # A stable sort keeps tied mus in case order, as the (-mu, case) key would.
+    for i in sorted(range(len(mus)), key=mus.__getitem__, reverse=True):
+        x = ",\n        ".join(map(_json_value, cases[i].x.values))
+        rows.append(_ROW.format(i + 1, x, _json_value(cases[i].y), _json_value(mus[i]),
+                                _json_value(counts[i])))
+    header = {"family": family, "aggregation": report.aggregation.value,
+              "regularizer": report.regularizer, "total_inconsistency": report.total}
     head = json.dumps(header, indent=2)[:-2]  # without its closing "\n}"
     return head + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}"
 

@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 
 # ---------------------------------------------------------------------------
@@ -419,46 +419,48 @@ class CounterpartSet:
         return tuple(case.y for case in self.members)
 
 
-class ReportEntry(NamedTuple):
-    """One baseline case with its inconsistency score.
-
-    ``counterpart_count`` is ``None`` when the counterpart set is not
-    finite (a half-space rather than a list of cases).
-    """
-
-    case: Case
-    mu: float
-    counterpart_count: int | None
-
-
 @dataclass(frozen=True)
 class InconsistencyReport:
     """Per-case scores plus the total a learner minimizes.
 
-    The total is always reproducible from the entries: fold the ``mu``
-    column with ``aggregation`` in entry order, then add ``regularizer``
-    (a hypothesis-only term, zero for most learners).
+    Position i of ``cases``, ``mus`` and ``counts`` describes one baseline
+    case: the case, its score and its counterpart count, which is ``None``
+    when the counterpart set is not finite (a half-space rather than a
+    list of cases).  The total is always reproducible from the columns:
+    fold ``mus`` with ``aggregation`` in case order, then add
+    ``regularizer`` (a hypothesis-only term, zero for most learners).
     """
 
-    entries: tuple[ReportEntry, ...]
+    cases: tuple[Case, ...]
+    mus: tuple[float, ...]
+    counts: tuple[int | None, ...]
     aggregation: Aggregation
     regularizer: float
     total: float
 
     @classmethod
     def build(
-        cls, entries: Sequence[ReportEntry], aggregation: Aggregation, regularizer: float = 0.0
+        cls,
+        cases: Sequence[Case],
+        mus: Sequence[float],
+        counts: Sequence[int | None],
+        aggregation: Aggregation,
+        regularizer: float = 0.0,
     ) -> "InconsistencyReport":
-        """The report of ``entries``, whose total must be finite and scores non-negative.
+        """The report of the columns, whose total must be finite and scores non-negative.
 
-        A total beyond the floating-point range raises :class:`SolverDiverged`,
+        Columns of different lengths raise :class:`DimensionMismatch`.  A
+        total beyond the floating-point range raises :class:`SolverDiverged`,
         which names the first case whose ``mu`` is not finite, or the total,
         when a fold of finite scores overflows.
         """
-        entries = tuple(entries)
-        if not entries:
+        cases, mus, counts = tuple(cases), tuple(mus), tuple(counts)
+        if not len(cases) == len(mus) == len(counts):
+            raise DimensionMismatch(
+                f"{len(cases)} cases, {len(mus)} mus and {len(counts)} counterpart counts"
+            )
+        if not cases:
             raise EmptySet("a report needs at least one entry")
-        mus = [e.mu for e in entries]
         total = aggregate_mus(mus, aggregation) + regularizer
         if not math.isfinite(total):
             bad = next((n for n, mu in enumerate(mus, 1) if not math.isfinite(mu)), None)
@@ -467,7 +469,7 @@ class InconsistencyReport:
         for mu in mus:
             if not mu >= 0.0:
                 raise InvalidParameter(f"case inconsistency must be >= 0, got {mu!r}")
-        return cls(entries, aggregation, regularizer, total)
+        return cls(cases, mus, counts, aggregation, regularizer, total)
 
 
 def aggregate_mus(mus: Sequence[float], aggregation: Aggregation) -> float:
@@ -569,7 +571,7 @@ class FamilySpec:
       per query, in order.
     - ``audit(params, fitted, training)`` returns the
       :class:`InconsistencyReport` of ``fitted`` over ``training``: one
-      entry per case, in case order, and the total that ``fit`` returns.
+      position per case, in case order, and the total that ``fit`` returns.
 
     ``pointwise`` marks a family that answers each query from its
     training cases rather than from a fitted hypothesis, so its

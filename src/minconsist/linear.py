@@ -34,7 +34,6 @@ from .core import (
     InvalidParameter,
     LinearHypothesis,
     Param,
-    ReportEntry,
     SolverDiverged,
     TrainingSet,
     YKind,
@@ -76,21 +75,6 @@ class SvrParams:
         LAMBDA.check(self.lam)
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """The region where a hypothesis honors one case's label with margin one."""
-
-    f: LinearHypothesis
-    y: float
-
-    def __post_init__(self) -> None:
-        if self.y not in (-1, 1):
-            raise InvalidParameter(f"half-space label must be -1 or 1, got {self.y!r}")
-
-    def contains(self, x: FeatureVector) -> bool:
-        return self.y * self.f(x) >= 1.0
-
-
 # ---------------------------------------------------------------------------
 # Margin classification pieces
 
@@ -104,15 +88,15 @@ def squared_weight_norm(f: LinearHypothesis) -> float:
 
 
 def svm_case_inconsistency(alpha: Case, f: LinearHypothesis) -> float:
-    """Zero inside the case's half-space, else the margin distance |y f(x) - 1|.
+    """Zero inside the case's half-space y f(x) >= 1, else the margin distance |y f(x) - 1|.
 
     This is the geometric route to the slack value; it never writes the
     closed form down.
     """
-    hs = HalfSpace(f, alpha.y)
-    if hs.contains(alpha.x):
-        return 0.0
-    return abs(hs.y * hs.f(alpha.x) - 1.0)
+    if alpha.y not in (-1, 1):
+        raise InvalidParameter(f"half-space label must be -1 or 1, got {alpha.y!r}")
+    margin = alpha.y * f(alpha.x)
+    return 0.0 if margin >= 1.0 else abs(margin - 1.0)
 
 
 def svm_slack(f: LinearHypothesis, training: TrainingSet) -> tuple[float, ...]:
@@ -196,12 +180,10 @@ def svm_report(
     """Per-case margin inconsistencies with the regularized mean total."""
     _require_numeric_features(training)
     require_labels(training, YKind.PM1)
-    entries = tuple(
-        ReportEntry(case, svm_case_inconsistency(case, f), None)
-        for case in training.cases
-    )
+    cases = training.cases
     return InconsistencyReport.build(
-        entries, Aggregation.MEAN, regularizer=params.w * squared_weight_norm(f)
+        cases, [svm_case_inconsistency(case, f) for case in cases], (None,) * len(cases),
+        Aggregation.MEAN, regularizer=params.w * squared_weight_norm(f),
     )
 
 
@@ -237,12 +219,10 @@ def svr_report(
 ) -> InconsistencyReport:
     """Per-case tube losses with the summed, regularized total."""
     _require_numeric_features(training)
-    entries = tuple(
-        ReportEntry(case, svr_case_inconsistency(case, f, params), 1)
-        for case in training.cases
-    )
+    cases = training.cases
     return InconsistencyReport.build(
-        entries, Aggregation.SUM, regularizer=_tube_regularizer(f, params)
+        cases, [svr_case_inconsistency(case, f, params) for case in cases], (1,) * len(cases),
+        Aggregation.SUM, regularizer=_tube_regularizer(f, params),
     )
 
 

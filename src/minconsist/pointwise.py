@@ -31,7 +31,6 @@ from .core import (
     KExceedsSampleSize,
     Param,
     PointwiseHypothesis,
-    ReportEntry,
     SchemaMismatch,
     TrainingSet,
     YKind,
@@ -215,10 +214,9 @@ def _vote(feedbacks: Sequence[float]) -> tuple[int, float]:
 def _reported(
     x0: FeatureVector, answers: Iterator[tuple[float, float, int]]
 ) -> tuple[int, InconsistencyReport]:
-    """The engine's one answer at ``x0``, with its one-entry report."""
+    """The engine's one answer at ``x0``, with its one-case report."""
     label, mu, count = next(answers)
-    entry = ReportEntry(Case(x0, label), mu, count)
-    return label, InconsistencyReport.build([entry], Aggregation.SUM)
+    return label, InconsistencyReport.build([Case(x0, label)], [mu], [count], Aggregation.SUM)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +470,10 @@ def nb_predict(
     """
     tallies = next(_nb_tallies(training, (x0,)))
     label, _ = _nb_vote(tallies)
-    entries = [
-        ReportEntry(Case(FeatureVector((v,)), label), mu, n0 + n1)
-        for v, mu, (n0, n1) in zip(x0.values, _nb_fractions(tallies, label), tallies)
-    ]
-    return label, InconsistencyReport.build(entries, Aggregation.PRODUCT)
+    return label, InconsistencyReport.build(
+        [Case(FeatureVector((v,)), label) for v in x0.values], _nb_fractions(tallies, label),
+        [n0 + n1 for n0, n1 in tallies], Aggregation.PRODUCT,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +610,8 @@ def _answers(family, params, tree, training, queries) -> Iterator[float]:
 
 def _audit(family, params, tree, training) -> InconsistencyReport:
     answers = pointwise_answers(family, params, tree, training, training.features)
-    entries = [ReportEntry(case, mu, count)
-               for case, (_, mu, count) in zip(training.cases, answers)]
-    return InconsistencyReport.build(entries, Aggregation.SUM_OVER_QUERIES)
+    _, mus, counts = zip(*answers)
+    return InconsistencyReport.build(training.cases, mus, counts, Aggregation.SUM_OVER_QUERIES)
 
 
 def _register(name: str, params: tuple[Param, ...], y_kinds: frozenset[YKind], **kw) -> None:

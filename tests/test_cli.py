@@ -461,7 +461,8 @@ def test_closed_pipe_exits_one_without_traceback(write, tmp_path):
     )
     proc.stdout.readline()
     proc.stdout.close()  # more than 64 KiB is still to come
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
 
@@ -719,7 +720,7 @@ def test_each_row_audits_into_the_report_of_its_fit(write, tmp_path, capsys, fam
     fitted, total = spec.fit(params, training)
     report = spec.audit(params, fitted, training)
     assert isinstance(report, InconsistencyReport)
-    assert [entry.case for entry in report.entries] == list(training.cases)
+    assert report.cases == training.cases
     assert report.total.hex() == total.hex()
     assert report.aggregation.value == header["aggregation"]
     assert (report.regularizer, report.total) == (header["regularizer"],

@@ -19,7 +19,6 @@ from minconsist import (
     LinearHypothesis,
     NominalKind,
     ProblemStatement,
-    ReportEntry,
     SchemaMismatch,
     SolverDiverged,
     TrainingSet,
@@ -139,25 +138,27 @@ class TestAggregation:
         assert aggregate_mus([0.5, 0.5], Aggregation.PRODUCT) == 0.25
 
     def test_report_total_reproducible(self):
-        entries = [
-            ReportEntry(Case(FeatureVector.of(i), 0), float(i) / 7, None)
-            for i in range(1, 5)
-        ]
+        cases = [Case(FeatureVector.of(i), 0) for i in range(1, 5)]
+        mus = [float(i) / 7 for i in range(1, 5)]
         for agg in Aggregation:
-            rep = InconsistencyReport.build(entries, agg, regularizer=0.25)
-            folded = aggregate_mus([e.mu for e in rep.entries], rep.aggregation)
+            rep = InconsistencyReport.build(cases, mus, [None] * 4, agg, regularizer=0.25)
+            folded = aggregate_mus(rep.mus, rep.aggregation)
             assert rep.total == folded + rep.regularizer
 
     def test_negative_mu_rejected(self):
-        entry = ReportEntry(Case(FeatureVector.of(1), 0), -0.1, None)
         with pytest.raises(InvalidParameter):
-            InconsistencyReport.build([entry], Aggregation.SUM)
+            InconsistencyReport.build([Case(FeatureVector.of(1), 0)], [-0.1], [None],
+                                      Aggregation.SUM)
+
+    def test_columns_of_different_lengths_rejected(self):
+        cases = [Case(FeatureVector.of(1), 0), Case(FeatureVector.of(2), 0)]
+        with pytest.raises(DimensionMismatch):
+            InconsistencyReport.build(cases, [0.5], [None, None], Aggregation.SUM)
 
     def test_a_total_beyond_the_range_names_its_first_non_finite_score(self):
         def build(*mus):
-            entries = [ReportEntry(Case(FeatureVector.of(i), 0), mu, None)
-                       for i, mu in enumerate(mus)]
-            return InconsistencyReport.build(entries, Aggregation.SUM)
+            cases = [Case(FeatureVector.of(i), 0) for i in range(len(mus))]
+            return InconsistencyReport.build(cases, mus, [None] * len(mus), Aggregation.SUM)
 
         for mus, named in (((1.0, math.inf, math.nan), "the inconsistency of case 2"),
                            ((-1.0, math.nan), "the inconsistency of case 2"),
@@ -168,7 +169,7 @@ class TestAggregation:
 
     def test_empty_report_rejected(self):
         with pytest.raises(EmptySet):
-            InconsistencyReport.build([], Aggregation.SUM)
+            InconsistencyReport.build([], [], [], Aggregation.SUM)
 
     def test_raising_one_score_never_lowers_the_total(self):
         rng = np.random.default_rng(11)

@@ -15,7 +15,6 @@ from minconsist import (
     Aggregation,
     Case,
     FeatureVector,
-    HalfSpace,
     IncompatibleFamily,
     InfeasibleSlack,
     InvalidParameter,
@@ -73,10 +72,8 @@ class TestParams:
             SvrParams(0.0, -0.1)
 
     def test_halfspace_label(self):
-        HalfSpace(UNIT, 1)
-        HalfSpace(UNIT, -1)
-        with pytest.raises(InvalidParameter):
-            HalfSpace(UNIT, 0)
+        with pytest.raises(InvalidParameter, match="^half-space label must be -1 or 1, got 0$"):
+            svm_case_inconsistency(Case(vec(1.0), 0), UNIT)
 
 
 class TestMarginGeometry:
@@ -86,12 +83,7 @@ class TestMarginGeometry:
         assert svm_case_inconsistency(Case(vec(0.5), 1), UNIT) == 0.5
         assert svm_case_inconsistency(Case(vec(3.0), -1), UNIT) == 4.0
         assert svm_case_inconsistency(Case(vec(-1.0), 1), UNIT) == 2.0
-
-    def test_halfspace_boundary_is_inside(self):
-        hs = HalfSpace(UNIT, 1)
-        assert hs.contains(vec(1.0))
-        assert hs.contains(vec(2.0))
-        assert not hs.contains(vec(0.999))
+        assert svm_case_inconsistency(Case(vec(0.999), 1), UNIT) == abs(0.999 - 1.0)
 
     def test_case_inconsistency_zero_inside(self):
         assert svm_case_inconsistency(Case(vec(2.0), 1), UNIT) == 0.0
@@ -174,8 +166,8 @@ class TestSvmObjective:
         assert report.aggregation is Aggregation.MEAN
         assert report.regularizer == p.w * squared_weight_norm(f)
         assert report.total == svm_objective(f, T, p)
-        assert len(report.entries) == T.m
-        assert all(e.counterpart_count is None for e in report.entries)
+        assert report.cases == T.cases
+        assert report.counts == (None,) * T.m
 
     def test_labels_must_be_signed(self):
         T = training_set([((1.0,), 1), ((2.0,), 0)])
@@ -222,7 +214,7 @@ class TestTube:
         T = training_set([((1.0,), 2.0), ((2.0,), 4.0)])
         report = svr_report(UNIT, T, SvrParams(0.1, 0.01))
         assert report.aggregation is Aggregation.SUM
-        assert all(e.counterpart_count == 1 for e in report.entries)
+        assert report.counts == (1, 1)
         assert report.total == svr_objective(UNIT, T, SvrParams(0.1, 0.01))
 
 

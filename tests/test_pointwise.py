@@ -140,7 +140,7 @@ class TestKnn:
         label, report = knn_predict(vec(0.05), T, 3)
         assert label == 1
         assert report.total == abs(1 - (1 + 1 + 0) / 3)
-        assert report.entries[0].counterpart_count == 3
+        assert report.counts == (3,)
 
     def test_single_neighbor(self):
         T = training_set([((0,), 1)])
@@ -295,19 +295,19 @@ class TestNbScoring:
         label, report = nb_predict(vec("v", "s"), self.T)
         # label 0 scores 1/3 * 1/2 for ("v", unseen "s"); label 1 scores 2/3 * 1/2
         assert label == 0
-        assert [(e.case.y, e.mu, e.counterpart_count) for e in report.entries] == [
-            (0, 1 / 3, 3), (0, 0.5, 0)
-        ]
+        assert [case.y for case in report.cases] == [0, 0]
+        assert report.mus == (1 / 3, 0.5)
+        assert report.counts == (3, 0)
 
     def test_full_agreement_scores_zero(self):
         label, report = nb_predict(vec("v", "r"), self.T)
         assert label == 1
-        assert [e.mu for e in report.entries] == [2 / 3, 0.0]
+        assert report.mus == (2 / 3, 0.0)
         assert report.total == 0.0
 
     def test_empty_pool_scores_half(self):
         _, report = nb_predict(vec("w", "s"), self.T)
-        assert [(e.mu, e.counterpart_count) for e in report.entries] == [(0.5, 0), (0.5, 0)]
+        assert (report.mus, report.counts) == ((0.5, 0.5), (0, 0))
 
     def test_training_values_are_checked_before_the_query(self):
         T = training_set([((1,), 0), ((2,), 1)])
@@ -320,7 +320,7 @@ class TestNbScoring:
         )
         label, report = nb_predict(vec("a", "p"), T)
         # feature scores for label 1: a -> 1/2, p -> 1/2; for label 0 both 1/2
-        assert len(report.entries) == 2
+        assert len(report.cases) == 2
         assert label == 0  # tie at 0.25 resolves to 0
         assert report.total == 0.25
 

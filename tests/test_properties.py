@@ -26,7 +26,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from minconsist import family_names  # noqa: E402
 from minconsist.cli import _audit_text, _json_value, main  # noqa: E402
-from minconsist.core import Case, FeatureVector, TrainingSet, YKind  # noqa: E402
+from minconsist.core import (  # noqa: E402
+    Aggregation,
+    Case,
+    FeatureVector,
+    InconsistencyReport,
+    TrainingSet,
+    YKind,
+)
 from minconsist.dataio import (  # noqa: E402
     Model,
     load_dataset,
@@ -196,12 +203,14 @@ def scored_rows(draw):
 @given(scored=scored_rows(), family=st.sampled_from(sorted(FAMILY_FLAGS)),
        regularizer=NUMBER, total=NUMBER)
 def test_audit_template_writes_what_json_writes(scored, family, regularizer, total):
+    cases, mus, counts = zip(*scored)
+    report = InconsistencyReport(cases, mus, counts, Aggregation.SUM, regularizer, total)
     header = {"family": family, "aggregation": "sum", "regularizer": regularizer,
               "total_inconsistency": total}
     rows = [{"case": n, "x": list(case.x.values), "y": case.y, "mu": mu, "counterparts": count}
             for n, (case, mu, count) in enumerate(scored, 1)]
     rows.sort(key=lambda row: (-row["mu"], row["case"]))  # tied mus in case order
-    assert _audit_text(header, scored) == json.dumps({**header, "rows": rows}, indent=2)
+    assert _audit_text(family, report) == json.dumps({**header, "rows": rows}, indent=2)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
