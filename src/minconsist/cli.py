@@ -136,6 +136,18 @@ def _fmt_prediction(v: float) -> str:
     return str(v)
 
 
+def _prediction_lines(answers: list) -> list[str]:
+    """Each answer as :func:`_fmt_prediction` writes it, ending its line.
+
+    ``str`` writes ints, and floats that are not integral, as the rule
+    does, so a block of those is written directly.
+    """
+    kinds = set(map(type, answers))
+    if kinds <= {int} or (kinds == {float} and not any(map(float.is_integer, answers))):
+        return [f"{v}\n" for v in answers]
+    return [f"{_fmt_prediction(v)}\n" for v in answers]
+
+
 def _echo_params(family: str, params: dict, dataset: Dataset, total: float, out: str) -> None:
     print(f"family={family}")
     for key in sorted(params):
@@ -183,11 +195,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 f"{model.family} answers queries from its training data; pass --data"
             )
         training = _require_matching_data(model, args.data).training
-    values = spec.answers(model.params, model.fitted, training, queries)
-    for n, value in enumerate(values, 1):
-        if not math.isfinite(value):
-            raise SolverDiverged(f"the answer to query {n} is beyond the floating-point range")
-        print(_fmt_prediction(value))
+    answers, stopped = [], None
+    try:
+        for value in spec.answers(model.params, model.fitted, training, queries):
+            if not math.isfinite(value):
+                raise SolverDiverged(
+                    f"the answer to query {len(answers) + 1} is beyond the floating-point range"
+                )
+            answers.append(value)
+    except MinconsistError as exc:
+        stopped = exc
+    # The answers before a query that fails go out first, in one call.  It hands
+    # the stream a line at a time: one write longer than the stream's buffer can
+    # end short at a closed pipe without raising, and the exit code would hide it.
+    sys.stdout.writelines(_prediction_lines(answers))
+    if stopped is not None:
+        raise stopped
     return 0
 
 

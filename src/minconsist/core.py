@@ -8,10 +8,10 @@ case-inconsistency, and the scores are folded into a single total.
 Training means returning the hypothesis whose total inconsistency is
 smallest.
 
-This module owns the data model (feature vectors, cases, training sets,
-schemas), the hypothesis variants, the one report structure
-(:class:`InconsistencyReport`, which folds the case scores into a total
-and checks it), and the family registry.  A registry row describes a
+This module owns the data model (feature vectors, blocks of them held as
+columns, cases, training sets, schemas), the hypothesis variants, the one
+report structure (:class:`InconsistencyReport`, which folds the case
+scores into a total and checks it), and the family registry.  A registry row describes a
 learner once: its parameters, the feedback it learns from, and how it
 fits, answers queries and audits a training set into a report.
 :func:`least_inconsistent` is the one finite argmin, and
@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence, TypeVar, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,36 @@ class FeatureVector:
 
 
 @dataclass(frozen=True)
+class FeatureColumns:
+    """Rows of feature values held by position: ``columns[j][i]`` is row i's value at j.
+
+    The loader returns its query rows this way, and the families answer
+    them a block at a time.  There is at least one position, and every
+    column has one length, the row count, which ``len`` gives.
+    """
+
+    columns: tuple[tuple[FeatureValue, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @property
+    def n(self) -> int:
+        return len(self.columns)
+
+    def rows(self) -> Iterator[tuple[FeatureValue, ...]]:
+        """Each row's values, in row order."""
+        return zip(*self.columns)
+
+    @classmethod
+    def of(cls, vectors: Sequence[FeatureVector]) -> "FeatureColumns":
+        """The columns of at least one vector, all of one width."""
+        if len({x.n for x in vectors}) != 1:
+            raise DimensionMismatch("feature columns need vectors, all of one width")
+        return cls(tuple(zip(*(x.values for x in vectors))))
+
+
+@dataclass(frozen=True)
 class Case:
     """One observation or one hypothesis-generated pair: features plus feedback."""
 
@@ -328,6 +358,11 @@ class TrainingSet:
     def features(self) -> tuple[FeatureVector, ...]:
         return tuple(case.x for case in self.cases)
 
+    @property
+    def columns(self) -> FeatureColumns:
+        """The feature vectors as one block of columns, in case order."""
+        return FeatureColumns(tuple(zip(*(case.x.values for case in self.cases))))
+
 
 def _kind_bucket(value: FeatureValue) -> str:
     return "symbol" if isinstance(value, str) else "number"
@@ -389,13 +424,22 @@ class LinearHypothesis:
         return len(self.b)
 
     def __call__(self, x: FeatureVector) -> float:
+        return self.block(FeatureColumns(tuple(zip(x.values))))[0]
+
+    def block(self, x: FeatureColumns) -> list[float]:
+        """``f`` at every row of ``x``, in row order.
+
+        Each row's sum starts at 0.0, adds ``b_j * x_j`` in position order
+        and then ``a``; the fixed order keeps evaluations reproducible bit
+        for bit.  The block runs it column by column.
+        """
         if x.n != self.n:
             raise DimensionMismatch(f"{self.n}-dim hypothesis applied to {x.n}-dim vector")
-        # Fixed-order accumulation keeps evaluations reproducible bit for bit.
-        s = 0.0
-        for bj, xj in zip(self.b, x.values):
-            s += bj * xj
-        return s + self.a
+        s = [0.0] * len(x)
+        for bj, column in zip(self.b, x.columns):
+            s = [si + bj * xj for si, xj in zip(s, column)]
+        a = self.a
+        return [si + a for si in s]
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +612,8 @@ class FamilySpec:
       keeps (a :class:`LinearHypothesis`, the tree of ``dtree``, or None)
       and the least total inconsistency over ``training``.
     - ``answers(params, fitted, training, queries)`` yields one answer
-      per query, in order.
+      per row of the :class:`FeatureColumns` ``queries``, in order; a
+      query that cannot be answered raises after the answers before it.
     - ``audit(params, fitted, training)`` returns the
       :class:`InconsistencyReport` of ``fitted`` over ``training``: one
       position per case, in case order, and the total that ``fit`` returns.

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 from .core import (
     Case,
@@ -25,8 +25,8 @@ from .core import (
     DuplicateFeatureVector,
     EmptySet,
     FamilySpec,
+    FeatureColumns,
     FeatureSchema,
-    FeatureValue,
     FeatureVector,
     InvalidParameter,
     LinearHypothesis,
@@ -127,7 +127,7 @@ def _column_kind_from_json(entry: Mapping, name: str) -> ColumnKind | str:
 # ---------------------------------------------------------------------------
 # Dataset loading
 
-Row = tuple[int, list[str]]  # a data row's cells and the file line it ends on
+Lines = Callable[[], list[int]]  # the file line each data row ends on, found when asked for
 
 
 def load_dataset(
@@ -147,7 +147,7 @@ def load_dataset(
     if schema_path is not None:
         declared, sidecar_target = load_sidecar_schema(schema_path)
 
-    header, rows = _read_delimited(path)
+    header, lines, table = _read_delimited(path)
     target_name = target or sidecar_target or header[-1]
     if target_name not in header:
         raise ParseError(f"target column {target_name!r} not in header {header}")
@@ -159,10 +159,10 @@ def load_dataset(
         raise ParseError(f"sidecar declares column(s) not in header: {sorted(unknown)}")
 
     kinds = tuple(
-        _column_kind(declared.get(name), [cells[i] for _, cells in rows])
-        for i, name in enumerate(header) if name != target_name
+        _column_kind(declared.get(name), tokens)
+        for name, tokens in zip(header, table) if name != target_name
     )
-    training = _training(rows, header, feature_names, kinds, target_name)
+    training = _training(lines, table, header, feature_names, kinds, target_name)
     return Dataset(training, FeatureSchema(kinds), feature_names, target_name)
 
 
@@ -174,26 +174,26 @@ def load_dataset_for_model(path: str | Path, model: "Model") -> Dataset:
     declared kinds rather than re-inferred, so ordinal levels keep the
     ranks they had at training time.
     """
-    header, rows = _read_delimited(path)
+    header, lines, table = _read_delimited(path)
     names, target = model.feature_names, model.target_name
     if set(header) != set(names) | {target}:
         raise SchemaMismatch(
             f"columns {header} do not match model columns {list(names)} + target {target!r}"
         )
-    training = _training(rows, header, names, model.schema.columns, target)
+    training = _training(lines, table, header, names, model.schema.columns, target)
     return Dataset(training, model.schema, names, target)
 
 
 def load_queries(
     path: str | Path, feature_names: tuple[str, ...], schema: FeatureSchema
-) -> tuple[FeatureVector, ...]:
-    """Feature-only rows whose header must match the model's columns."""
-    header, rows = _read_delimited(path)
+) -> FeatureColumns:
+    """Feature-only rows whose header must match the model's columns, as columns."""
+    header, lines, table = _read_delimited(path)
     if tuple(header) != tuple(feature_names):
         raise SchemaMismatch(
             f"query columns {header} do not match model columns {list(feature_names)}"
         )
-    return tuple(_vectors(rows, header, feature_names, schema.columns))
+    return FeatureColumns(_parsed(lines, table, header, feature_names, schema.columns))
 
 
 def _read(path: str | Path, error: type[MinconsistError], json_name: str | None = None):
@@ -214,31 +214,44 @@ def _read(path: str | Path, error: type[MinconsistError], json_name: str | None 
         raise error(f"{path} nests too deeply to read") from None
 
 
-def _read_delimited(path: str | Path) -> tuple[list[str], list[Row]]:
-    """The header and the data rows, each row with the file line it ends on.
+def _read_delimited(path: str | Path) -> tuple[list[str], Lines, list[tuple[str, ...]]]:
+    """The header, the file lines of the data rows, and the data's cells by column.
 
     Blank lines are skipped, and cells are stripped of surrounding
     whitespace; a quoted cell may hold the delimiter and line breaks.
+    Only an error names a file line, so the lines come from a second
+    read of the text, made when one is asked for.
     """
-    reader = csv.reader(io.StringIO(_read(path, ParseError), newline=""))
+    text = _read(path, ParseError)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        table = [(reader.line_num, [cell.strip() for cell in cells]) for cells in reader if cells]
+        rows = [cells for cells in reader if cells]
     except csv.Error as exc:  # a cell longer than the csv module's field limit
         raise ParseError(str(exc), row=reader.line_num) from None
-    if not table:
-        raise EmptySet(f"{path} is empty")
-    (header_line, header), rows = table[0], table[1:]
-    if len(set(header)) != len(header):
-        raise ParseError("header column names must be distinct", row=header_line)
-    for line, cells in rows:
-        if len(cells) != len(header):
-            raise ParseError(f"expected {len(header)} cells, found {len(cells)}", row=line)
     if not rows:
+        raise EmptySet(f"{path} is empty")
+    header, width = [cell.strip() for cell in rows[0]], len(rows[0])
+    if len(set(header)) != width:
+        raise ParseError("header column names must be distinct", row=_file_lines(text)[0])
+    if set(map(len, rows)) != {width}:
+        line, cells = next(row for row in zip(_file_lines(text), rows) if len(row[1]) != width)
+        raise ParseError(f"expected {width} cells, found {len(cells)}", row=line)
+    if len(rows) == 1:
         raise EmptySet(f"{path} has a header but no data rows")
-    return header, rows
+
+    def lines() -> list[int]:
+        return _file_lines(text)[1:]
+
+    return header, lines, [tuple(map(str.strip, column)) for column in zip(*rows[1:])]
 
 
-def _column_kind(declared: ColumnKind | str | None, tokens: list[str]) -> ColumnKind:
+def _file_lines(text: str) -> list[int]:
+    """The file line each non-blank row of ``text`` ends on, the header's first."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return [reader.line_num for cells in reader if cells]
+
+
+def _column_kind(declared: ColumnKind | str | None, tokens: Sequence[str]) -> ColumnKind:
     """The declared kind; else numeric if every token is a number, else nominal over them."""
     if declared is None:
         try:
@@ -250,52 +263,118 @@ def _column_kind(declared: ColumnKind | str | None, tokens: list[str]) -> Column
     return NominalKind(frozenset(tokens)) if declared == _OBSERVED else declared
 
 
-def _vectors(rows: list[Row], header: list[str], names: Sequence[str],
-             kinds: Sequence[ColumnKind]) -> Iterator[FeatureVector]:
-    """Each row's feature vector: the cells of ``names``, parsed under ``kinds``.
+def _parsed(lines: Lines, table: Sequence[Sequence[str]], header: list[str],
+            names: Sequence[str], kinds: Sequence[ColumnKind],
+            target: str | None = None) -> tuple[tuple, ...]:
+    """The columns of ``names`` parsed under ``kinds``, then the ``target`` column's numbers.
 
-    They are built without ``FeatureVector``'s checks; ``_training`` names
-    the loader check that stands in for each.
+    With a ``target`` the rows are a training set's, so their feature
+    vectors must be distinct.  Each column is parsed whole, by
+    :func:`_column`.  Only where that fails are the rows walked again, in
+    file order, to raise what a row-by-row parse meets first
+    (:func:`_first_fault`).
     """
     if not names or len(names) != len(kinds):
         raise SchemaMismatch(f"{len(names)} feature names but {len(kinds)} column kinds")
-    columns = [(header.index(name), _parser(kind, name)) for name, kind in zip(names, kinds)]
-    for line, cells in rows:
-        values = tuple([parse(cells[i], line) for i, parse in columns])
-        yield _trusted(FeatureVector, values=values)
+    cells = [(table[header.index(name)], kind, name, "value") for name, kind in zip(names, kinds)]
+    if target is not None:
+        cells.append((table[header.index(target)], NumericKind(), target, "feedback"))
+    columns = tuple(_column(kind, tokens) for tokens, kind, _, _ in cells)
+    if None in columns or (
+        target is not None and len(set(zip(*columns[:-1]))) < len(columns[0])
+    ):
+        _first_fault(lines(), cells, distinct=target is not None)
+    return columns
 
 
-def _training(rows: list[Row], header: list[str], names: Sequence[str],
-              kinds: Sequence[ColumnKind], target: str) -> TrainingSet:
-    """The rows as cases: ``_vectors`` plus the feedback cells, no vector twice.
+def _column(kind: ColumnKind, tokens: Sequence[str]) -> tuple | None:
+    """The values of a column of ``kind``, or None if a cell breaks the kind's rule.
+
+    A numeric cell must be a finite number, and integral values below
+    2**53 become ints, as the content hash expects; an ordinal cell
+    becomes its level's rank; a nominal cell must be a declared symbol.
+    Each rule runs once over the whole column.
+    """
+    try:
+        if isinstance(kind, NumericKind):
+            values = tuple(map(float, tokens))
+            if not all(map(math.isfinite, values)):
+                return None
+            if any(map(float.is_integer, values)):
+                values = tuple([int(v) if v.is_integer() and abs(v) < 2**53 else v
+                                for v in values])
+            return values
+        if isinstance(kind, OrdinalKind):
+            return tuple(map({level: r for r, level in enumerate(kind.levels)}.__getitem__,
+                             tokens))
+    except (ValueError, KeyError):
+        return None
+    return tuple(tokens) if kind.symbols.issuperset(tokens) else None
+
+
+def _first_fault(lines: Sequence[int], cells: Sequence[tuple], distinct: bool) -> NoReturn:
+    """Raise what a row-by-row parse of ``cells`` meets first.
+
+    Row by row, in file order: each cell in column order, the feedback
+    last, and then, when the vectors must be ``distinct``, the row's
+    feature vector against those before it.  A bad cell names its line,
+    its column and why (:func:`_fault`); a repeated vector names both lines.
+    """
+    line_of: dict[tuple, int] = {}
+    for row, line in enumerate(lines):
+        values = []
+        for tokens, kind, column, what in cells:
+            value = _column(kind, tokens[row:row + 1])
+            if value is None:
+                raise ParseError(_fault(kind, tokens[row], what), row=line, column=column)
+            values += value
+        if distinct:
+            x = tuple(values[:-1])
+            if x in line_of:
+                raise DuplicateFeatureVector(
+                    f"rows {line_of[x]} and {line} share feature vector {x!r}"
+                )
+            line_of[x] = line
+    raise AssertionError("no fault to name")
+
+
+def _fault(kind: ColumnKind, token: str, what: str) -> str:
+    """Why ``token``, a ``what`` in its column, breaks the rule of ``kind``."""
+    if isinstance(kind, OrdinalKind):
+        return f"value {token!r} not among ordinal levels {list(kind.levels)}"
+    if isinstance(kind, NominalKind):
+        return f"value {token!r} not among declared symbols"
+    try:
+        float(token)
+    except ValueError:
+        return f"{what} {token!r} is not a number"
+    return f"{what} {token!r} is not finite"
+
+
+def _training(lines: Lines, table: Sequence[Sequence[str]], header: list[str],
+              names: Sequence[str], kinds: Sequence[ColumnKind], target: str) -> TrainingSet:
+    """The rows as cases: the feature columns by row, each with its feedback.
 
     The vectors, cases and set are built without their constructors'
     checks, because the loader has made each one already:
 
     - ``FeatureVector``'s finite numbers and symbols: each cell comes from
-      its column's parser (``_parser``), which returns a finite number, a
-      rank or a declared symbol, or raises naming the row and column;
-    - its at least one value: ``_vectors``'s check of the names against
+      its column's rule (``_column``), which gives finite numbers, ranks
+      or declared symbols, or fails and the loader names the cell;
+    - its at least one value: ``_parsed``'s check of the names against
       the kinds, one kind per name and at least one name;
-    - ``Case``'s finite, numeric feedback: the target column's number parser;
+    - ``Case``'s finite, numeric feedback: the target column's number rule;
     - ``TrainingSet``'s at least one case: ``_read_delimited``'s ``EmptySet``;
     - its one length and one value kind per column: every vector comes
-      from the same column parsers, and a parser returns numbers only
-      (numeric, ordinal) or symbols only (nominal);
-    - its distinct vectors: ``line_of``, which names both file lines.
+      from the same columns, and a column holds numbers only (numeric,
+      ordinal) or symbols only (nominal);
+    - its distinct vectors: ``_parsed``'s check, which names both file lines.
     """
-    t, parse_y = header.index(target), _number_parser(target, "feedback")
-    cases = []
-    line_of: dict[tuple, int] = {}
-    for (line, cells), x in zip(rows, _vectors(rows, header, names, kinds)):
-        y = parse_y(cells[t], line)
-        if x.values in line_of:
-            raise DuplicateFeatureVector(
-                f"rows {line_of[x.values]} and {line} share feature vector {x.values!r}"
-            )
-        line_of[x.values] = line
-        cases.append(_trusted(Case, x=x, y=y))
-    return _trusted(TrainingSet, cases=tuple(cases))
+    *columns, ys = _parsed(lines, table, header, names, kinds, target)
+    return _trusted(TrainingSet, cases=tuple([
+        _trusted(Case, x=_trusted(FeatureVector, values=x), y=y)
+        for x, y in zip(zip(*columns), ys)
+    ]))
 
 
 def _trusted(cls: type, **fields):
@@ -305,54 +384,8 @@ def _trusted(cls: type, **fields):
     through the constructors, which keep every check.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
-
-
-def _parser(kind: ColumnKind, column: str) -> Callable[[str, int], FeatureValue]:
-    """The parser of one column's cells, ``parse(token, line)``, chosen once per column."""
-    if isinstance(kind, NumericKind):
-        return _number_parser(column, "value")
-    if isinstance(kind, OrdinalKind):
-        rank = {level: r for r, level in enumerate(kind.levels)}
-
-        def parse_ordinal(token: str, line: int) -> int:
-            try:
-                return rank[token]
-            except KeyError:
-                raise ParseError(f"value {token!r} not among ordinal levels {list(kind.levels)}",
-                                 row=line, column=column) from None
-
-        return parse_ordinal
-    symbols = kind.symbols
-
-    def parse_nominal(token: str, line: int) -> str:
-        if token not in symbols:
-            raise ParseError(f"value {token!r} not among declared symbols",
-                             row=line, column=column)
-        return token
-
-    return parse_nominal
-
-
-def _number_parser(column: str, what: str) -> Callable[[str, int], int | float]:
-    """The parser of a column of finite numbers, each cell a ``what`` in errors.
-
-    Integral values below 2**53 become ints, as the content hash expects.
-    """
-    def parse_number(token: str, line: int) -> int | float:
-        try:
-            value = float(token)
-        except ValueError:
-            raise ParseError(
-                f"{what} {token!r} is not a number", row=line, column=column
-            ) from None
-        if not math.isfinite(value):
-            raise ParseError(f"{what} {token!r} is not finite", row=line, column=column)
-        return int(value) if value.is_integer() and abs(value) < 2**53 else value
-
-    return parse_number
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +460,9 @@ def load_model(path: str | Path) -> Model:
     """A model file, checked against its family's registry row.
 
     The family must know the parameters and learn from the feedback
-    domain; a linear family needs a hypothesis over numbers, and a
-    query-time family keeps none but names its training data by their
-    content hash.
+    domain; a linear family needs a hypothesis over numbers, one
+    coefficient per feature, and a query-time family keeps none but names
+    its training data by their content hash.
     """
     doc = _read(path, ModelFormatError, str(path))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -458,6 +491,11 @@ def load_model(path: str | Path) -> Model:
         if (hypothesis is None) != spec.pointwise:
             keeps = "keeps no" if spec.pointwise else "needs its"
             raise ModelFormatError(f"a {family} model {keeps} hypothesis")
+        if hypothesis is not None and hypothesis.n != len(names):
+            raise ModelFormatError(
+                f"hypothesis b must hold one coefficient per feature name ({len(names)}), "
+                f"got {hypothesis.n}"
+            )
         if hypothesis is not None and any(isinstance(c, NominalKind) for c in schema.columns):
             raise ModelFormatError("a linear hypothesis takes no nominal feature")
         if spec.pointwise:

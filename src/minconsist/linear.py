@@ -20,14 +20,14 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     Aggregation,
     Case,
     DimensionMismatch,
     FamilySpec,
-    FeatureVector,
+    FeatureColumns,
     IncompatibleFamily,
     InconsistencyReport,
     InfeasibleSlack,
@@ -93,9 +93,14 @@ def svm_case_inconsistency(alpha: Case, f: LinearHypothesis) -> float:
     This is the geometric route to the slack value; it never writes the
     closed form down.
     """
-    if alpha.y not in (-1, 1):
-        raise InvalidParameter(f"half-space label must be -1 or 1, got {alpha.y!r}")
-    margin = alpha.y * f(alpha.x)
+    return _margin_inconsistency(alpha.y, f(alpha.x))
+
+
+def _margin_inconsistency(y: float, fx: float) -> float:
+    """:func:`svm_case_inconsistency` of a case with label ``y`` at which ``f`` is ``fx``."""
+    if y not in (-1, 1):
+        raise InvalidParameter(f"half-space label must be -1 or 1, got {y!r}")
+    margin = y * fx
     return 0.0 if margin >= 1.0 else abs(margin - 1.0)
 
 
@@ -180,9 +185,9 @@ def svm_report(
     """Per-case margin inconsistencies with the regularized mean total."""
     _require_numeric_features(training)
     require_labels(training, YKind.PM1)
-    cases = training.cases
+    mus = list(map(_margin_inconsistency, training.feedbacks, f.block(training.columns)))
     return InconsistencyReport.build(
-        cases, [svm_case_inconsistency(case, f) for case in cases], (None,) * len(cases),
+        training.cases, mus, (None,) * len(mus),
         Aggregation.MEAN, regularizer=params.w * squared_weight_norm(f),
     )
 
@@ -219,9 +224,10 @@ def svr_report(
 ) -> InconsistencyReport:
     """Per-case tube losses with the summed, regularized total."""
     _require_numeric_features(training)
-    cases = training.cases
+    eps = params.epsilon
+    mus = [v_epsilon(y - fx, eps) for y, fx in zip(training.feedbacks, f.block(training.columns))]
     return InconsistencyReport.build(
-        cases, [svr_case_inconsistency(case, f, params) for case in cases], (1,) * len(cases),
+        training.cases, mus, (1,) * len(mus),
         Aggregation.SUM, regularizer=_tube_regularizer(f, params),
     )
 
@@ -452,7 +458,7 @@ def _fit(report, training: TrainingSet, params, *problem) -> Fit:
     except OverflowError:
         raise SolverDiverged("the fit left the floating-point range") from None
     f = LinearHypothesis(z[:-1], z[-1])
-    if all(math.isfinite(f(case.x)) for case in training.cases):
+    if all(map(math.isfinite, f.block(training.columns))):
         try:
             return f, report(f, training, params)
         except SolverDiverged:  # the report's total is beyond the range
@@ -501,12 +507,13 @@ def _svr_problem(training: TrainingSet, params: SvrParams):
 
 
 def _require_numeric_features(training: TrainingSet) -> None:
-    for idx, case in enumerate(training.cases):
-        for pos, v in enumerate(case.x.values):
-            if isinstance(v, str):
-                raise IncompatibleFamily(
-                    f"case {idx + 1}, feature {pos + 1}: linear learners need numbers"
-                )
+    """Raise :class:`IncompatibleFamily` at the first symbol among the features.
+
+    A training set holds one value kind per column, so case 1 speaks for every case.
+    """
+    for pos, v in enumerate(training.cases[0].x.values):
+        if isinstance(v, str):
+            raise IncompatibleFamily(f"case 1, feature {pos + 1}: linear learners need numbers")
 
 
 def _svr_params(params: Mapping[str, object]) -> SvrParams:
@@ -524,8 +531,8 @@ def _svr_fit(params: Mapping[str, object], training: TrainingSet):
     return f, report.total
 
 
-def _answers(params, f: LinearHypothesis, training, queries: Iterable[FeatureVector]):
-    return map(f, queries)
+def _answers(params, f: LinearHypothesis, training, queries: FeatureColumns) -> list[float]:
+    return f.block(queries)
 
 
 # Kept because the benchmark's tracer patches ``ErmLearner.report``; no command calls it.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
     EmptyLeaf,
     EmptyNeighborhood,
     FamilySpec,
+    FeatureColumns,
     FeatureValue,
     FeatureVector,
     InconsistencyReport,
@@ -62,24 +64,24 @@ def distance(x1: FeatureVector, x2: FeatureVector, metric: str = METRIC.default)
     Ordinal positions take part through their rank integers; nominal
     positions have no distance and are rejected.
     """
-    return _column_distances([(v,) for v in x1.values], x2, metric)[0]
+    return _column_distances([(v,) for v in x1.values], x2.values, metric)[0]
 
 
 def _column_distances(
-    columns: Sequence[Sequence[FeatureValue]], x0: FeatureVector, metric: str
+    columns: Sequence[Sequence[FeatureValue]], x0: Sequence[FeatureValue], metric: str
 ) -> list[float]:
-    """The distance from every row of the transposed ``columns`` to ``x0``.
+    """The distance from every row of the transposed ``columns`` to the values ``x0``.
 
     Each row's total starts at 0.0 and adds one term per position, in
     position order.  A nominal position, in the rows or in ``x0``, has
     no distance and is rejected.
     """
-    if x0.n != len(columns):
-        raise _dimensions(len(columns), x0.n)
+    if len(x0) != len(columns):
+        raise _dimensions(len(columns), len(x0))
     if metric not in METRICS:
         METRIC.check(metric)
     totals = [0.0] * len(columns[0])
-    for pos, (column, b) in enumerate(zip(columns, x0.values)):
+    for pos, (column, b) in enumerate(zip(columns, x0)):
         if isinstance(column[0], str) or isinstance(b, str):  # columns hold one kind
             raise _nominal(pos)
         b = float(b)  # all-float terms: faster than mixed, and a huge int squares to inf
@@ -148,18 +150,18 @@ def smoothing_counterparts(
     past k when further cases tie the k-th distance exactly, so the
     selection never depends on how equal distances happen to sort.
     """
-    dists = _column_distances(_columns(training), x0, spec.metric)
-    return CounterpartSet(tuple(training.cases[i] for i in _chosen(dists, spec.mode, x0)))
+    dists = _column_distances(_columns(training), x0.values, spec.metric)
+    return CounterpartSet(tuple(training.cases[i] for i in _chosen(dists, spec.mode, x0.values)))
 
 
 def _columns(training: TrainingSet) -> tuple[tuple[FeatureValue, ...], ...]:
-    """The training features transposed, one tuple per position; numbers become floats."""
+    """The training features by position; numbers become floats."""
     return tuple(column if isinstance(column[0], str) else tuple(map(float, column))
-                 for column in zip(*(case.x.values for case in training.cases)))
+                 for column in training.columns.columns)
 
 
 def _chosen(
-    dists: Sequence[float], mode: Union[KNearest, FixedRadius], x0: FeatureVector
+    dists: Sequence[float], mode: Union[KNearest, FixedRadius], x0: tuple[FeatureValue, ...]
 ) -> list[int]:
     """Indices, in training order, of the cases the neighborhood rule selects."""
     if isinstance(mode, KNearest):
@@ -169,7 +171,7 @@ def _chosen(
         return [i for i, d in enumerate(dists) if d <= cutoff]
     chosen = [i for i, d in enumerate(dists) if d <= mode.radius]
     if not chosen:
-        raise EmptyNeighborhood(f"no case within radius {mode.radius} of {x0.values!r}")
+        raise EmptyNeighborhood(f"no case within radius {mode.radius} of {x0!r}")
     return chosen
 
 
@@ -202,7 +204,7 @@ def smoothing_fit(
     x0: FeatureVector, training: TrainingSet, spec: NeighborhoodSpec
 ) -> PointwiseHypothesis:
     """The inconsistency-minimal constant at the query: the neighborhood mean."""
-    value, _, _ = next(_neighborhood_answers(False, spec, training, (x0,)))
+    value, _, _ = next(_neighborhood_answers(False, spec, training, FeatureColumns.of((x0,))))
     return PointwiseHypothesis(x0, value)
 
 
@@ -232,7 +234,8 @@ def knn_predict(
     labels averaging one half) resolves to 0.
     """
     params = {K.key: k, METRIC.key: metric}
-    return _reported(x0, pointwise_answers("knn", params, None, training, (x0,)))
+    return _reported(x0, pointwise_answers("knn", params, None, training,
+                                           FeatureColumns.of((x0,))))
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +285,9 @@ class TreePartition:
     n_features: int
 
     def route(self, x: FeatureVector) -> TreeLeaf:
-        if x.n != self.n_features:
-            raise SchemaMismatch(f"tree splits {self.n_features} features, vector has {x.n}")
-        node = self.root
-        while isinstance(node, TreeNode):
-            node = node.left if x.values[node.feature] <= node.threshold else node.right
-        return node
+        """The leaf ``x`` reaches: the one-row case of routing a block."""
+        ((leaf, _),) = _routed(self, FeatureColumns.of((x,)))
+        return leaf
 
     def leaves(self) -> tuple[TreeLeaf, ...]:
         found: list[TreeLeaf] = []
@@ -398,7 +398,8 @@ def dtree_predict(
     x0: FeatureVector, partition: TreePartition, training: TrainingSet
 ) -> tuple[int, InconsistencyReport]:
     """Binary answer at the query from its subdomain's cases; ties give 0."""
-    return _reported(x0, pointwise_answers("dtree", {}, partition, training, (x0,)))
+    return _reported(x0, pointwise_answers("dtree", {}, partition, training,
+                                           FeatureColumns.of((x0,))))
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +425,9 @@ def nb_transform(x0: FeatureVector, training: TrainingSet) -> TransformedProblem
     Requires the observed value sets of distinct feature positions to be
     disjoint: after pooling, a value must still name its position.
     """
-    _require_query_width(x0, training)
+    _require_query_width(x0.n, training)
     observed = _observed_values(training.features)
-    for pos, v in enumerate(_nominal_values(x0)):
+    for pos, v in enumerate(_nominal_values(x0.values)):
         observed[pos].add(v)
     _require_disjoint(observed)
     pooled = frozenset().union(*observed)
@@ -439,23 +440,23 @@ def nb_transform(x0: FeatureVector, training: TrainingSet) -> TransformedProblem
     return TransformedProblem(pooled, parts, flat)
 
 
-def _require_query_width(x0: FeatureVector, training: TrainingSet) -> None:
-    if x0.n != training.n:
-        raise SchemaMismatch(f"query has {x0.n} features, training has {training.n}")
+def _require_query_width(n: int, training: TrainingSet) -> None:
+    if n != training.n:
+        raise SchemaMismatch(f"query has {n} features, training has {training.n}")
 
 
-def _nominal_values(x: FeatureVector) -> tuple[str, ...]:
-    for pos, v in enumerate(x.values):
+def _nominal_values(values: Sequence[FeatureValue]) -> Sequence[str]:
+    for pos, v in enumerate(values):
         if not isinstance(v, str):
             raise SchemaMismatch(f"feature {pos + 1} must be nominal, got {v!r}")
-    return x.values
+    return values
 
 
 def _observed_values(vectors: Sequence[FeatureVector]) -> list[set[str]]:
     """The set of values seen at each position; every value must be nominal."""
     observed: list[set[str]] = [set() for _ in range(vectors[0].n)]
     for x in vectors:
-        for pos, v in enumerate(_nominal_values(x)):
+        for pos, v in enumerate(_nominal_values(x.values)):
             observed[pos].add(v)
     return observed
 
@@ -468,7 +469,7 @@ def nb_predict(
     One baseline case per feature, scored against the training cases
     that share its value; the n scores multiply.  Ties resolve to 0.
     """
-    tallies = next(_nb_tallies(training, (x0,)))
+    tallies = next(_nb_tallies(training, FeatureColumns.of((x0,))))
     label, _ = _nb_vote(tallies)
     return label, InconsistencyReport.build(
         [Case(FeatureVector((v,)), label) for v in x0.values], _nb_fractions(tallies, label),
@@ -485,9 +486,9 @@ def pointwise_answers(
     params: Mapping[str, object],
     tree: TreePartition | None,
     training: TrainingSet,
-    queries: Sequence[FeatureVector],
+    queries: FeatureColumns,
 ) -> Iterator[tuple[float, float, int]]:
-    """(answer, query inconsistency, counterpart count) at each query, in order.
+    """(answer, query inconsistency, counterpart count) at each row of ``queries``, in order.
 
     ``tree`` is the grown tree of ``dtree``; the other families ignore
     it.  This is the one implementation of each pointwise rule: the
@@ -497,9 +498,10 @@ def pointwise_answers(
     depends on the training set alone is done once per call: the label
     check, the transposed columns of ``smoothing`` and ``knn``, the
     value table of ``nb`` (with its check that every training value is
-    nominal), and each ``dtree`` leaf's vote (when a query first
-    reaches the leaf).  Answers are yielded as they are found, so a
-    query that fails ends the iteration after the answers before it.
+    nominal), and each reached ``dtree`` leaf's vote.  ``dtree`` routes
+    the whole block down the tree at once; the other families answer
+    query by query.  A query that fails ends the iteration after the
+    answers before it.
     """
     if family == "dtree":
         yield from _leaf_answers(tree, training, queries)
@@ -515,13 +517,13 @@ def _neighborhood_answers(
     vote: bool,
     spec: NeighborhoodSpec,
     training: TrainingSet,
-    queries: Sequence[FeatureVector],
+    queries: FeatureColumns,
 ) -> Iterator[tuple[float, float, int]]:
     if vote:
         require_labels(training, YKind.BINARY01)
     columns = _columns(training)
     feedbacks = training.feedbacks
-    for x0 in queries:
+    for x0 in queries.rows():
         chosen = _chosen(_column_distances(columns, x0, spec.metric), spec.mode, x0)
         ys = [feedbacks[i] for i in chosen]
         if vote:
@@ -533,21 +535,55 @@ def _neighborhood_answers(
 
 
 def _leaf_answers(
-    tree: TreePartition, training: TrainingSet, queries: Sequence[FeatureVector]
+    tree: TreePartition, training: TrainingSet, queries: FeatureColumns
 ) -> Iterator[tuple[float, float, int]]:
+    """Each query's leaf vote: the block's row indices go down the tree as lists.
+
+    A node splits its list on its own test, so every leaf receives the
+    indices of the queries that reach it, in order.  Where a query
+    reaches an empty leaf, the answers stop before it.
+    """
     require_labels(training, YKind.BINARY01)
-    votes: dict[int, tuple[int, float, int]] = {}  # id of a reached leaf -> its answer
-    for x0 in queries:
-        leaf = tree.route(x0)
-        answer = votes.get(id(leaf))
-        if answer is None:
+    answers: list = [None] * len(queries)
+    stop, error = len(answers), None
+    for leaf, indices in _routed(tree, queries):
+        try:
             ys = [case.y for case in _leaf_cases(leaf, training)]
-            answer = votes[id(leaf)] = (*_vote(ys), len(ys))
-        yield answer
+        except EmptyLeaf as exc:
+            if indices[0] < stop:
+                stop, error = indices[0], exc
+            continue
+        answer = (*_vote(ys), len(ys))
+        for i in indices:
+            answers[i] = answer
+    yield from answers[:stop]
+    if error is not None:
+        raise error
+
+
+def _routed(
+    tree: TreePartition, queries: FeatureColumns
+) -> Iterator[tuple[TreeLeaf, list[int]]]:
+    """Each leaf that some query reaches, with those queries' row indices in order."""
+    if queries.n != tree.n_features:
+        raise SchemaMismatch(f"tree splits {tree.n_features} features, vector has {queries.n}")
+    columns = queries.columns
+    stack = [(tree.root, list(range(len(queries))))]
+    while stack:
+        node, indices = stack.pop()
+        if isinstance(node, TreeLeaf):
+            yield node, indices
+            continue
+        column, threshold = columns[node.feature], node.threshold
+        left = [i for i in indices if column[i] <= threshold]
+        right = [i for i in indices if not column[i] <= threshold]
+        for side, part in ((node.right, right), (node.left, left)):
+            if part:
+                stack.append((side, part))
 
 
 def _nb_tallies(
-    training: TrainingSet, queries: Sequence[FeatureVector]
+    training: TrainingSet, queries: FeatureColumns
 ) -> Iterator[list[tuple[int, int]]]:
     """Each query's (label-0 cases, label-1 cases) per feature value, in order.
 
@@ -562,9 +598,9 @@ def _nb_tallies(
         for v in case.x.values:
             n0, n1 = counts.get(v, (0, 0))
             counts[v] = (n0 + 1, n1) if case.y == 0 else (n0, n1 + 1)
-    for x0 in queries:
-        _require_query_width(x0, training)
-        values = _nominal_values(x0)
+    _require_query_width(queries.n, training)
+    for values in queries.rows():
+        _nominal_values(values)
         # A FeatureSchema keeps nominal symbol sets apart, so data read
         # through one never meets here.  Otherwise value sets meet only
         # where one value sits at two positions; then the pooled check
@@ -605,11 +641,11 @@ def _fit(
 
 
 def _answers(family, params, tree, training, queries) -> Iterator[float]:
-    return (value for value, _, _ in pointwise_answers(family, params, tree, training, queries))
+    return map(itemgetter(0), pointwise_answers(family, params, tree, training, queries))
 
 
 def _audit(family, params, tree, training) -> InconsistencyReport:
-    answers = pointwise_answers(family, params, tree, training, training.features)
+    answers = pointwise_answers(family, params, tree, training, training.columns)
     _, mus, counts = zip(*answers)
     return InconsistencyReport.build(training.cases, mus, counts, Aggregation.SUM_OVER_QUERIES)
 

@@ -10,20 +10,27 @@ from pathlib import Path
 import pytest
 
 from minconsist import (
+    FeatureVector,
     InconsistencyReport,
+    KNearest,
     LinearHypothesis,
+    NeighborhoodSpec,
     SvrParams,
     YKind,
+    dtree_predict,
     family_names,
+    knn_predict,
     load_dataset,
     load_model,
+    nb_predict,
+    smoothing_fit,
     svm_slack,
     svr_report,
     training_set,
 )
 from minconsist import linear, pointwise
 from minconsist.core import family_spec
-from minconsist.cli import main
+from minconsist.cli import _fmt_prediction, _prediction_lines, main
 
 
 @pytest.fixture
@@ -328,6 +335,18 @@ class TestNonFiniteResults:
         assert float(captured.out) == pytest.approx(11.25)
         assert captured.err == "error: the answer to query 2 is beyond the floating-point range\n"
 
+    def test_predict_stops_at_the_query_it_cannot_answer(self, write, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run(["train", "--learner", "erm", "--data", write("d.csv", self.LINE_CSV),
+                    "--out", model]) == 0
+        capsys.readouterr()
+        queries = write("q.csv", "x\n5\n1e308\n6\n")
+        assert run(["predict", "--model", model, "--queries", queries]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1
+        assert float(captured.out) == pytest.approx(11.25)
+        assert captured.err == "error: the answer to query 2 is beyond the floating-point range\n"
+
     def test_a_mean_whose_sum_overflows_is_answered(self, write, tmp_path, capsys):
         data, model = write("d.csv", self.HUGE_CSV), tmp_path / "m.json"
         assert run(["train", "--learner", "smoothing", "--k", "2", "--data", data,
@@ -543,6 +562,21 @@ class TestModelChecks:
         capsys.readouterr()
         self._rejected(model, queries, data, capsys, f"{model}: {named}")
 
+    @pytest.mark.parametrize("b", [[1.0], [1.0, 2.0, 3.0]], ids=["shorter", "longer"])
+    @pytest.mark.parametrize("family", ["erm", "svm"])
+    def test_linear_model_of_another_width_is_a_data_error(self, write, tmp_path, capsys,
+                                                           family, b):
+        data, model = write("d.csv", PM1_CSV), tmp_path / "m.json"
+        assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                    "--out", model]) == 0
+        doc = json.loads(model.read_text())
+        doc["hypothesis"]["b"] = b
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        self._rejected(model, write("q.csv", "x1,x2\n2,2\n"), data, capsys,
+                       f"{model}: hypothesis b must hold one coefficient per feature name (2), "
+                       f"got {len(b)}")
+
     def test_svm_model_over_a_nominal_column_is_a_data_error(self, write, tmp_path, capsys):
         model = tmp_path / "m.json"
         run(["train", "--learner", "svm", "--data", write("d.csv", "x,y\n0,-1\n1,1\n"),
@@ -617,6 +651,64 @@ class TestPredict:
         assert run(["predict", "--model", model, "--queries", queries,
                     "--data", data]) == 0
         assert capsys.readouterr().out == "0\n1\n"
+
+
+@pytest.mark.parametrize("answers", [
+    [], [0, 1, 1], [1.5, -0.25, 1e-300], [2.0, -0.5], [-0.0, 3.5], [1e16, 2.0**53 - 1, 0.5],
+    [1, 2.0, 2.5], [True, 0],
+], ids=repr)
+def test_a_block_is_written_as_each_answer_alone(answers):
+    assert _prediction_lines(answers) == [f"{_fmt_prediction(v)}\n" for v in answers]
+
+
+def _seeded_table(family, rng):
+    """(training rows, feedbacks, query rows) for ``family``, as Python values."""
+    if family == "nb":
+        symbols = [("a0", "a1", "a2"), ("b0", "b1")]
+        points = sorted({tuple(rng.choice(s) for s in symbols) for _ in range(12)})
+        queries = [tuple(rng.choice(s) for s in symbols) for _ in range(25)]
+    elif family == "dtree":
+        points = sorted({(rng.randrange(5), rng.randrange(4)) for _ in range(15)})
+        queries = [(rng.randrange(-1, 6), rng.randrange(5)) for _ in range(25)]
+    else:
+        points = sorted({(rng.randrange(-9, 10), round(rng.uniform(-3, 3), 2))
+                         for _ in range(15)})
+        queries = [(round(rng.uniform(-12, 12), 3), rng.randrange(-5, 5)) for _ in range(25)]
+    labels = {"svm": (-1, 1), "svr": None, "erm": None, "smoothing": None}.get(family, (0, 1))
+    ys = [rng.choice(labels) if labels else round(rng.uniform(-5, 5), 1) for _ in points]
+    return points, ys, queries
+
+
+def _table_text(header, rows):
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_predict_writes_the_per_query_answers(write, tmp_path, capsys, family):
+    import random
+
+    points, ys, queries = _seeded_table(family, random.Random(f"predict:{family}"))
+    data = write("d.csv", _table_text(("x1", "x2", "y"), [(*x, y) for x, y in zip(points, ys)]))
+    model = tmp_path / "m.json"
+    assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                "--out", model]) == 0
+    capsys.readouterr()
+    assert run(["predict", "--model", model, "--queries",
+                write("q.csv", _table_text(("x1", "x2"), queries)), "--data", data]) == 0
+    fitted, training = load_model(model), training_set(zip(points, ys))
+    vectors = [FeatureVector(q) for q in queries]
+    if family in ("svm", "svr", "erm"):
+        answers = [fitted.hypothesis(x0) for x0 in vectors]
+    elif family == "smoothing":
+        spec = NeighborhoodSpec(KNearest(2), "euclidean")
+        answers = [smoothing_fit(x0, training, spec).value for x0 in vectors]
+    elif family == "knn":
+        answers = [knn_predict(x0, training, 3)[0] for x0 in vectors]
+    elif family == "dtree":
+        answers = [dtree_predict(x0, fitted.tree, training)[0] for x0 in vectors]
+    else:
+        answers = [nb_predict(x0, training)[0] for x0 in vectors]
+    assert capsys.readouterr().out == "".join(f"{_fmt_prediction(v)}\n" for v in answers)
 
 
 class TestAudit:

@@ -308,7 +308,8 @@ class TestLoadQueries:
 
         schema = FeatureSchema.numeric(2)
         queries = load_queries(write("q.csv", "x1,x2\n1,2\n3,4\n"), ("x1", "x2"), schema)
-        assert [q.values for q in queries] == [(1, 2), (3, 4)]
+        assert queries.columns == ((1, 3), (2, 4))
+        assert list(queries.rows()) == [(1, 2), (3, 4)]
 
     def test_names_and_kinds_must_pair_up(self, write):
         from minconsist import FeatureSchema
@@ -503,19 +504,19 @@ class TestCheckedOnce:
         ))
         if loader == "load_queries":
             path = write("q.csv", "x,s,o\n" + "".join(f"{row}\n" for row in rows))
-            return load_queries(path, ("x", "s", "o"), schema)
+            return list(load_queries(path, ("x", "s", "o"), schema).rows())
         path = write("d.csv", "x,s,o,y\n" + "".join(f"{row},1\n" for row in rows))
         model = Model(family="knn", params={"k": 1, "metric": "euclidean"},
                       feature_names=("x", "s", "o"), schema=schema, target_name="y",
                       y_kind=YKind.BINARY01)
-        return load_dataset_for_model(path, model).training.features
+        return [x.values for x in load_dataset_for_model(path, model).training.features]
 
     @pytest.mark.parametrize("loader", ["load_queries", "load_dataset_for_model"])
     def test_no_row_is_checked_again(self, write, checks, loader):
-        vectors = self._load(write, loader)
+        rows = self._load(write, loader)
         assert checks == {}
-        assert len(vectors) == self.ROWS
-        assert vectors[3].values == (3, "b", 1)
+        assert len(rows) == self.ROWS
+        assert rows[3] == (3, "b", 1)
 
     @pytest.mark.parametrize("loader", ["load_queries", "load_dataset_for_model"])
     @pytest.mark.parametrize("last, message, column", [
@@ -527,3 +528,89 @@ class TestCheckedOnce:
             self._load(write, loader, last)
         assert str(info.value) == f"{message} (row {self.ROWS + 2}, column {column!r})"
         assert (info.value.row, info.value.column) == (self.ROWS + 2, column)
+
+
+def _load_table(write, loader, rows, feedbacks=None):
+    """Load ``x,s,o`` rows (file lines 2, 3, ...) through ``loader``, feedback 1 unless given."""
+    from minconsist import FeatureSchema
+
+    if loader == "load_queries":
+        path = write("q.csv", "x,s,o\n" + "".join(f"{row}\n" for row in rows))
+        schema = FeatureSchema((
+            NumericKind(), NominalKind(frozenset({"a", "b"})), OrdinalKind(("lo", "hi")),
+        ))
+        return load_queries(path, ("x", "s", "o"), schema)
+    feedbacks = feedbacks or ["1"] * len(rows)
+    # The feedback column comes first, so column order alone cannot put it last.
+    path = write("d.csv", "y,x,s,o\n" + "".join(f"{y},{row}\n" for y, row in zip(feedbacks, rows)))
+    sidecar = write("d.schema.json", json.dumps({"columns": _FAULT_SCHEMA, "target": "y"}))
+    if loader == "load_dataset":
+        return load_dataset(path, schema_path=sidecar)
+    model = Model(family="knn", params={"k": 1, "metric": "euclidean"},
+                  feature_names=("x", "s", "o"),
+                  schema=load_dataset(write("t.csv", "x,s,o,y\n1,a,lo,0\n"),
+                                      schema_path=write("t.schema.json", json.dumps(
+                                          {"columns": _FAULT_SCHEMA}))).schema,
+                  target_name="y", y_kind=YKind.BINARY01)
+    return load_dataset_for_model(path, model)
+
+
+LOADERS = ["load_dataset", "load_dataset_for_model", "load_queries"]
+TRAINING_LOADERS = LOADERS[:2]
+
+
+class TestErrorPrecedence:
+    """Of several faults in one file, every loader names the one a row-by-row read meets first."""
+
+    def _error(self, write, loader, rows, feedbacks=None):
+        with pytest.raises(MinconsistError) as info:
+            _load_table(write, loader, rows, feedbacks)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_the_earlier_row_is_named(self, write, loader):
+        rows = ["1,a,lo", "2,zz,hi", "3,a,hi", "four,b,lo"]  # column 2 of row 3, column 1 of row 5
+        assert self._error(write, loader, rows) == (
+            ParseError, "value 'zz' not among declared symbols (row 3, column 's')")
+
+    @pytest.mark.parametrize("loader", TRAINING_LOADERS)
+    def test_a_feature_before_the_feedback_of_its_row(self, write, loader):
+        rows, feedbacks = ["1,a,lo", "2,a,mid"], ["1", "oops"]
+        assert self._error(write, loader, rows, feedbacks) == (
+            ParseError, "value 'mid' not among ordinal levels ['lo', 'hi'] (row 3, column 'o')")
+        assert self._error(write, loader, ["1,a,lo", "2,a,hi"], feedbacks) == (
+            ParseError, "feedback 'oops' is not a number (row 3, column 'y')")
+
+    @pytest.mark.parametrize("loader", TRAINING_LOADERS)
+    def test_a_duplicate_and_a_bad_cell_in_row_order(self, write, loader):
+        assert self._error(write, loader, ["1,a,lo", "1,a,lo", "2,zz,lo"]) == (
+            DuplicateFeatureVector, "rows 2 and 3 share feature vector (1, 'a', 0)")
+        assert self._error(write, loader, ["1,a,lo", "2,zz,lo", "1,a,lo"]) == (
+            ParseError, "value 'zz' not among declared symbols (row 3, column 's')")
+        assert self._error(write, loader, ["1,a,lo", "1,a,lo"], ["1", "nan"]) == (
+            ParseError, "feedback 'nan' is not finite (row 3, column 'y')")
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_a_ragged_row_before_any_cell(self, write, loader):
+        width = 3 if loader == "load_queries" else 4
+        rows = ["1,a,lo", "four,a,lo", "2,b"]
+        assert self._error(write, loader, rows) == (
+            ParseError, f"expected {width} cells, found {width - 1} (row 4)")
+
+
+class TestQueryColumns:
+    def test_length_is_the_row_count(self, write):
+        from minconsist import FeatureSchema
+
+        path = write("q.csv", "x1,x2\n1,2\n\n3,4\n5,6\n")
+        queries = load_queries(path, ("x1", "x2"), FeatureSchema.numeric(2))
+        assert len(queries) == 3
+        assert queries.n == 2
+
+    def test_numbers_keep_the_loader_rules(self, write):
+        from minconsist import FeatureSchema
+
+        path = write("q.csv", "x\n7.0\n-0.0\n2.5\n9007199254740993\n1e16\n")
+        (column,) = load_queries(path, ("x",), FeatureSchema.numeric(1)).columns
+        assert [(type(v), v) for v in column] == [
+            (int, 7), (int, 0), (float, 2.5), (float, 9007199254740992.0), (float, 1e16)]

@@ -478,6 +478,16 @@ class TestLearnerAdapters:
             with pytest.raises(IncompatibleFamily):
                 family_spec(family).audit(params, UNIT, T)
 
+    def test_the_first_symbol_is_named(self):
+        # A training set holds one value kind per column, so case 1 names the column.
+        T = training_set([((1.0, 2.0, "a"), 1), ((2.0, 3.0, "b"), -1)])
+        message = "case 1, feature 3: linear learners need numbers"
+        with pytest.raises(IncompatibleFamily, match=f"^{message}$"):
+            svm_report(LinearHypothesis((1.0, 1.0, 1.0), 0.0), T, SvmParams(1.0))
+        for family, params in (("svm", {"w": 1.0}), ("erm", {})):
+            with pytest.raises(IncompatibleFamily, match=f"^{message}$"):
+                select_hypothesis(family, params, T)
+
     def test_plain_fit_reuses_the_tube_solver(self):
         T = training_set([((0.0,), 1.0), ((1.0,), 3.0), ((2.0,), 5.0)])
         f_erm, total = select_hypothesis("erm", {}, T)

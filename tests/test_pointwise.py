@@ -5,6 +5,7 @@ import pytest
 
 from minconsist import (
     EmptyNeighborhood,
+    FeatureColumns,
     FeatureVector,
     FixedRadius,
     InvalidParameter,
@@ -34,6 +35,11 @@ from minconsist.pointwise import LABELS, pointwise_answers
 
 def vec(*values):
     return FeatureVector.of(*values)
+
+
+def block(*vectors):
+    """The engine's queries: the vectors as one block of columns."""
+    return FeatureColumns.of(vectors)
 
 
 class TestDistance:
@@ -129,7 +135,7 @@ class TestSmoothing:
     def test_fit_scores_zero_on_its_own_report(self):
         T = training_set([((0,), 2.0), ((1,), 4.0)])
         params = {"k": 2, "metric": "euclidean"}
-        assert list(pointwise_answers("smoothing", params, None, T, [vec(0.5)])) == [
+        assert list(pointwise_answers("smoothing", params, None, T, block(vec(0.5)))) == [
             (3.0, 0.0, 2)
         ]
 
@@ -162,7 +168,7 @@ class TestKnn:
         T = training_set([((0,), 0), ((1,), 1)])
         assert LABELS == (0, 1)
         params = {"k": 2, "metric": "euclidean"}
-        assert list(pointwise_answers("knn", params, None, T, [vec(0.5)])) == [(0, 0.5, 2)]
+        assert list(pointwise_answers("knn", params, None, T, block(vec(0.5)))) == [(0, 0.5, 2)]
 
 
 class TestTreeBuild:
@@ -262,7 +268,7 @@ class TestTreeQueries:
         params = {"max_depth": 8, "min_leaf_size": 1, "purity_threshold": 0.0}
         tree, total = select_hypothesis("dtree", {}, self.T)
         assert total == 0.0
-        assert list(pointwise_answers("dtree", params, tree, self.T, [vec(1), vec(4)])) == [
+        assert list(pointwise_answers("dtree", params, tree, self.T, block(vec(1), vec(4)))) == [
             (0, 0.0, 2), (1, 0.0, 2)
         ]
 
@@ -341,7 +347,7 @@ class TestNbScoring:
     def test_learner_adapter_tie_rule(self):
         # The learner as the CLI runs it: an unseen value ties, and the tie gives 0.
         T = training_set([(("a",), 0), (("b",), 1)])
-        assert list(pointwise_answers("nb", {}, None, T, [vec("z")])) == [(0, 0.5, 0)]
+        assert list(pointwise_answers("nb", {}, None, T, block(vec("z")))) == [(0, 0.5, 0)]
 
 
 class TestDeterminism:

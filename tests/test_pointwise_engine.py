@@ -9,6 +9,7 @@ the neighborhood mean and the leaf vote.  Where a query fails, the
 error class, its message and the query it happens at are written out.
 """
 
+import itertools
 import math
 import random
 
@@ -17,6 +18,7 @@ import pytest
 from minconsist import (
     EmptyLeaf,
     EmptyNeighborhood,
+    FeatureColumns,
     FeatureVector,
     KExceedsSampleSize,
     MinconsistError,
@@ -97,7 +99,17 @@ def grown(family, params, training):
 def engine(family, params, training, queries, tree=None):
     if tree is None:
         tree = grown(family, params, training)
-    return outcomes(pointwise_answers(family, params, tree, training, queries))
+    return outcomes(blocks(family, params, tree, training, queries))
+
+
+def blocks(family, params, tree, training, queries):
+    """The engine's answers at the vectors ``queries``, in order.
+
+    The engine takes a block of columns, all of one width, so each run
+    of vectors of one width goes in as a block of its own.
+    """
+    for _, run in itertools.groupby(queries, key=lambda x: x.n):
+        yield from pointwise_answers(family, params, tree, training, FeatureColumns.of(list(run)))
 
 
 def assert_brute(family, params, training, queries):
@@ -241,6 +253,17 @@ def test_empty_leaf_when_a_query_reaches_it():
     out = engine("dtree", TREE_DEFAULTS, training, [vec(0), vec(1), vec(3), vec(0)], tree)
     leaf_0 = ("1", repr(1 - 2 / 3), 3)
     assert out == [leaf_0, leaf_0, (EmptyLeaf, "leaf 1 holds no cases")]
+
+
+def test_the_first_query_at_an_empty_leaf_stops_the_answers():
+    training = training_set([((0,), 1), ((1,), 0), ((2,), 1)])
+    tree = TreePartition(
+        TreeNode(0, 1, TreeLeaf(0, ()), TreeNode(0, 3, TreeLeaf(1, (0, 1, 2)), TreeLeaf(2, ()))), 1
+    )
+    leaf_1 = ("1", repr(1 - 2 / 3), 3)
+    for queries, empty in (([2, 0, 5], 0), ([2, 5, 0], 2)):
+        out = engine("dtree", TREE_DEFAULTS, training, [vec(q) for q in queries], tree)
+        assert out == [leaf_1, (EmptyLeaf, f"leaf {empty} holds no cases")]
 
 
 @pytest.mark.parametrize("family", ["knn", "dtree", "nb"])

@@ -9,28 +9,34 @@ escaping ``main`` would reach the user as a traceback.
 
 The loader's rows, built without the constructors' checks, must be rows
 the constructors accept, and the audit's template must write the text
-``json.dumps(..., indent=2)`` writes.
+``json.dumps(..., indent=2)`` writes.  A block of queries must get the
+answers its rows get one at a time: a linear hypothesis the same bits,
+and a tree the same leaves.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
+import struct
 import tempfile
 from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from minconsist import family_names  # noqa: E402
 from minconsist.cli import _audit_text, _json_value, main  # noqa: E402
 from minconsist.core import (  # noqa: E402
     Aggregation,
     Case,
+    FeatureColumns,
     FeatureVector,
     InconsistencyReport,
+    LinearHypothesis,
     TrainingSet,
     YKind,
 )
@@ -40,6 +46,7 @@ from minconsist.dataio import (  # noqa: E402
     load_dataset_for_model,
     load_queries,
 )
+from minconsist.pointwise import TreeLeaf, TreeNode, TreePartition, _routed  # noqa: E402
 
 FAMILY_FLAGS = {
     "smoothing": ["--k", "1"],
@@ -260,8 +267,8 @@ def test_loaded_rows_are_rows_the_constructors_accept(rows):
                                         for c in training.cases))
             assert rebuilt == training
         loaded = load_queries(queries, dataset.feature_names, dataset.schema)
-        assert tuple(FeatureVector(q.values) for q in loaded) == loaded
-        assert loaded == dataset.training.features
+        assert tuple(FeatureVector(q).values for q in loaded.rows()) == tuple(loaded.rows())
+        assert loaded == dataset.training.columns
 
 
 # -- generated argument lists and sidecar schemas ----------------------------
@@ -341,3 +348,81 @@ def test_generated_sidecars_keep_the_exit_code_contract(doc, family):
         sidecar.write_text(json.dumps(doc), encoding="utf-8")
         _run(["train", "--learner", family, *FAMILY_FLAGS[family], "--data", data,
               "--schema", sidecar, "--out", Path(tmp, "m.json")])
+
+
+# -- block answers against row answers ---------------------------------------
+
+# Signed zeros, subnormals, and values whose products and sums overflow.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.5, -3.0]
+COEFFICIENT = st.one_of(st.sampled_from(EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+CELL = st.one_of(COEFFICIENT, st.integers(-2**60, 2**60))
+
+
+@st.composite
+def linear_block(draw):
+    """A hypothesis and the columns of one to eight rows of its width."""
+    n = draw(st.integers(1, 4))
+    b = draw(st.lists(COEFFICIENT, min_size=n, max_size=n))
+    rows = draw(st.lists(st.tuples(*[CELL] * n), min_size=1, max_size=8))
+    return LinearHypothesis(tuple(b), draw(COEFFICIENT)), rows
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=linear_block())
+@example(case=(LinearHypothesis((1e308, 1e308), -1e308), [(2, -2), (1e308, 1.0), (0, 5e-324)]))
+# Sums that rounding tells apart from ones taken in another order, or with a added first.
+@example(case=(LinearHypothesis((1e16, -1e16), 1.0), [(1, 1)]))
+@example(case=(LinearHypothesis((1.0, 1e16, -1e16), 0.0), [(1, 1, 1), (-0.0, 0, 0)]))
+def test_block_evaluation_is_the_row_sum_bit_for_bit(case):
+    f, rows = case
+    block = f.block(FeatureColumns(tuple(zip(*rows))))
+    sums = []
+    for row in rows:
+        s = 0.0
+        for bj, xj in zip(f.b, row):
+            s += bj * xj
+        sums.append(s + f.a)
+    # Bit for bit, so an overflow gives inf or NaN at the same rows, with the same sign.
+    assert list(map(_bits, block)) == list(map(_bits, sums))
+    assert [_bits(f(FeatureVector(row))) for row in rows] == list(map(_bits, sums))
+
+
+@st.composite
+def routed_block(draw):
+    """A tree over one to three features, and the columns of one to twelve rows."""
+    n = draw(st.integers(1, 3))
+    ids = itertools.count()
+
+    def grow(depth):
+        if depth == 0 or draw(st.booleans()):
+            return TreeLeaf(next(ids), ())
+        return TreeNode(draw(st.integers(0, n - 1)), draw(st.integers(-1, 4)),
+                        grow(depth - 1), grow(depth - 1))
+
+    value = st.one_of(st.integers(-2, 6), st.floats(-2.0, 6.0))
+    rows = draw(st.lists(st.tuples(*[value] * n), min_size=1, max_size=12))
+    return TreePartition(grow(4), n), rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=routed_block())
+def test_index_routing_is_routing_row_by_row(case):
+    tree, rows = case
+    reached = {}
+    for leaf, indices in _routed(tree, FeatureColumns(tuple(zip(*rows)))):
+        assert indices == sorted(indices)
+        for i in indices:
+            assert i not in reached
+            reached[i] = leaf
+    assert sorted(reached) == list(range(len(rows)))
+    for i, row in enumerate(rows):
+        node = tree.root  # a plain walk: left where the value is at most the threshold
+        while isinstance(node, TreeNode):
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        assert reached[i] is node
+        assert tree.route(FeatureVector(row)) is node
