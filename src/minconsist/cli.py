@@ -136,18 +136,6 @@ def _fmt_prediction(v: float) -> str:
     return str(v)
 
 
-def _prediction_lines(answers: list) -> list[str]:
-    """Each answer as :func:`_fmt_prediction` writes it, ending its line.
-
-    ``str`` writes ints, and floats that are not integral, as the rule
-    does, so a block of those is written directly.
-    """
-    kinds = set(map(type, answers))
-    if kinds <= {int} or (kinds == {float} and not any(map(float.is_integer, answers))):
-        return [f"{v}\n" for v in answers]
-    return [f"{_fmt_prediction(v)}\n" for v in answers]
-
-
 def _echo_params(family: str, params: dict, dataset: Dataset, total: float, out: str) -> None:
     print(f"family={family}")
     for key in sorted(params):
@@ -208,7 +196,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # The answers before a query that fails go out first, in one call.  It hands
     # the stream a line at a time: one write longer than the stream's buffer can
     # end short at a closed pipe without raising, and the exit code would hide it.
-    sys.stdout.writelines(_prediction_lines(answers))
+    sys.stdout.writelines([f"{_fmt_prediction(v)}\n" for v in answers])
     if stopped is not None:
         raise stopped
     return 0

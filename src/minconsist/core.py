@@ -275,6 +275,10 @@ class FeatureColumns:
 
     columns: tuple[tuple[FeatureValue, ...], ...]
 
+    def __post_init__(self) -> None:
+        if len(set(map(len, self.columns))) != 1:
+            raise DimensionMismatch("feature columns need at least one column, all of one length")
+
     def __len__(self) -> int:
         return len(self.columns[0])
 
@@ -757,6 +761,6 @@ def erm_total_inconsistency(f: LinearHypothesis, training: TrainingSet) -> float
     point, and scores their absolute feedback gap.
     """
     total = 0.0
-    for case in training.cases:
-        total += abs(case.y - f(case.x))
+    for y, fx in zip(training.feedbacks, f.block(training.columns)):
+        total += abs(y - fx)
     return total

@@ -107,11 +107,8 @@ def _margin_inconsistency(y: float, fx: float) -> float:
 def svm_slack(f: LinearHypothesis, training: TrainingSet) -> tuple[float, ...]:
     """The smallest feasible slack, case by case: 0 or 1 - y f(x), in case order."""
     require_labels(training, YKind.PM1)
-    out = []
-    for case in training.cases:
-        margin = case.y * f(case.x)
-        out.append(0.0 if margin >= 1.0 else 1.0 - margin)
-    return tuple(out)
+    margins = [y * fx for y, fx in zip(training.feedbacks, f.block(training.columns))]
+    return tuple(0.0 if margin >= 1.0 else 1.0 - margin for margin in margins)
 
 
 def slack_feasible(f: LinearHypothesis, training: TrainingSet, zeta: Sequence[float]) -> bool:
@@ -123,10 +120,8 @@ def slack_feasible(f: LinearHypothesis, training: TrainingSet, zeta: Sequence[fl
     """
     if len(zeta) != training.m:
         raise DimensionMismatch(f"{len(zeta)} slacks for {training.m} cases")
-    for case, z in zip(training.cases, zeta):
-        if z < 0.0:
-            return False
-        if z < 1.0 - case.y * f(case.x):
+    for z, y, fx in zip(zeta, training.feedbacks, f.block(training.columns)):
+        if z < 0.0 or z < 1.0 - y * fx:
             return False
     return True
 
@@ -210,8 +205,14 @@ def svr_case_inconsistency(alpha: Case, f: LinearHypothesis, params: SvrParams) 
 
 def svr_objective(f: LinearHypothesis, training: TrainingSet, params: SvrParams) -> float:
     """Summed tube losses plus lambda ||b||^2; no sample-size normalization."""
-    mus = [svr_case_inconsistency(case, f, params) for case in training.cases]
+    mus = _tube_losses(f, training, params.epsilon)
     return aggregate_mus(mus, Aggregation.SUM) + _tube_regularizer(f, params)
+
+
+def _tube_losses(f: LinearHypothesis, training: TrainingSet, epsilon: float) -> list[float]:
+    """:func:`svr_case_inconsistency` at every case, in case order, through one block."""
+    fxs = f.block(training.columns)
+    return [v_epsilon(y - fx, epsilon) for y, fx in zip(training.feedbacks, fxs)]
 
 
 def _tube_regularizer(f: LinearHypothesis, params: SvrParams) -> float:
@@ -224,8 +225,7 @@ def svr_report(
 ) -> InconsistencyReport:
     """Per-case tube losses with the summed, regularized total."""
     _require_numeric_features(training)
-    eps = params.epsilon
-    mus = [v_epsilon(y - fx, eps) for y, fx in zip(training.feedbacks, f.block(training.columns))]
+    mus = _tube_losses(f, training, params.epsilon)
     return InconsistencyReport.build(
         training.cases, mus, (1,) * len(mus),
         Aggregation.SUM, regularizer=_tube_regularizer(f, params),

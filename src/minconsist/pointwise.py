@@ -540,25 +540,22 @@ def _leaf_answers(
     """Each query's leaf vote: the block's row indices go down the tree as lists.
 
     A node splits its list on its own test, so every leaf receives the
-    indices of the queries that reach it, in order.  Where a query
-    reaches an empty leaf, the answers stop before it.
+    indices of the queries that reach it, in order.  The answers then go
+    out in row order, each leaf's vote taken when a query first reaches
+    it, so a query at an empty leaf stops them there.
     """
     require_labels(training, YKind.BINARY01)
-    answers: list = [None] * len(queries)
-    stop, error = len(answers), None
+    leaf_of: list = [None] * len(queries)
     for leaf, indices in _routed(tree, queries):
-        try:
-            ys = [case.y for case in _leaf_cases(leaf, training)]
-        except EmptyLeaf as exc:
-            if indices[0] < stop:
-                stop, error = indices[0], exc
-            continue
-        answer = (*_vote(ys), len(ys))
         for i in indices:
-            answers[i] = answer
-    yield from answers[:stop]
-    if error is not None:
-        raise error
+            leaf_of[i] = leaf
+    votes: dict[int, tuple[int, float, int]] = {}  # id of a reached leaf -> its answer
+    for leaf in leaf_of:
+        answer = votes.get(id(leaf))
+        if answer is None:
+            ys = [case.y for case in _leaf_cases(leaf, training)]
+            answer = votes[id(leaf)] = (*_vote(ys), len(ys))
+        yield answer
 
 
 def _routed(

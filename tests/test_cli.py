@@ -30,7 +30,7 @@ from minconsist import (
 )
 from minconsist import linear, pointwise
 from minconsist.core import family_spec
-from minconsist.cli import _fmt_prediction, _prediction_lines, main
+from minconsist.cli import _fmt_prediction, main
 
 
 @pytest.fixture
@@ -651,14 +651,6 @@ class TestPredict:
         assert run(["predict", "--model", model, "--queries", queries,
                     "--data", data]) == 0
         assert capsys.readouterr().out == "0\n1\n"
-
-
-@pytest.mark.parametrize("answers", [
-    [], [0, 1, 1], [1.5, -0.25, 1e-300], [2.0, -0.5], [-0.0, 3.5], [1e16, 2.0**53 - 1, 0.5],
-    [1, 2.0, 2.5], [True, 0],
-], ids=repr)
-def test_a_block_is_written_as_each_answer_alone(answers):
-    assert _prediction_lines(answers) == [f"{_fmt_prediction(v)}\n" for v in answers]
 
 
 def _seeded_table(family, rng):

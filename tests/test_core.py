@@ -12,6 +12,7 @@ from minconsist import (
     DimensionMismatch,
     DuplicateFeatureVector,
     EmptySet,
+    FeatureColumns,
     FeatureSchema,
     FeatureVector,
     InconsistencyReport,
@@ -46,6 +47,17 @@ class TestFeatureVector:
     def test_rejects_empty(self):
         with pytest.raises(SchemaMismatch):
             FeatureVector(())
+
+
+class TestFeatureColumns:
+    @pytest.mark.parametrize("columns", [(), ((1, 2), (3,)), ((1,), ())], ids=repr)
+    def test_rejects_no_columns_and_ragged_columns(self, columns):
+        with pytest.raises(DimensionMismatch, match="all of one length"):
+            FeatureColumns(columns)
+
+    def test_zero_rows_are_a_block(self):
+        block = FeatureColumns(((), ()))
+        assert (len(block), block.n, list(block.rows())) == (0, 2, [])
 
 
 class TestCase_:
