@@ -95,6 +95,62 @@ class TestTrainingSet:
         with pytest.raises(SchemaMismatch):
             training_set([((1, "a"), 0), (("b", 2), 1)])
 
+    @pytest.mark.parametrize("pairs, error, message", [
+        ([((1, 2), 0), ((3,), 1)], SchemaMismatch, "case 2 has 1 features, case 1 has 2"),
+        ([((1, 2), 0), ((3, True), 1)], SchemaMismatch, "unsupported feature value True"),
+        ([((1, 2), 0), ((3, None), 1)], SchemaMismatch, "unsupported feature value None"),
+        ([((1, 2), 0), ((3, math.inf), 1)], SchemaMismatch, "feature values must be finite"),
+        ([((1, 2), 0), ((3, 4), False)], SchemaMismatch,
+         "feedback must be a real number, got False"),
+        ([((1, 2), 0), ((3, 4), "1")], SchemaMismatch, "feedback must be a real number, got '1'"),
+        ([((1, 2), 0), ((3, 4), math.nan)], SchemaMismatch, "feedback must be finite"),
+        ([((1, "a"), 0), ((2, "b"), 1), ((3, 4), 0)], SchemaMismatch,
+         "case 3, feature 2: mixed value kinds in one column"),
+        ([((1, 2), 0), ((3, 4), 1), ((1, 2), 1)], DuplicateFeatureVector,
+         "cases 1 and 3 share feature vector (1, 2)"),
+        ([((1, 2), 0), ((1.0, 2.0), 1)], DuplicateFeatureVector,
+         "cases 1 and 2 share feature vector (1.0, 2.0)"),
+        ([], EmptySet, "a training set needs at least one case"),
+    ], ids=lambda v: repr(v)[:40])
+    def test_each_fault_keeps_its_message(self, pairs, error, message):
+        with pytest.raises(error) as caught:
+            training_set(pairs)
+        assert str(caught.value) == message
+
+    # Of two faults, the one named: first a bad value or feedback in any case,
+    # in case order (within a case, the values before the feedback); then, case
+    # by case, a width unlike case 1's, mixed kinds (lowest feature first) and a
+    # repeated vector.
+    @pytest.mark.parametrize("pairs, error, message", [
+        ([((1, 2), 0), ((3,), 1), ((True, 4), 0)], SchemaMismatch,
+         "unsupported feature value True"),
+        ([((1, 2), 0), ((3, 4), math.nan), ((True, 5), 0)], SchemaMismatch,
+         "feedback must be finite"),
+        ([((1, 2), 0), ((3, math.nan), "y")], SchemaMismatch, "feature values must be finite"),
+        ([((1, 2), 0), ((3, None), 0), ((math.inf, 5), 0)], SchemaMismatch,
+         "unsupported feature value None"),
+        ([((1, 2), 0), ((1, 2), 1), ((3, 4), True)], SchemaMismatch,
+         "feedback must be a real number, got True"),
+        ([((1, 2), 0), ((1, 2), 1), (("a", 4), 0)], DuplicateFeatureVector,
+         "cases 1 and 2 share feature vector (1, 2)"),
+        ([((1, 2), 0), (("a", 4), 1), ((1, 2), 0)], SchemaMismatch,
+         "case 2, feature 1: mixed value kinds in one column"),
+        ([((1, 2), 0), ((3, "b"), 1), (("a", 4), 0)], SchemaMismatch,
+         "case 2, feature 2: mixed value kinds in one column"),
+        ([((1, 2), 0), (("a", "b"), 1)], SchemaMismatch,
+         "case 2, feature 1: mixed value kinds in one column"),
+        ([((1, 2), 0), ((1,), 0), ((1, 2), 1)], SchemaMismatch,
+         "case 2 has 1 features, case 1 has 2"),
+        ([((1, 2), 0), ((5, 6, 7), 0), (("a", 2), 1)], SchemaMismatch,
+         "case 2 has 3 features, case 1 has 2"),
+        ([((1, 2), 0), (("a", 2), 1), ((5,), 0)], SchemaMismatch,
+         "case 2, feature 1: mixed value kinds in one column"),
+    ], ids=lambda v: repr(v)[:40])
+    def test_of_two_faults_the_first_in_case_order_is_named(self, pairs, error, message):
+        with pytest.raises(error) as caught:
+            training_set(pairs)
+        assert str(caught.value) == message
+
     def test_sizes_and_projections(self):
         T = training_set([((0, 1), 1), ((2, 3), 0)])
         assert (T.m, T.n) == (2, 2)

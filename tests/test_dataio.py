@@ -239,6 +239,17 @@ class TestContentHash:
         b = load_dataset(write("b.csv", "x,y\n1,1\n"))
         assert a.content_hash != b.content_hash
 
+    def test_the_hash_of_a_small_dataset(self, write):
+        # Every pointwise model file stores this value, so its bytes must not move:
+        # ints, non-integral floats, 1e16, negatives, symbols and ordinal ranks.
+        data = write("d.csv", "n,f,s,o,y\n3,2.5,a,lo,1\n-7,1e16,b,hi,-0.5\n"
+                              "0,-0.125,a,mid,2\n12,7.0,c,lo,-3\n")
+        sidecar = write("d.schema.json", json.dumps({"columns": {
+            "s": {"kind": "nominal"}, "o": {"kind": "ordinal", "levels": ["lo", "mid", "hi"]},
+        }}))
+        assert load_dataset(data, schema_path=sidecar).content_hash == (
+            "ff28e368fdca3057b4921d9d863416283f710388d5cab20bde268a9690d67ee6")
+
     def test_column_order_is_canonicalized_by_name(self, write):
         model = _linear_model()
         a = load_dataset_for_model(write("a.csv", "x1,x2,y\n1,2,0\n"), model)
