@@ -39,7 +39,7 @@ for query in (("sunny", "calm", "dry"),
               ("sunny", "windy", "dry")):
     x0 = FeatureVector(query)
     label, report = nb_predict(x0, T)
-    parts = [(case.x.values[0], mu) for case, mu in zip(report.cases, report.mus)]
+    parts = list(zip(query, report.mus))
     print(f"query {query}: answer {label}")
     print("   per-feature disagreement:", parts)
     print("   product:", report.total)

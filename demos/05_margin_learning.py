@@ -48,7 +48,7 @@ print()
 # The report is the audit view: per-case rows plus the folded total,
 # which equals the objective exactly (mean fold plus the weight term).
 print("report rows (mu per case):")
-for case, mu in zip(report.cases, report.mus):
+for case, mu in zip(T.cases, report.mus):
     print(f"   x={case.x.values} y={case.y:+d} mu={mu:.6f}")
 print("report total:", report.total)
 print()

@@ -8,6 +8,7 @@ codes: 0 on success, 1 on data or solver errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -206,7 +207,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     training = _require_matching_data(model, args.data).training
     report = family_spec(model.family).audit(model.params, model.fitted, training)
-    print(_audit_text(model.family, report))
+    print(_audit_text(model.family, training, report))
     return 0
 
 
@@ -222,8 +223,8 @@ _ROW = """    {{
     }}"""
 
 
-def _audit_text(family: str, report: InconsistencyReport) -> str:
-    """The audit document of ``family``'s report: a header, then one row per case.
+def _audit_text(family: str, training: TrainingSet, report: InconsistencyReport) -> str:
+    """The audit document of ``family``'s report on ``training``: a header, one row per case.
 
     The header holds ``family``, ``aggregation``, ``regularizer`` and
     ``total_inconsistency``.  Largest inconsistencies come first, so
@@ -231,20 +232,21 @@ def _audit_text(family: str, report: InconsistencyReport) -> str:
     ``json.dumps({**header, "rows": rows}, indent=2)``, where ``rows``
     holds ``{"case", "x", "y", "mu", "counterparts"}`` for each case
     (numbered from 1), sorted by ``(-mu, case)``.  Only the header goes
-    through ``json``; the rows are written from a template, in under half
-    the time ``json``'s indenting encoder takes.
+    through ``json``; each column is formatted once, and the rows are laid
+    out from a template, in under half the time ``json``'s indenting
+    encoder takes.
     """
-    cases, mus, counts = report.cases, report.mus, report.counts
-    rows = []
+    xs = map(",\n        ".join,
+             zip(*(map(_json_value, column) for column in training.columns.columns)))
+    rows = list(map(_ROW.format, itertools.count(1), xs, *(
+        map(_json_value, column) for column in (training.feedbacks, report.mus, report.counts)
+    )))
     # A stable sort keeps tied mus in case order, as the (-mu, case) key would.
-    for i in sorted(range(len(mus)), key=mus.__getitem__, reverse=True):
-        x = ",\n        ".join(map(_json_value, cases[i].x.values))
-        rows.append(_ROW.format(i + 1, x, _json_value(cases[i].y), _json_value(mus[i]),
-                                _json_value(counts[i])))
+    order = sorted(range(len(rows)), key=report.mus.__getitem__, reverse=True)
     header = {"family": family, "aggregation": report.aggregation.value,
               "regularizer": report.regularizer, "total_inconsistency": report.total}
     head = json.dumps(header, indent=2)[:-2]  # without its closing "\n}"
-    return head + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}"
+    return head + ',\n  "rows": [\n' + ",\n".join([rows[i] for i in order]) + "\n  ]\n}"
 
 
 def _json_value(v) -> str:

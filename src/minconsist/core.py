@@ -9,11 +9,12 @@ Training means returning the hypothesis whose total inconsistency is
 smallest.
 
 This module owns the data model (feature vectors, blocks of them held as
-columns, cases, training sets, schemas), the hypothesis variants, the one
-report structure (:class:`InconsistencyReport`, which folds the case
-scores into a total and checks it), and the family registry.  A registry row describes a
-learner once: its parameters, the feedback it learns from, and how it
-fits, answers queries and audits a training set into a report.
+columns, cases, training sets kept as their feature columns and
+feedbacks, schemas), the hypothesis variants, the one report structure
+(:class:`InconsistencyReport`, the scores of a block of cases, folded
+into a total and checked), and the family registry.  A registry row
+describes a learner once: its parameters, the feedback it learns from,
+and how it fits, answers queries and audits a training set into a report.
 :func:`least_inconsistent` is the one finite argmin, and
 :func:`select_hypothesis`, the one entry point for training, hands a
 family's parameters and cases to its row.
@@ -25,6 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
@@ -223,8 +225,32 @@ def _require_disjoint(value_sets: Sequence[AbstractSet[str]]) -> None:
                 )
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# The kinds a feature value and a number may have; a bool is neither.
+_VALUE_KINDS = (int, float, str)
+_NUMBER_KINDS = (int, float)
+
+
+def _unfit(values: Sequence[object], kinds: tuple[type, ...]) -> int | None:
+    """The index of the first value that is not of ``kinds`` or is a float that is not finite.
+
+    The one value rule: a row's check runs it over the row, a training
+    set's over each of its columns.
+    """
+    types = set(map(type, values))
+    if types <= {int, str}.intersection(kinds) or (
+        types == {float} and float in kinds and all(map(math.isfinite, values))
+    ):
+        return None
+    return next((i for i, v in enumerate(values) if isinstance(v, bool) or not isinstance(v, kinds)
+                 or isinstance(v, float) and not math.isfinite(v)), None)
+
+
+def _fault(value: object, feedback: bool = False) -> SchemaMismatch:
+    """Why the value rule rejects ``value``, a feature value or a ``feedback``."""
+    if isinstance(value, float):  # a float the rule rejects is not finite
+        return SchemaMismatch(f"{'feedback' if feedback else 'feature values'} must be finite")
+    return SchemaMismatch(f"feedback must be a real number, got {value!r}" if feedback
+                          else f"unsupported feature value {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +275,9 @@ class FeatureVector:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise SchemaMismatch("a feature vector needs at least one value")
-        for v in self.values:
-            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-                raise SchemaMismatch(f"unsupported feature value {v!r}")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise SchemaMismatch("feature values must be finite")
+        i = _unfit(self.values, _VALUE_KINDS)
+        if i is not None:
+            raise _fault(self.values[i])
 
     @property
     def n(self) -> int:
@@ -268,14 +292,16 @@ class FeatureVector:
 class FeatureColumns:
     """Rows of feature values held by position: ``columns[j][i]`` is row i's value at j.
 
-    The loader returns its query rows this way, and the families answer
-    them a block at a time.  There is at least one position, and every
-    column has one length, the row count, which ``len`` gives.
+    The loader returns its query rows this way, a training set keeps its
+    features this way, and the families answer them a block at a time.
+    There is at least one position, and every column has one length, the
+    row count, which ``len`` gives.  The columns are kept as tuples.
     """
 
     columns: tuple[tuple[FeatureValue, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         if len(set(map(len, self.columns))) != 1:
             raise DimensionMismatch("feature columns need at least one column, all of one length")
 
@@ -306,75 +332,88 @@ class Case:
     y: float
 
     def __post_init__(self) -> None:
-        if not _is_number(self.y):
-            raise SchemaMismatch(f"feedback must be a real number, got {self.y!r}")
-        if isinstance(self.y, float) and not math.isfinite(self.y):
-            raise SchemaMismatch("feedback must be finite")
+        if _unfit((self.y,), _NUMBER_KINDS) is not None:
+            raise _fault(self.y, feedback=True)
 
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """A finite, duplicate-free sequence of observed cases.
+    """A finite, duplicate-free sequence of observed cases, kept as columns.
 
-    Order is preserved and meaningful: totals are accumulated in this
-    order, which keeps reported values bit-for-bit reproducible.
+    Case i is row i of ``columns`` with feedback ``feedbacks[i]``.  Order
+    is preserved and meaningful: totals are accumulated in this order,
+    which keeps reported values bit-for-bit reproducible.  Construction
+    checks one feedback per case, the value rule of :class:`FeatureVector`
+    and :class:`Case` at every value, one kind (numbers or symbols) per
+    column and distinct vectors.  Of several faults it names the first a
+    case-by-case build meets: a bad value in any case, then, case by case,
+    mixed kinds before a repeated vector.
     """
 
-    cases: tuple[Case, ...]
+    columns: FeatureColumns
+    feedbacks: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cases", tuple(self.cases))
-        if not self.cases:
+        object.__setattr__(self, "feedbacks", tuple(self.feedbacks))
+        columns, ys, m = self.columns.columns, self.feedbacks, len(self.columns)
+        if not m:
             raise EmptySet("a training set needs at least one case")
-        n = self.cases[0].x.n
-        buckets: list[str] = [_kind_bucket(v) for v in self.cases[0].x.values]
-        seen: dict[tuple[FeatureValue, ...], int] = {}
-        for idx, case in enumerate(self.cases):
-            if case.x.n != n:
-                raise SchemaMismatch(
-                    f"case {idx + 1} has {case.x.n} features, case 1 has {n}"
-                )
-            for pos, v in enumerate(case.x.values):
-                if _kind_bucket(v) != buckets[pos]:
-                    raise SchemaMismatch(
-                        f"case {idx + 1}, feature {pos + 1}: mixed value kinds in one column"
-                    )
-            key = case.x.values
-            if key in seen:
-                raise DuplicateFeatureVector(
-                    f"cases {seen[key] + 1} and {idx + 1} share feature vector {key!r}"
-                )
-            seen[key] = idx
+        if len(ys) != m:
+            raise DimensionMismatch(f"{m} cases but {len(ys)} feedbacks")
+        # The feedback sits at position n, after the features.
+        unfit = _first_in_case_order(
+            [*(_unfit(column, _VALUE_KINDS) for column in columns), _unfit(ys, _NUMBER_KINDS)]
+        )
+        if unfit is not None:
+            i, pos = unfit
+            raise _fault(ys[i], True) if pos == len(columns) else _fault(columns[pos][i])
+        # A column's kind is its first value's.
+        mixed = _first_in_case_order(
+            _unfit(column, (str,) if isinstance(column[0], str) else _NUMBER_KINDS)
+            for column in columns
+        )
+        rows, first_of = list(self.columns.rows()), {}
+        twin = next((i for i, row in enumerate(rows) if first_of.setdefault(row, i) != i), m)
+        if mixed is not None and mixed[0] <= twin:
+            i, j = mixed
+            raise SchemaMismatch(f"case {i + 1}, feature {j + 1}: mixed value kinds in one column")
+        if twin < m:
+            raise DuplicateFeatureVector(
+                f"cases {first_of[rows[twin]] + 1} and {twin + 1} "
+                f"share feature vector {rows[twin]!r}"
+            )
 
     @property
     def m(self) -> int:
-        return len(self.cases)
+        return len(self.columns)
 
     @property
     def n(self) -> int:
-        return self.cases[0].x.n
+        return self.columns.n
 
-    @property
-    def feedbacks(self) -> tuple[float, ...]:
-        return tuple(case.y for case in self.cases)
-
-    @property
-    def features(self) -> tuple[FeatureVector, ...]:
-        return tuple(case.x for case in self.cases)
-
-    @property
-    def columns(self) -> FeatureColumns:
-        """The feature vectors as one block of columns, in case order."""
-        return FeatureColumns(tuple(zip(*(case.x.values for case in self.cases))))
+    @cached_property
+    def cases(self) -> tuple[Case, ...]:
+        """The row view, built through the constructors when first asked for; no command asks."""
+        return tuple(map(Case, map(FeatureVector, self.columns.rows()), self.feedbacks))
 
 
-def _kind_bucket(value: FeatureValue) -> str:
-    return "symbol" if isinstance(value, str) else "number"
+def _first_in_case_order(faults: Iterable[int | None]) -> tuple[int, int] | None:
+    """(case, position) of the first fault in case order, given each position's first fault."""
+    return min(((i, pos) for pos, i in enumerate(faults) if i is not None), default=None)
 
 
 def training_set(pairs: Iterable[tuple[Sequence[FeatureValue], float]]) -> TrainingSet:
-    """Build a training set from ``(feature values, feedback)`` pairs."""
-    return TrainingSet(tuple(Case(FeatureVector(tuple(xs)), y) for xs, y in pairs))
+    """Build a training set from ``(feature values, feedback)`` pairs, each checked as a Case."""
+    cases = [Case(FeatureVector(tuple(xs)), y) for xs, y in pairs]
+    n = cases[0].x.n if cases else 1
+    ragged = next((i for i, case in enumerate(cases) if case.x.n != n), len(cases))
+    training = TrainingSet(
+        FeatureColumns([[case.x.values[j] for case in cases[:ragged]] for j in range(n)]),
+        [case.y for case in cases[:ragged]],
+    )
+    if ragged < len(cases):
+        raise SchemaMismatch(f"case {ragged + 1} has {cases[ragged].x.n} features, case 1 has {n}")
+    return training
 
 
 # The values of each labelled feedback domain; a REAL feedback is any number.
@@ -471,15 +510,15 @@ class CounterpartSet:
 class InconsistencyReport:
     """Per-case scores plus the total a learner minimizes.
 
-    Position i of ``cases``, ``mus`` and ``counts`` describes one baseline
-    case: the case, its score and its counterpart count, which is ``None``
-    when the counterpart set is not finite (a half-space rather than a
-    list of cases).  The total is always reproducible from the columns:
-    fold ``mus`` with ``aggregation`` in case order, then add
+    A report scores the block of baseline cases it was built over, which
+    its caller holds (a training set, a query's features): position i of
+    ``mus`` and ``counts`` is case i's score and its counterpart count,
+    which is ``None`` when the counterpart set is not finite (a half-space
+    rather than a list of cases).  The total is always reproducible from
+    the columns: fold ``mus`` with ``aggregation`` in case order, then add
     ``regularizer`` (a hypothesis-only term, zero for most learners).
     """
 
-    cases: tuple[Case, ...]
     mus: tuple[float, ...]
     counts: tuple[int | None, ...]
     aggregation: Aggregation
@@ -489,7 +528,6 @@ class InconsistencyReport:
     @classmethod
     def build(
         cls,
-        cases: Sequence[Case],
         mus: Sequence[float],
         counts: Sequence[int | None],
         aggregation: Aggregation,
@@ -502,12 +540,10 @@ class InconsistencyReport:
         which names the first case whose ``mu`` is not finite, or the total,
         when a fold of finite scores overflows.
         """
-        cases, mus, counts = tuple(cases), tuple(mus), tuple(counts)
-        if not len(cases) == len(mus) == len(counts):
-            raise DimensionMismatch(
-                f"{len(cases)} cases, {len(mus)} mus and {len(counts)} counterpart counts"
-            )
-        if not cases:
+        mus, counts = tuple(mus), tuple(counts)
+        if len(mus) != len(counts):
+            raise DimensionMismatch(f"{len(mus)} mus but {len(counts)} counterpart counts")
+        if not mus:
             raise EmptySet("a report needs at least one entry")
         total = aggregate_mus(mus, aggregation) + regularizer
         if not math.isfinite(total):
@@ -517,7 +553,7 @@ class InconsistencyReport:
         for mu in mus:
             if not mu >= 0.0:
                 raise InvalidParameter(f"case inconsistency must be >= 0, got {mu!r}")
-        return cls(cases, mus, counts, aggregation, regularizer, total)
+        return cls(mus, counts, aggregation, regularizer, total)
 
 
 def aggregate_mus(mus: Sequence[float], aggregation: Aggregation) -> float:

@@ -20,14 +20,12 @@ from pathlib import Path
 from typing import Callable, Mapping, NoReturn, Sequence
 
 from .core import (
-    Case,
     ColumnKind,
     DuplicateFeatureVector,
     EmptySet,
     FamilySpec,
     FeatureColumns,
     FeatureSchema,
-    FeatureVector,
     InvalidParameter,
     LinearHypothesis,
     MinconsistError,
@@ -40,7 +38,6 @@ from .core import (
     TrainingSet,
     UnknownColumnKind,
     YKind,
-    _is_number,
     family_spec,
 )
 from .pointwise import TreeLeaf, TreeNode, TreePartition
@@ -69,8 +66,8 @@ def dataset_content_hash(dataset: Dataset) -> str:
         "features": list(dataset.feature_names),
         "target": dataset.target_name,
         "rows": [
-            [list(map(_json_scalar, case.x.values)), _json_scalar(case.y)]
-            for case in dataset.training.cases
+            [list(map(_json_scalar, x)), _json_scalar(y)]
+            for x, y in zip(dataset.training.columns.rows(), dataset.training.feedbacks)
         ],
     }
     blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
@@ -162,7 +159,7 @@ def load_dataset(
         _column_kind(declared.get(name), tokens)
         for name, tokens in zip(header, table) if name != target_name
     )
-    training = _training(lines, table, header, feature_names, kinds, target_name)
+    training = _parsed(lines, table, header, feature_names, kinds, target_name)
     return Dataset(training, FeatureSchema(kinds), feature_names, target_name)
 
 
@@ -180,7 +177,7 @@ def load_dataset_for_model(path: str | Path, model: "Model") -> Dataset:
         raise SchemaMismatch(
             f"columns {header} do not match model columns {list(names)} + target {target!r}"
         )
-    training = _training(lines, table, header, names, model.schema.columns, target)
+    training = _parsed(lines, table, header, names, model.schema.columns, target)
     return Dataset(training, model.schema, names, target)
 
 
@@ -193,7 +190,7 @@ def load_queries(
         raise SchemaMismatch(
             f"query columns {header} do not match model columns {list(feature_names)}"
         )
-    return FeatureColumns(_parsed(lines, table, header, feature_names, schema.columns))
+    return _parsed(lines, table, header, feature_names, schema.columns)
 
 
 def _read(path: str | Path, error: type[MinconsistError], json_name: str | None = None):
@@ -265,14 +262,14 @@ def _column_kind(declared: ColumnKind | str | None, tokens: Sequence[str]) -> Co
 
 def _parsed(lines: Lines, table: Sequence[Sequence[str]], header: list[str],
             names: Sequence[str], kinds: Sequence[ColumnKind],
-            target: str | None = None) -> tuple[tuple, ...]:
-    """The columns of ``names`` parsed under ``kinds``, then the ``target`` column's numbers.
+            target: str | None = None) -> FeatureColumns | TrainingSet:
+    """The columns of ``names`` parsed under ``kinds``; with a ``target``, the training set.
 
-    With a ``target`` the rows are a training set's, so their feature
-    vectors must be distinct.  Each column is parsed whole, by
-    :func:`_column`.  Only where that fails are the rows walked again, in
-    file order, to raise what a row-by-row parse meets first
-    (:func:`_first_fault`).
+    The training set's feedbacks are the ``target`` column's numbers, and
+    its constructor checks the columns.  Each column is parsed whole, by
+    :func:`_column`.  Only where that fails, or the constructor finds a
+    repeated feature vector, are the rows walked again, in file order, to
+    raise what a row-by-row parse meets first (:func:`_first_fault`).
     """
     if not names or len(names) != len(kinds):
         raise SchemaMismatch(f"{len(names)} feature names but {len(kinds)} column kinds")
@@ -280,11 +277,13 @@ def _parsed(lines: Lines, table: Sequence[Sequence[str]], header: list[str],
     if target is not None:
         cells.append((table[header.index(target)], NumericKind(), target, "feedback"))
     columns = tuple(_column(kind, tokens) for tokens, kind, _, _ in cells)
-    if None in columns or (
-        target is not None and len(set(zip(*columns[:-1]))) < len(columns[0])
-    ):
-        _first_fault(lines(), cells, distinct=target is not None)
-    return columns
+    try:
+        if None not in columns:
+            return (FeatureColumns(columns) if target is None
+                    else TrainingSet(FeatureColumns(columns[:-1]), columns[-1]))
+    except DuplicateFeatureVector:  # named below by its two file lines
+        pass
+    _first_fault(lines(), cells, distinct=target is not None)
 
 
 def _column(kind: ColumnKind, tokens: Sequence[str]) -> tuple | None:
@@ -349,43 +348,6 @@ def _fault(kind: ColumnKind, token: str, what: str) -> str:
     except ValueError:
         return f"{what} {token!r} is not a number"
     return f"{what} {token!r} is not finite"
-
-
-def _training(lines: Lines, table: Sequence[Sequence[str]], header: list[str],
-              names: Sequence[str], kinds: Sequence[ColumnKind], target: str) -> TrainingSet:
-    """The rows as cases: the feature columns by row, each with its feedback.
-
-    The vectors, cases and set are built without their constructors'
-    checks, because the loader has made each one already:
-
-    - ``FeatureVector``'s finite numbers and symbols: each cell comes from
-      its column's rule (``_column``), which gives finite numbers, ranks
-      or declared symbols, or fails and the loader names the cell;
-    - its at least one value: ``_parsed``'s check of the names against
-      the kinds, one kind per name and at least one name;
-    - ``Case``'s finite, numeric feedback: the target column's number rule;
-    - ``TrainingSet``'s at least one case: ``_read_delimited``'s ``EmptySet``;
-    - its one length and one value kind per column: every vector comes
-      from the same columns, and a column holds numbers only (numeric,
-      ordinal) or symbols only (nominal);
-    - its distinct vectors: ``_parsed``'s check, which names both file lines.
-    """
-    *columns, ys = _parsed(lines, table, header, names, kinds, target)
-    return _trusted(TrainingSet, cases=tuple([
-        _trusted(Case, x=_trusted(FeatureVector, values=x), y=y)
-        for x, y in zip(zip(*columns), ys)
-    ]))
-
-
-def _trusted(cls: type, **fields):
-    """An instance of the frozen dataclass ``cls``, built without its ``__post_init__``.
-
-    Only for values the loader has already checked; library callers go
-    through the constructors, which keep every check.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +541,10 @@ def _hypothesis_from_json(doc: dict | None) -> LinearHypothesis | None:
         b = _field(doc, "b", _is_numbers, "a list of numbers")
         return LinearHypothesis(tuple(b), _field(doc, "a", _is_number, "a number"))
     raise ModelFormatError(f"unknown hypothesis kind {doc.get('kind')!r}")
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_numbers(value: object) -> bool:

@@ -182,8 +182,7 @@ def svm_report(
     require_labels(training, YKind.PM1)
     mus = list(map(_margin_inconsistency, training.feedbacks, f.block(training.columns)))
     return InconsistencyReport.build(
-        training.cases, mus, (None,) * len(mus),
-        Aggregation.MEAN, regularizer=params.w * squared_weight_norm(f),
+        mus, (None,) * len(mus), Aggregation.MEAN, regularizer=params.w * squared_weight_norm(f),
     )
 
 
@@ -227,8 +226,7 @@ def svr_report(
     _require_numeric_features(training)
     mus = _tube_losses(f, training, params.epsilon)
     return InconsistencyReport.build(
-        training.cases, mus, (1,) * len(mus),
-        Aggregation.SUM, regularizer=_tube_regularizer(f, params),
+        mus, (1,) * len(mus), Aggregation.SUM, regularizer=_tube_regularizer(f, params),
     )
 
 
@@ -484,7 +482,8 @@ def _svm_problem(training: TrainingSet, params: SvmParams):
     """
     _require_numeric_features(training)
     require_labels(training, YKind.PM1)
-    rows = [[case.y * float(x) for x in (*case.x.values, 1.0)] for case in training.cases]
+    rows = [[y * float(x) for x in (*xs, 1.0)]
+            for xs, y in zip(training.columns.rows(), training.feedbacks)]
     return rows, [0.0] * len(rows), (1.0,), (-1.0 / training.m, 0.0), params.w
 
 
@@ -497,8 +496,8 @@ def _svr_problem(training: TrainingSet, params: SvrParams):
     _require_numeric_features(training)
     eps = params.epsilon
     kinks, slopes = ((-eps, eps), (-1.0, 0.0, 1.0)) if eps else ((0.0,), (-1.0, 1.0))
-    rows = [[float(x) for x in (*case.x.values, 1.0)] for case in training.cases]
-    offsets = [-float(case.y) for case in training.cases]
+    rows = [[float(x) for x in (*xs, 1.0)] for xs in training.columns.rows()]
+    offsets = [-float(y) for y in training.feedbacks]
     return rows, offsets, kinks, slopes, params.lam
 
 
@@ -511,8 +510,8 @@ def _require_numeric_features(training: TrainingSet) -> None:
 
     A training set holds one value kind per column, so case 1 speaks for every case.
     """
-    for pos, v in enumerate(training.cases[0].x.values):
-        if isinstance(v, str):
+    for pos, column in enumerate(training.columns.columns):
+        if isinstance(column[0], str):
             raise IncompatibleFamily(f"case 1, feature {pos + 1}: linear learners need numbers")
 
 

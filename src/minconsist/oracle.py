@@ -21,12 +21,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import (
     BoxTooLarge,
-    Case,
     ExhaustedRetries,
     FeatureVector,
     InvalidParameter,
     LinearHypothesis,
     TrainingSet,
+    training_set,
 )
 from .linear import (
     SvmParams,
@@ -234,9 +234,9 @@ def generate_instance(
 
     rng = np.random.default_rng(spec.seed)
     seen: set[tuple, ...] = set()
-    cases = []
+    pairs = []
     budget = _MAX_DRAWS_PER_CASE * spec.m
-    while len(cases) < spec.m:
+    while len(pairs) < spec.m:
         if budget <= 0:
             raise ExhaustedRetries(
                 f"could not draw {spec.m} distinct vectors (seed {spec.seed})"
@@ -246,9 +246,9 @@ def generate_instance(
         if x.values in seen:
             continue
         seen.add(x.values)
-        cases.append(Case(x, _draw_label(rng, spec)))
+        pairs.append((x.values, _draw_label(rng, spec)))
     queries = tuple(_draw_vector(rng, spec) for _ in range(spec.queries))
-    return TrainingSet(tuple(cases)), queries
+    return training_set(pairs), queries
 
 
 def _draw_vector(rng: np.random.Generator, spec: RandomInstance) -> FeatureVector:

@@ -13,8 +13,10 @@ query.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -36,7 +38,9 @@ from .core import (
     SchemaMismatch,
     TrainingSet,
     YKind,
+    _first_in_case_order,
     _require_disjoint,
+    _unfit,
     aggregate_mus,
     least_inconsistent,
     register_family,
@@ -213,12 +217,10 @@ def _vote(feedbacks: Sequence[float]) -> tuple[int, float]:
     return least_inconsistent(LABELS, lambda label: _gap(label, feedbacks))
 
 
-def _reported(
-    x0: FeatureVector, answers: Iterator[tuple[float, float, int]]
-) -> tuple[int, InconsistencyReport]:
-    """The engine's one answer at ``x0``, with its one-case report."""
+def _reported(answers: Iterator[tuple[float, float, int]]) -> tuple[int, InconsistencyReport]:
+    """The engine's one answer, with the report of its one query."""
     label, mu, count = next(answers)
-    return label, InconsistencyReport.build([Case(x0, label)], [mu], [count], Aggregation.SUM)
+    return label, InconsistencyReport.build([mu], [count], Aggregation.SUM)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +236,7 @@ def knn_predict(
     labels averaging one half) resolves to 0.
     """
     params = {K.key: k, METRIC.key: metric}
-    return _reported(x0, pointwise_answers("knn", params, None, training,
-                                           FeatureColumns.of((x0,))))
+    return _reported(pointwise_answers("knn", params, None, training, FeatureColumns.of((x0,))))
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +322,15 @@ def _best_split(
     threshold, so construction is deterministic.  Splits that fail to
     strictly decrease impurity are not offered.
     """
-    labels = [training.cases[i].y for i in indices]
-    parent = _impurity(labels)
+    ys = training.feedbacks
+    parent = _impurity([ys[i] for i in indices])
     size = len(indices)
     best: tuple[int, int, float] | None = None
-    for feature in range(training.n):
-        values = sorted({training.cases[i].x.values[feature] for i in indices})
+    for feature, column in enumerate(training.columns.columns):
+        values = sorted({column[i] for i in indices})
         for threshold in values[:-1]:
-            left = [training.cases[i].y for i in indices
-                    if training.cases[i].x.values[feature] <= threshold]
-            right = [training.cases[i].y for i in indices
-                     if training.cases[i].x.values[feature] > threshold]
+            left = [ys[i] for i in indices if column[i] <= threshold]
+            right = [ys[i] for i in indices if column[i] > threshold]
             decrease = parent - (
                 len(left) / size * _impurity(left)
                 + len(right) / size * _impurity(right)
@@ -349,12 +348,11 @@ def dtree_build(training: TrainingSet, cfg: TreeConfig = TreeConfig()) -> TreePa
     at or below ``purity_threshold``), or admits no impurity-decreasing
     split.
     """
-    for idx, case in enumerate(training.cases):
-        for pos, v in enumerate(case.x.values):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise SchemaMismatch(
-                    f"case {idx + 1}, feature {pos + 1}: tree features must be ordinal ranks"
-                )
+    columns, ys = training.columns.columns, training.feedbacks
+    unranked = _first_in_case_order(_unfit(column, (int,)) for column in columns)
+    if unranked is not None:
+        i, j = unranked
+        raise SchemaMismatch(f"case {i + 1}, feature {j + 1}: tree features must be ordinal ranks")
     require_labels(training, YKind.BINARY01)
 
     counter = {"next_id": 0}
@@ -362,7 +360,7 @@ def dtree_build(training: TrainingSet, cfg: TreeConfig = TreeConfig()) -> TreePa
     def grow(indices: list[int], depth: int) -> Union[TreeNode, TreeLeaf]:
         if not indices:
             raise EmptyLeaf("a leaf with zero cases")
-        labels = [training.cases[i].y for i in indices]
+        labels = [ys[i] for i in indices]
         stop = (
             depth >= cfg.max_depth
             or len(indices) < 2 * cfg.min_leaf_size
@@ -374,8 +372,8 @@ def dtree_build(training: TrainingSet, cfg: TreeConfig = TreeConfig()) -> TreePa
             counter["next_id"] += 1
             return leaf
         feature, threshold, _ = split
-        left = [i for i in indices if training.cases[i].x.values[feature] <= threshold]
-        right = [i for i in indices if training.cases[i].x.values[feature] > threshold]
+        left = [i for i in indices if columns[feature][i] <= threshold]
+        right = [i for i in indices if columns[feature][i] > threshold]
         return TreeNode(feature, threshold, grow(left, depth + 1), grow(right, depth + 1))
 
     return TreePartition(grow(list(range(training.m)), 0), training.n)
@@ -385,21 +383,21 @@ def dtree_counterparts(
     x0: FeatureVector, partition: TreePartition, training: TrainingSet
 ) -> CounterpartSet:
     """Observed cases sharing the query's subdomain."""
-    return CounterpartSet(_leaf_cases(partition.route(x0), training))
+    return CounterpartSet(tuple(training.cases[i] for i in _leaf_indices(partition.route(x0))))
 
 
-def _leaf_cases(leaf: TreeLeaf, training: TrainingSet) -> tuple[Case, ...]:
+def _leaf_indices(leaf: TreeLeaf) -> tuple[int, ...]:
     if not leaf.case_indices:
         raise EmptyLeaf(f"leaf {leaf.leaf_id} holds no cases")
-    return tuple(training.cases[i] for i in leaf.case_indices)
+    return leaf.case_indices
 
 
 def dtree_predict(
     x0: FeatureVector, partition: TreePartition, training: TrainingSet
 ) -> tuple[int, InconsistencyReport]:
     """Binary answer at the query from its subdomain's cases; ties give 0."""
-    return _reported(x0, pointwise_answers("dtree", {}, partition, training,
-                                           FeatureColumns.of((x0,))))
+    return _reported(pointwise_answers("dtree", {}, partition, training,
+                                       FeatureColumns.of((x0,))))
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +424,16 @@ def nb_transform(x0: FeatureVector, training: TrainingSet) -> TransformedProblem
     disjoint: after pooling, a value must still name its position.
     """
     _require_query_width(x0.n, training)
-    observed = _observed_values(training.features)
+    observed = _observed_values(training.columns)
     for pos, v in enumerate(_nominal_values(x0.values)):
         observed[pos].add(v)
     _require_disjoint(observed)
     pooled = frozenset().union(*observed)
     parts = tuple(FeatureVector((v,)) for v in x0.values)
     flat = tuple(
-        Case(FeatureVector((v,)), case.y)
-        for case in training.cases
-        for v in case.x.values
+        Case(FeatureVector((v,)), y)
+        for xs, y in zip(training.columns.rows(), training.feedbacks)
+        for v in xs
     )
     return TransformedProblem(pooled, parts, flat)
 
@@ -452,13 +450,10 @@ def _nominal_values(values: Sequence[FeatureValue]) -> Sequence[str]:
     return values
 
 
-def _observed_values(vectors: Sequence[FeatureVector]) -> list[set[str]]:
-    """The set of values seen at each position; every value must be nominal."""
-    observed: list[set[str]] = [set() for _ in range(vectors[0].n)]
-    for x in vectors:
-        for pos, v in enumerate(_nominal_values(x.values)):
-            observed[pos].add(v)
-    return observed
+def _observed_values(features: FeatureColumns) -> list[set[str]]:
+    """The set of values seen at each position; every value must be nominal, as row 1's are."""
+    _nominal_values([column[0] for column in features.columns])
+    return [set(column) for column in features.columns]
 
 
 def nb_predict(
@@ -472,8 +467,7 @@ def nb_predict(
     tallies = next(_nb_tallies(training, FeatureColumns.of((x0,))))
     label, _ = _nb_vote(tallies)
     return label, InconsistencyReport.build(
-        [Case(FeatureVector((v,)), label) for v in x0.values], _nb_fractions(tallies, label),
-        [n0 + n1 for n0, n1 in tallies], Aggregation.PRODUCT,
+        _nb_fractions(tallies, label), [n0 + n1 for n0, n1 in tallies], Aggregation.PRODUCT,
     )
 
 
@@ -496,7 +490,7 @@ def pointwise_answers(
     per-query functions (:func:`smoothing_fit`, :func:`knn_predict`,
     :func:`dtree_predict`, :func:`nb_predict`) on one query.  The work that
     depends on the training set alone is done once per call: the label
-    check, the transposed columns of ``smoothing`` and ``knn``, the
+    check, the float columns of ``smoothing`` and ``knn``, the
     value table of ``nb`` (with its check that every training value is
     nominal), and each reached ``dtree`` leaf's vote.  ``dtree`` routes
     the whole block down the tree at once; the other families answer
@@ -545,6 +539,7 @@ def _leaf_answers(
     it, so a query at an empty leaf stops them there.
     """
     require_labels(training, YKind.BINARY01)
+    feedbacks = training.feedbacks
     leaf_of: list = [None] * len(queries)
     for leaf, indices in _routed(tree, queries):
         for i in indices:
@@ -553,7 +548,7 @@ def _leaf_answers(
     for leaf in leaf_of:
         answer = votes.get(id(leaf))
         if answer is None:
-            ys = [case.y for case in _leaf_cases(leaf, training)]
+            ys = [feedbacks[i] for i in _leaf_indices(leaf)]
             answer = votes[id(leaf)] = (*_vote(ys), len(ys))
         yield answer
 
@@ -587,14 +582,13 @@ def _nb_tallies(
     The value table is built once, before the first query is read.
     """
     require_labels(training, YKind.BINARY01)
-    observed = _observed_values(training.features)
+    observed = _observed_values(training.columns)
     position = {v: pos for pos, seen in enumerate(observed) for v in seen}
     disjoint = len(position) == sum(map(len, observed))
-    counts: dict[str, tuple[int, int]] = {}  # value -> (label-0 cases, label-1 cases)
-    for case in training.cases:
-        for v in case.x.values:
-            n0, n1 = counts.get(v, (0, 0))
-            counts[v] = (n0 + 1, n1) if case.y == 0 else (n0, n1 + 1)
+    columns, ys = training.columns.columns, training.feedbacks
+    # value -> how many cases hold it, and how many of those are labelled 1
+    cases = Counter(chain(*columns))
+    ones = Counter(v for column in columns for v, y in zip(column, ys) if y == 1)
     _require_query_width(queries.n, training)
     for values in queries.rows():
         _nominal_values(values)
@@ -606,7 +600,7 @@ def _nb_tallies(
             position.get(v, pos) != pos for pos, v in enumerate(values)
         ):
             _require_disjoint([seen | {v} for seen, v in zip(observed, values)])
-        yield [counts.get(v, (0, 0)) for v in values]
+        yield [(cases[v] - ones[v], ones[v]) for v in values]
 
 
 def _nb_vote(tallies: Sequence[tuple[int, int]]) -> tuple[int, float]:
@@ -644,7 +638,7 @@ def _answers(family, params, tree, training, queries) -> Iterator[float]:
 def _audit(family, params, tree, training) -> InconsistencyReport:
     answers = pointwise_answers(family, params, tree, training, training.columns)
     _, mus, counts = zip(*answers)
-    return InconsistencyReport.build(training.cases, mus, counts, Aggregation.SUM_OVER_QUERIES)
+    return InconsistencyReport.build(mus, counts, Aggregation.SUM_OVER_QUERIES)
 
 
 def _register(name: str, params: tuple[Param, ...], y_kinds: frozenset[YKind], **kw) -> None:

@@ -1,5 +1,7 @@
 """Command-line behavior: flags, exit codes, stream discipline."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -10,12 +12,14 @@ from pathlib import Path
 import pytest
 
 from minconsist import (
+    Case,
     FeatureVector,
     InconsistencyReport,
     KNearest,
     LinearHypothesis,
     NeighborhoodSpec,
     SvrParams,
+    TrainingSet,
     YKind,
     dtree_predict,
     family_names,
@@ -804,11 +808,41 @@ def test_each_row_audits_into_the_report_of_its_fit(write, tmp_path, capsys, fam
     fitted, total = spec.fit(params, training)
     report = spec.audit(params, fitted, training)
     assert isinstance(report, InconsistencyReport)
-    assert report.cases == training.cases
+    # Position i scores case i: the audit's row of case i + 1 holds its mu and count.
+    by_case = {row["case"]: row for row in header["rows"]}
+    assert [(by_case[i]["mu"], by_case[i]["counterparts"]) for i in range(1, training.m + 1)] == (
+        list(zip(report.mus, report.counts)))
     assert report.total.hex() == total.hex()
     assert report.aggregation.value == header["aggregation"]
     assert (report.regularizer, report.total) == (header["regularizer"],
                                                   header["total_inconsistency"])
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_the_commands_build_no_row_objects(write, tmp_path, capsys, monkeypatch, family):
+    """``train``, ``predict`` and ``audit`` read a training set's columns, never its row view."""
+    text = AUDIT_DATA.get(family, BIN_CSV)
+    data = write("d.csv", text)
+    features = io.StringIO()
+    csv.writer(features, lineterminator="\n").writerows(
+        row[:-1] for row in csv.reader(io.StringIO(text, newline="")))
+    queries = write("q.csv", features.getvalue())
+    built, sets = [], []
+    for cls in (FeatureVector, Case, TrainingSet):
+        def counted(self, _check=cls.__post_init__):
+            (sets if isinstance(self, TrainingSet) else built).append(self)
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    model = tmp_path / "m.json"
+    assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                "--out", model]) == 0
+    assert run(["predict", "--model", model, "--queries", queries, "--data", data]) == 0
+    assert run(["audit", "--model", model, "--data", data]) == 0
+    capsys.readouterr()
+    assert built == []
+    assert len(sets) == 2 + family_spec(family).pointwise  # one per loaded training file
+    assert not any("cases" in vars(training) for training in sets)
 
 
 def test_ordinal_model_keeps_its_levels_and_reads_level_tokens(write, tmp_path, capsys):

@@ -33,6 +33,56 @@ from minconsist import (
 from minconsist.core import least_inconsistent
 
 
+# Each fault a training set can have, and the message that names it.
+FAULTS = [
+    ([((1, 2), 0), ((3,), 1)], SchemaMismatch, "case 2 has 1 features, case 1 has 2"),
+    ([((1, 2), 0), ((3, True), 1)], SchemaMismatch, "unsupported feature value True"),
+    ([((1, 2), 0), ((3, None), 1)], SchemaMismatch, "unsupported feature value None"),
+    ([((1, 2), 0), ((3, math.inf), 1)], SchemaMismatch, "feature values must be finite"),
+    ([((1, 2), 0), ((3, 4), False)], SchemaMismatch,
+     "feedback must be a real number, got False"),
+    ([((1, 2), 0), ((3, 4), "1")], SchemaMismatch, "feedback must be a real number, got '1'"),
+    ([((1, 2), 0), ((3, 4), math.nan)], SchemaMismatch, "feedback must be finite"),
+    ([((1, "a"), 0), ((2, "b"), 1), ((3, 4), 0)], SchemaMismatch,
+     "case 3, feature 2: mixed value kinds in one column"),
+    ([((1, 2), 0), ((3, 4), 1), ((1, 2), 1)], DuplicateFeatureVector,
+     "cases 1 and 3 share feature vector (1, 2)"),
+    ([((1, 2), 0), ((1.0, 2.0), 1)], DuplicateFeatureVector,
+     "cases 1 and 2 share feature vector (1.0, 2.0)"),
+    ([], EmptySet, "a training set needs at least one case"),
+]
+
+# Of two faults, the one named: first a bad value or feedback in any case,
+# in case order (within a case, the values before the feedback); then, case
+# by case, a width unlike case 1's, mixed kinds (lowest feature first) and a
+# repeated vector.
+TWO_FAULTS = [
+    ([((1, 2), 0), ((3,), 1), ((True, 4), 0)], SchemaMismatch,
+     "unsupported feature value True"),
+    ([((1, 2), 0), ((3, 4), math.nan), ((True, 5), 0)], SchemaMismatch,
+     "feedback must be finite"),
+    ([((1, 2), 0), ((3, math.nan), "y")], SchemaMismatch, "feature values must be finite"),
+    ([((1, 2), 0), ((3, None), 0), ((math.inf, 5), 0)], SchemaMismatch,
+     "unsupported feature value None"),
+    ([((1, 2), 0), ((1, 2), 1), ((3, 4), True)], SchemaMismatch,
+     "feedback must be a real number, got True"),
+    ([((1, 2), 0), ((1, 2), 1), (("a", 4), 0)], DuplicateFeatureVector,
+     "cases 1 and 2 share feature vector (1, 2)"),
+    ([((1, 2), 0), (("a", 4), 1), ((1, 2), 0)], SchemaMismatch,
+     "case 2, feature 1: mixed value kinds in one column"),
+    ([((1, 2), 0), ((3, "b"), 1), (("a", 4), 0)], SchemaMismatch,
+     "case 2, feature 2: mixed value kinds in one column"),
+    ([((1, 2), 0), (("a", "b"), 1)], SchemaMismatch,
+     "case 2, feature 1: mixed value kinds in one column"),
+    ([((1, 2), 0), ((1,), 0), ((1, 2), 1)], SchemaMismatch,
+     "case 2 has 1 features, case 1 has 2"),
+    ([((1, 2), 0), ((5, 6, 7), 0), (("a", 2), 1)], SchemaMismatch,
+     "case 2 has 3 features, case 1 has 2"),
+    ([((1, 2), 0), (("a", 2), 1), ((5,), 0)], SchemaMismatch,
+     "case 2, feature 1: mixed value kinds in one column"),
+]
+
+
 class TestFeatureVector:
     def test_rejects_non_finite(self):
         with pytest.raises(SchemaMismatch):
@@ -59,6 +109,15 @@ class TestFeatureColumns:
         block = FeatureColumns(((), ()))
         assert (len(block), block.n, list(block.rows())) == (0, 2, [])
 
+    def test_keeps_tuples_of_its_own(self):
+        first, second = [1.0, 2.0], [3.0, 4.0]
+        block = FeatureColumns([first, second])
+        second.pop()
+        assert block == FeatureColumns(((1.0, 2.0), (3.0, 4.0)))
+        assert hash(block) == hash(FeatureColumns(((1.0, 2.0), (3.0, 4.0))))
+        assert list(block.rows()) == [(1.0, 3.0), (2.0, 4.0)]
+        assert LinearHypothesis((1.0, 1.0), 0.0).block(block) == [4.0, 6.0]
+
 
 class TestCase_:
     def test_feedback_must_be_real(self):
@@ -76,7 +135,7 @@ class TestCase_:
 class TestTrainingSet:
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
-            TrainingSet(())
+            training_set([])
 
     def test_duplicate_features_named_one_based(self):
         with pytest.raises(DuplicateFeatureVector, match="1.*3|3.*1"):
@@ -95,67 +154,45 @@ class TestTrainingSet:
         with pytest.raises(SchemaMismatch):
             training_set([((1, "a"), 0), (("b", 2), 1)])
 
-    @pytest.mark.parametrize("pairs, error, message", [
-        ([((1, 2), 0), ((3,), 1)], SchemaMismatch, "case 2 has 1 features, case 1 has 2"),
-        ([((1, 2), 0), ((3, True), 1)], SchemaMismatch, "unsupported feature value True"),
-        ([((1, 2), 0), ((3, None), 1)], SchemaMismatch, "unsupported feature value None"),
-        ([((1, 2), 0), ((3, math.inf), 1)], SchemaMismatch, "feature values must be finite"),
-        ([((1, 2), 0), ((3, 4), False)], SchemaMismatch,
-         "feedback must be a real number, got False"),
-        ([((1, 2), 0), ((3, 4), "1")], SchemaMismatch, "feedback must be a real number, got '1'"),
-        ([((1, 2), 0), ((3, 4), math.nan)], SchemaMismatch, "feedback must be finite"),
-        ([((1, "a"), 0), ((2, "b"), 1), ((3, 4), 0)], SchemaMismatch,
-         "case 3, feature 2: mixed value kinds in one column"),
-        ([((1, 2), 0), ((3, 4), 1), ((1, 2), 1)], DuplicateFeatureVector,
-         "cases 1 and 3 share feature vector (1, 2)"),
-        ([((1, 2), 0), ((1.0, 2.0), 1)], DuplicateFeatureVector,
-         "cases 1 and 2 share feature vector (1.0, 2.0)"),
-        ([], EmptySet, "a training set needs at least one case"),
-    ], ids=lambda v: repr(v)[:40])
+    @pytest.mark.parametrize("pairs, error, message", FAULTS, ids=lambda v: repr(v)[:40])
     def test_each_fault_keeps_its_message(self, pairs, error, message):
         with pytest.raises(error) as caught:
             training_set(pairs)
         assert str(caught.value) == message
 
-    # Of two faults, the one named: first a bad value or feedback in any case,
-    # in case order (within a case, the values before the feedback); then, case
-    # by case, a width unlike case 1's, mixed kinds (lowest feature first) and a
-    # repeated vector.
-    @pytest.mark.parametrize("pairs, error, message", [
-        ([((1, 2), 0), ((3,), 1), ((True, 4), 0)], SchemaMismatch,
-         "unsupported feature value True"),
-        ([((1, 2), 0), ((3, 4), math.nan), ((True, 5), 0)], SchemaMismatch,
-         "feedback must be finite"),
-        ([((1, 2), 0), ((3, math.nan), "y")], SchemaMismatch, "feature values must be finite"),
-        ([((1, 2), 0), ((3, None), 0), ((math.inf, 5), 0)], SchemaMismatch,
-         "unsupported feature value None"),
-        ([((1, 2), 0), ((1, 2), 1), ((3, 4), True)], SchemaMismatch,
-         "feedback must be a real number, got True"),
-        ([((1, 2), 0), ((1, 2), 1), (("a", 4), 0)], DuplicateFeatureVector,
-         "cases 1 and 2 share feature vector (1, 2)"),
-        ([((1, 2), 0), (("a", 4), 1), ((1, 2), 0)], SchemaMismatch,
-         "case 2, feature 1: mixed value kinds in one column"),
-        ([((1, 2), 0), ((3, "b"), 1), (("a", 4), 0)], SchemaMismatch,
-         "case 2, feature 2: mixed value kinds in one column"),
-        ([((1, 2), 0), (("a", "b"), 1)], SchemaMismatch,
-         "case 2, feature 1: mixed value kinds in one column"),
-        ([((1, 2), 0), ((1,), 0), ((1, 2), 1)], SchemaMismatch,
-         "case 2 has 1 features, case 1 has 2"),
-        ([((1, 2), 0), ((5, 6, 7), 0), (("a", 2), 1)], SchemaMismatch,
-         "case 2 has 3 features, case 1 has 2"),
-        ([((1, 2), 0), (("a", 2), 1), ((5,), 0)], SchemaMismatch,
-         "case 2, feature 1: mixed value kinds in one column"),
-    ], ids=lambda v: repr(v)[:40])
+    @pytest.mark.parametrize("pairs, error, message", TWO_FAULTS, ids=lambda v: repr(v)[:40])
     def test_of_two_faults_the_first_in_case_order_is_named(self, pairs, error, message):
         with pytest.raises(error) as caught:
             training_set(pairs)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("pairs, error, message", [
+        fault for fault in FAULTS + TWO_FAULTS
+        if fault[0] and len({len(xs) for xs, _ in fault[0]}) == 1
+    ], ids=lambda v: repr(v)[:40])
+    def test_the_constructor_names_what_the_rows_name(self, pairs, error, message):
+        xs, ys = zip(*pairs)
+        with pytest.raises(error) as caught:
+            TrainingSet(FeatureColumns(list(zip(*xs))), ys)
+        assert str(caught.value) == message
+
+    def test_built_from_columns(self):
+        T = TrainingSet(FeatureColumns([[0, 2], ["a", "b"]]), [1, 0.5])
+        assert (T.m, T.n, T.feedbacks) == (2, 2, (1, 0.5))
+        assert T == training_set([((0, "a"), 1), ((2, "b"), 0.5)])
+        assert T.cases == (Case(FeatureVector.of(0, "a"), 1), Case(FeatureVector.of(2, "b"), 0.5))
+        assert T.cases is T.cases  # the row view is built once, when first asked for
+
+    def test_one_feedback_per_case(self):
+        with pytest.raises(DimensionMismatch, match="2 cases but 1 feedbacks"):
+            TrainingSet(FeatureColumns([[0, 2]]), [1])
+
     def test_sizes_and_projections(self):
         T = training_set([((0, 1), 1), ((2, 3), 0)])
         assert (T.m, T.n) == (2, 2)
         assert T.feedbacks == (1, 0)
-        assert T.features[0].values == (0, 1)
+        assert T.columns == FeatureColumns(((0, 2), (1, 3)))
+        assert T.cases[0] == Case(FeatureVector.of(0, 1), 1)
 
 
 class TestFeatureSchema:
@@ -206,27 +243,23 @@ class TestAggregation:
         assert aggregate_mus([0.5, 0.5], Aggregation.PRODUCT) == 0.25
 
     def test_report_total_reproducible(self):
-        cases = [Case(FeatureVector.of(i), 0) for i in range(1, 5)]
         mus = [float(i) / 7 for i in range(1, 5)]
         for agg in Aggregation:
-            rep = InconsistencyReport.build(cases, mus, [None] * 4, agg, regularizer=0.25)
+            rep = InconsistencyReport.build(mus, [None] * 4, agg, regularizer=0.25)
             folded = aggregate_mus(rep.mus, rep.aggregation)
             assert rep.total == folded + rep.regularizer
 
     def test_negative_mu_rejected(self):
         with pytest.raises(InvalidParameter):
-            InconsistencyReport.build([Case(FeatureVector.of(1), 0)], [-0.1], [None],
-                                      Aggregation.SUM)
+            InconsistencyReport.build([-0.1], [None], Aggregation.SUM)
 
     def test_columns_of_different_lengths_rejected(self):
-        cases = [Case(FeatureVector.of(1), 0), Case(FeatureVector.of(2), 0)]
         with pytest.raises(DimensionMismatch):
-            InconsistencyReport.build(cases, [0.5], [None, None], Aggregation.SUM)
+            InconsistencyReport.build([0.5], [None, None], Aggregation.SUM)
 
     def test_a_total_beyond_the_range_names_its_first_non_finite_score(self):
         def build(*mus):
-            cases = [Case(FeatureVector.of(i), 0) for i in range(len(mus))]
-            return InconsistencyReport.build(cases, mus, [None] * len(mus), Aggregation.SUM)
+            return InconsistencyReport.build(mus, [None] * len(mus), Aggregation.SUM)
 
         for mus, named in (((1.0, math.inf, math.nan), "the inconsistency of case 2"),
                            ((-1.0, math.nan), "the inconsistency of case 2"),
@@ -237,7 +270,7 @@ class TestAggregation:
 
     def test_empty_report_rejected(self):
         with pytest.raises(EmptySet):
-            InconsistencyReport.build([], [], [], Aggregation.SUM)
+            InconsistencyReport.build([], [], Aggregation.SUM)
 
     def test_raising_one_score_never_lowers_the_total(self):
         rng = np.random.default_rng(11)

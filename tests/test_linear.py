@@ -166,7 +166,7 @@ class TestSvmObjective:
         assert report.aggregation is Aggregation.MEAN
         assert report.regularizer == p.w * squared_weight_norm(f)
         assert report.total == svm_objective(f, T, p)
-        assert report.cases == T.cases
+        assert report.mus == tuple(svm_case_inconsistency(case, f) for case in T.cases)
         assert report.counts == (None,) * T.m
 
     def test_labels_must_be_signed(self):

@@ -138,7 +138,7 @@ def numeric_queries(rng, training, grid, count):
     n = training.n
     fresh = [vec(*(rng.randrange(-1, 5) if grid else rng.uniform(-4.0, 4.0)
                    for _ in range(n))) for _ in range(count)]
-    return list(training.features) + fresh  # the leave-in pass, then new points
+    return [case.x for case in training.cases] + fresh  # the leave-in pass, then new points
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -155,7 +155,7 @@ def test_neighborhood_families_match(seed, metric, grid):
         assert_brute("knn", {"k": k, "metric": metric}, labels, queries)
         assert_brute("smoothing", {"k": k, "metric": metric}, reals, queries)
     # radii on exact distances, so cases sit on the boundary
-    a, b = rng.choice(queries), rng.choice(labels.features)
+    a, b = rng.choice(queries), rng.choice(labels.cases).x
     for radius in {1.0, 2.5, brute_distance(a, b, metric)}:
         if radius > 0.0:
             params = {"radius": radius, "metric": metric}
@@ -169,7 +169,7 @@ def test_dtree_matches(seed):
     n = rng.randrange(1, 4)
     xs = numeric_sample(rng, rng.randrange(1, min(40, 4 ** n) + 1), n, grid=True)
     training = training_set([(x, rng.randrange(2)) for x in xs])
-    queries = list(training.features) + [
+    queries = [case.x for case in training.cases] + [
         vec(*(rng.randrange(4) for _ in range(n))) for _ in range(20)
     ]
     for params in (TREE_DEFAULTS,
@@ -186,7 +186,7 @@ def test_nb_matches(seed):
     points = {tuple(rng.choice(s) for s in symbols) for _ in range(30)}
     training = training_set([(p, rng.randrange(2)) for p in sorted(points)])
     unseen = [[f"{'abc'[j]}9", *s] for j, s in enumerate(symbols)]  # one unseen value each
-    queries = list(training.features) + [
+    queries = [case.x for case in training.cases] + [
         vec(*(rng.choice(s) for s in unseen)) for _ in range(20)
     ]
     assert_brute("nb", {}, training, queries)

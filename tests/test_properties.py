@@ -32,13 +32,12 @@ from minconsist import family_names  # noqa: E402
 from minconsist.cli import _audit_text, _json_value, main  # noqa: E402
 from minconsist.core import (  # noqa: E402
     Aggregation,
-    Case,
     FeatureColumns,
     FeatureVector,
     InconsistencyReport,
     LinearHypothesis,
-    TrainingSet,
     YKind,
+    training_set,
 )
 from minconsist.dataio import (  # noqa: E402
     Model,
@@ -198,26 +197,27 @@ MU = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e22]) | NUMBER  # often tied
 
 @st.composite
 def scored_rows(draw):
-    """An audit's ``(case, mu, counterparts)`` rows: one kind per column, as loaded."""
+    """An audit's ``(x, y, mu, counterparts)`` rows: one kind per column and distinct
+    vectors, as loaded."""
     columns = draw(st.lists(st.sampled_from([NUMBER, SYMBOL]), min_size=1, max_size=3))
-    rows = draw(st.lists(st.tuples(st.tuples(*columns), NUMBER, MU,
+    return draw(st.lists(st.tuples(st.tuples(*columns), NUMBER, MU,
                                    st.none() | st.integers(0, 10**6)),
-                         min_size=1, max_size=8))
-    return [(Case(FeatureVector(x), y), mu, count) for x, y, mu, count in rows]
+                         min_size=1, max_size=8, unique_by=lambda row: row[0]))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(scored=scored_rows(), family=st.sampled_from(sorted(FAMILY_FLAGS)),
        regularizer=NUMBER, total=NUMBER)
 def test_audit_template_writes_what_json_writes(scored, family, regularizer, total):
-    cases, mus, counts = zip(*scored)
-    report = InconsistencyReport(cases, mus, counts, Aggregation.SUM, regularizer, total)
+    xs, ys, mus, counts = zip(*scored)
+    report = InconsistencyReport(mus, counts, Aggregation.SUM, regularizer, total)
     header = {"family": family, "aggregation": "sum", "regularizer": regularizer,
               "total_inconsistency": total}
-    rows = [{"case": n, "x": list(case.x.values), "y": case.y, "mu": mu, "counterparts": count}
-            for n, (case, mu, count) in enumerate(scored, 1)]
+    rows = [{"case": n, "x": list(x), "y": y, "mu": mu, "counterparts": count}
+            for n, (x, y, mu, count) in enumerate(scored, 1)]
     rows.sort(key=lambda row: (-row["mu"], row["case"]))  # tied mus in case order
-    assert _audit_text(family, report) == json.dumps({**header, "rows": rows}, indent=2)
+    training = training_set(zip(xs, ys))
+    assert _audit_text(family, training, report) == json.dumps({**header, "rows": rows}, indent=2)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -263,8 +263,7 @@ def test_loaded_rows_are_rows_the_constructors_accept(rows):
                       feature_names=dataset.feature_names, schema=dataset.schema,
                       target_name="y", y_kind=YKind.REAL)
         for training in (dataset.training, load_dataset_for_model(data, model).training):
-            rebuilt = TrainingSet(tuple(Case(FeatureVector(c.x.values), c.y)
-                                        for c in training.cases))
+            rebuilt = training_set((c.x.values, c.y) for c in training.cases)
             assert rebuilt == training
         loaded = load_queries(queries, dataset.feature_names, dataset.schema)
         assert tuple(FeatureVector(q).values for q in loaded.rows()) == tuple(loaded.rows())
