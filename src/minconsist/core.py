@@ -366,7 +366,7 @@ class TrainingSet:
         )
         if unfit is not None:
             i, pos = unfit
-            raise _fault(ys[i], True) if pos == len(columns) else _fault(columns[pos][i])
+            raise _fault(ys[i], feedback=True) if pos == len(columns) else _fault(columns[pos][i])
         # A column's kind is its first value's.
         mixed = _first_in_case_order(
             _unfit(column, (str,) if isinstance(column[0], str) else _NUMBER_KINDS)
@@ -405,6 +405,8 @@ def _first_in_case_order(faults: Iterable[int | None]) -> tuple[int, int] | None
 def training_set(pairs: Iterable[tuple[Sequence[FeatureValue], float]]) -> TrainingSet:
     """Build a training set from ``(feature values, feedback)`` pairs, each checked as a Case."""
     cases = [Case(FeatureVector(tuple(xs)), y) for xs, y in pairs]
+    # The cases before the first of another width go to the constructor first, so
+    # their faults are named before the width, as a case-by-case build meets them.
     n = cases[0].x.n if cases else 1
     ragged = next((i for i, case in enumerate(cases) if case.x.n != n), len(cases))
     training = TrainingSet(
