@@ -236,11 +236,6 @@ def _unfit(values: Sequence[object], kinds: tuple[type, ...]) -> int | None:
     The one value rule: a row's check runs it over the row, a training
     set's over each of its columns.
     """
-    types = set(map(type, values))
-    if types <= {int, str}.intersection(kinds) or (
-        types == {float} and float in kinds and all(map(math.isfinite, values))
-    ):
-        return None
     return next((i for i, v in enumerate(values) if isinstance(v, bool) or not isinstance(v, kinds)
                  or isinstance(v, float) and not math.isfinite(v)), None)
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .core import (
     BoxTooLarge,
     ExhaustedRetries,
+    FeatureValue,
     FeatureVector,
     InvalidParameter,
     LinearHypothesis,
@@ -242,26 +243,24 @@ def generate_instance(
                 f"could not draw {spec.m} distinct vectors (seed {spec.seed})"
             )
         budget -= 1
-        x = _draw_vector(rng, spec)
-        if x.values in seen:
+        xs = _draw_values(rng, spec)
+        if xs in seen:
             continue
-        seen.add(x.values)
-        pairs.append((x.values, _draw_label(rng, spec)))
-    queries = tuple(_draw_vector(rng, spec) for _ in range(spec.queries))
+        seen.add(xs)
+        pairs.append((xs, _draw_label(rng, spec)))
+    queries = tuple(FeatureVector(_draw_values(rng, spec)) for _ in range(spec.queries))
     return training_set(pairs), queries
 
 
-def _draw_vector(rng: np.random.Generator, spec: RandomInstance) -> FeatureVector:
+def _draw_values(rng: np.random.Generator, spec: RandomInstance) -> tuple[FeatureValue, ...]:
     if spec.feature_kind == "numeric":
-        values = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=spec.n))
-    elif spec.feature_kind == "ordinal":
-        values = tuple(int(v) for v in rng.integers(0, spec.levels, size=spec.n))
-    else:
-        values = tuple(
-            f"{chr(ord('a') + int(v))}{pos}"
-            for pos, v in enumerate(rng.integers(0, spec.levels, size=spec.n))
-        )
-    return FeatureVector(values)
+        return tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=spec.n))
+    if spec.feature_kind == "ordinal":
+        return tuple(int(v) for v in rng.integers(0, spec.levels, size=spec.n))
+    return tuple(
+        f"{chr(ord('a') + int(v))}{pos}"
+        for pos, v in enumerate(rng.integers(0, spec.levels, size=spec.n))
+    )
 
 
 def _draw_label(rng: np.random.Generator, spec: RandomInstance) -> float:
