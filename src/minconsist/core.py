@@ -27,7 +27,8 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import (AbstractSet, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence,
+                    TypeVar, Union)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +235,15 @@ def _unfit(values: Sequence[object], kinds: tuple[type, ...]) -> int | None:
     """The index of the first value that is not of ``kinds`` or is a float that is not finite.
 
     The one value rule: a row's check runs it over the row, a training
-    set's over each of its columns.
+    set's over each of its columns, with the column's kind (:func:`_kind_of`).
     """
     return next((i for i, v in enumerate(values) if isinstance(v, bool) or not isinstance(v, kinds)
                  or isinstance(v, float) and not math.isfinite(v)), None)
+
+
+def _kind_of(value: object) -> tuple[type, ...]:
+    """The kinds of ``value``'s column, which keeps one kind: symbols, or numbers."""
+    return (str,) if isinstance(value, str) else _NUMBER_KINDS
 
 
 def _fault(value: object, feedback: bool = False) -> SchemaMismatch:
@@ -338,11 +344,10 @@ class TrainingSet:
     Case i is row i of ``columns`` with feedback ``feedbacks[i]``.  Order
     is preserved and meaningful: totals are accumulated in this order,
     which keeps reported values bit-for-bit reproducible.  Construction
-    checks one feedback per case, the value rule of :class:`FeatureVector`
-    and :class:`Case` at every value, one kind (numbers or symbols) per
-    column and distinct vectors.  Of several faults it names the first a
-    case-by-case build meets: a bad value in any case, then, case by case,
-    mixed kinds before a repeated vector.
+    checks one feedback per case, one kind per column (numbers or symbols,
+    which keeps the value rule of :class:`FeatureVector` and :class:`Case`),
+    finite feedbacks and distinct vectors.  Only a failed check builds the
+    cases, naming the first fault a case-by-case build meets (:func:`_name_fault`).
     """
 
     columns: FeatureColumns
@@ -355,28 +360,9 @@ class TrainingSet:
             raise EmptySet("a training set needs at least one case")
         if len(ys) != m:
             raise DimensionMismatch(f"{m} cases but {len(ys)} feedbacks")
-        # The feedback sits at position n, after the features.
-        unfit = _first_in_case_order(
-            [*(_unfit(column, _VALUE_KINDS) for column in columns), _unfit(ys, _NUMBER_KINDS)]
-        )
-        if unfit is not None:
-            i, pos = unfit
-            raise _fault(ys[i], feedback=True) if pos == len(columns) else _fault(columns[pos][i])
-        # A column's kind is its first value's.
-        mixed = _first_in_case_order(
-            _unfit(column, (str,) if isinstance(column[0], str) else _NUMBER_KINDS)
-            for column in columns
-        )
-        rows, first_of = list(self.columns.rows()), {}
-        twin = next((i for i, row in enumerate(rows) if first_of.setdefault(row, i) != i), m)
-        if mixed is not None and mixed[0] <= twin:
-            i, j = mixed
-            raise SchemaMismatch(f"case {i + 1}, feature {j + 1}: mixed value kinds in one column")
-        if twin < m:
-            raise DuplicateFeatureVector(
-                f"cases {first_of[rows[twin]] + 1} and {twin + 1} "
-                f"share feature vector {rows[twin]!r}"
-            )
+        if (any(_unfit(column, _kind_of(column[0])) is not None for column in columns)
+                or _unfit(ys, _NUMBER_KINDS) is not None or len(set(self.columns.rows())) < m):
+            _name_fault(self.cases)
 
     @property
     def m(self) -> int:
@@ -392,25 +378,37 @@ class TrainingSet:
         return tuple(map(Case, map(FeatureVector, self.columns.rows()), self.feedbacks))
 
 
-def _first_in_case_order(faults: Iterable[int | None]) -> tuple[int, int] | None:
-    """(case, position) of the first fault in case order, given each position's first fault."""
-    return min(((i, pos) for pos, i in enumerate(faults) if i is not None), default=None)
+def _name_fault(cases: Sequence[Case]) -> NoReturn:
+    """Raise the first fault a case-by-case build of the checked ``cases`` meets.
+
+    Case by case: a width or, lowest position first, a value kind unlike
+    case 1's, then a vector an earlier case holds.
+    """
+    kinds, case_of = list(map(_kind_of, cases[0].x.values)), {}
+    for i, values in enumerate((case.x.values for case in cases), 1):
+        if len(values) != len(kinds):
+            raise SchemaMismatch(f"case {i} has {len(values)} features, case 1 has {len(kinds)}")
+        mixed = next((j for j, v in enumerate(values, 1) if _kind_of(v) != kinds[j - 1]), 0)
+        if mixed:
+            raise SchemaMismatch(f"case {i}, feature {mixed}: mixed value kinds in one column")
+        if case_of.setdefault(values, i) != i:
+            raise DuplicateFeatureVector(f"cases {case_of[values]} and {i} share "
+                                         f"feature vector {values!r}")
+    raise AssertionError("no fault to name")
 
 
 def training_set(pairs: Iterable[tuple[Sequence[FeatureValue], float]]) -> TrainingSet:
-    """Build a training set from ``(feature values, feedback)`` pairs, each checked as a Case."""
-    cases = [Case(FeatureVector(tuple(xs)), y) for xs, y in pairs]
-    # The cases before the first of another width go to the constructor first, so
-    # their faults are named before the width, as a case-by-case build meets them.
-    n = cases[0].x.n if cases else 1
-    ragged = next((i for i, case in enumerate(cases) if case.x.n != n), len(cases))
-    training = TrainingSet(
-        FeatureColumns([[case.x.values[j] for case in cases[:ragged]] for j in range(n)]),
-        [case.y for case in cases[:ragged]],
-    )
-    if ragged < len(cases):
-        raise SchemaMismatch(f"case {ragged + 1} has {cases[ragged].x.n} features, case 1 has {n}")
-    return training
+    """Build a training set from ``(feature values, feedback)`` pairs.
+
+    Pairs of one width become the constructor's columns, and no pairs one
+    column of no rows, which it finds empty.  Other pairs are checked as
+    cases, and :func:`_name_fault` names their fault.
+    """
+    pairs = list(pairs)
+    rows, ys = [tuple(xs) for xs, _ in pairs], [y for _, y in pairs]
+    if len(set(map(len, rows))) > 1 or () in rows:
+        _name_fault([Case(FeatureVector(xs), y) for xs, y in zip(rows, ys)])
+    return TrainingSet(FeatureColumns(tuple(zip(*rows)) or ((),)), ys)
 
 
 # The values of each labelled feedback domain; a REAL feedback is any number.
@@ -555,6 +553,8 @@ class InconsistencyReport:
 
 def aggregate_mus(mus: Sequence[float], aggregation: Aggregation) -> float:
     """Fold per-case scores in the given order."""
+    if aggregation is Aggregation.MEAN:
+        return _mean(mus)
     if aggregation is Aggregation.PRODUCT:
         total = 1.0
         for mu in mus:
@@ -563,9 +563,17 @@ def aggregate_mus(mus: Sequence[float], aggregation: Aggregation) -> float:
     total = 0.0
     for mu in mus:
         total += mu
-    if aggregation is Aggregation.MEAN:
-        total /= len(mus)
     return total
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The sum of ``values`` in order over their count, scaled down if the sum overflows."""
+    total = aggregate_mus(values, Aggregation.SUM)
+    if math.isfinite(total):
+        return total / len(values)
+    shift = len(values).bit_length()  # the mean may be finite: sum again, scaled
+    total = aggregate_mus([math.ldexp(v, -shift) for v in values], Aggregation.SUM)
+    return math.ldexp(total / len(values), shift)
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ def load_model(path: str | Path) -> Model:
     The family must know the parameters and learn from the feedback
     domain; a linear family needs a hypothesis over numbers, one
     coefficient per feature, and a query-time family keeps none but names
-    its training data by their content hash.
+    its training data by their content hash.  Only a dtree model keeps a tree.
     """
     doc = _read(path, ModelFormatError, str(path))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -465,8 +465,9 @@ def load_model(path: str | Path) -> Model:
                    "the content hash of the training data")
         tree_doc = _field(doc, "tree", lambda v: v is None or isinstance(v, dict),
                           "an object or null")
-        if family == "dtree" and tree_doc is None:
-            raise ModelFormatError("a dtree model needs its tree")
+        if (tree_doc is None) == (family == "dtree"):
+            keeps = "needs its" if family == "dtree" else "keeps no"
+            raise ModelFormatError(f"a {family} model {keeps} tree")
         tree = None if tree_doc is None else TreePartition(
             _tree_from_json(tree_doc, schema.n), schema.n
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     Aggregation,
@@ -38,7 +38,7 @@ from .core import (
     SchemaMismatch,
     TrainingSet,
     YKind,
-    _first_in_case_order,
+    _mean,
     _require_disjoint,
     _unfit,
     aggregate_mus,
@@ -190,20 +190,6 @@ def _gap(value: float, feedbacks: Sequence[float]) -> float:
     return abs(value - _mean(feedbacks))
 
 
-def _mean(values: Sequence[float]) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    if math.isfinite(total):
-        return total / len(values)
-    # The sum overflowed, though the mean may not: sum again scaled by a power of two.
-    shift = len(values).bit_length()
-    total = 0.0
-    for v in values:
-        total += math.ldexp(v, -shift)
-    return math.ldexp(total / len(values), shift)
-
-
 def smoothing_fit(
     x0: FeatureVector, training: TrainingSet, spec: NeighborhoodSpec
 ) -> PointwiseHypothesis:
@@ -338,6 +324,11 @@ def _best_split(
             if decrease > 0.0 and (best is None or decrease > best[2]):
                 best = (feature, threshold, decrease)
     return best
+
+
+def _first_in_case_order(faults: Iterable[int | None]) -> tuple[int, int] | None:
+    """(case, position) of the first fault in case order, given each position's first fault."""
+    return min(((i, pos) for pos, i in enumerate(faults) if i is not None), default=None)
 
 
 def dtree_build(training: TrainingSet, cfg: TreeConfig = TreeConfig()) -> TreePartition:

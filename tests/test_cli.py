@@ -18,6 +18,7 @@ from minconsist import (
     KNearest,
     LinearHypothesis,
     NeighborhoodSpec,
+    SvmParams,
     SvrParams,
     TrainingSet,
     YKind,
@@ -362,6 +363,23 @@ class TestNonFiniteResults:
         assert run(["audit", "--model", model, "--data", data]) == 0
         assert json.loads(capsys.readouterr().out)["total_inconsistency"] == 0.0
 
+    def test_a_mean_slack_whose_sum_overflows_is_audited(self, write, capsys):
+        # Both slacks and their mean are finite, though their plain sum is not.
+        model = write("m.json", json.dumps({
+            "format": "minconsist-model", "version": 1, "family": "svm", "params": {"w": 1.0},
+            "feature_names": ["x1"], "schema": [{"kind": "numeric"}], "target": "y",
+            "y_kind": "pm1", "hypothesis": {"kind": "linear", "b": [1e8], "a": 0.0},
+            "tree": None, "training_hash": None, "total_inconsistency": None,
+        }))
+        assert run(["audit", "--model", model,
+                    "--data", write("d.csv", "x1,y\n1e300,-1\n1.5e300,-1\n")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["mu"] for row in doc["rows"]] == [1e8 * 1.5e300 + 1.0, 1e8 * 1e300 + 1.0]
+        assert doc["total_inconsistency"] == pytest.approx(1.25e308 + 1e16)
+        f, T = LinearHypothesis((1e8,), 0.0), training_set([((1e300,), -1), ((1.5e300,), -1)])
+        assert linear.svm_objective(f, T, SvmParams(1.0)) == doc["total_inconsistency"]
+        assert linear.svm_objectives_agree(f, T, SvmParams(1.0))
+
     def test_audit(self, write, tmp_path, capsys):
         model = tmp_path / "m.json"
         data = write("d.csv", self.LINE_CSV)
@@ -541,6 +559,7 @@ class TestModelChecks:
          "unknown hypothesis kind 'pointwise'"),
         ({"hypothesis": {"kind": "linear", "b": [1.0], "a": 0.0}},
          "a knn model keeps no hypothesis"),
+        ({"tree": {"leaf": 0, "cases": [0, 1, 2, 3]}}, "a knn model keeps no tree"),
     )
     def test_edited_knn_model_is_a_data_error(self, write, tmp_path, capsys, edit, named):
         data = write("d.csv", BIN_CSV)
@@ -556,6 +575,7 @@ class TestModelChecks:
         ({"hypothesis": {"kind": "linear", "b": [1.0, -10**400], "a": 0.0}},
          "linear coefficients must be finite"),
         ({"hypothesis": None}, "a svm model needs its hypothesis"),
+        ({"tree": {"leaf": 0, "cases": [0, 1, 2, 3]}}, "a svm model keeps no tree"),
     )
     def test_edited_svm_model_is_a_data_error(self, write, tmp_path, capsys, edit, named):
         data = write("d.csv", PM1_CSV)

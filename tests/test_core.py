@@ -183,6 +183,13 @@ class TestTrainingSet:
         assert T.cases == (Case(FeatureVector.of(0, "a"), 1), Case(FeatureVector.of(2, "b"), 0.5))
         assert T.cases is T.cases  # the row view is built once, when first asked for
 
+    def test_valid_pairs_build_no_row_objects(self, monkeypatch):
+        built = []
+        for cls in (FeatureVector, Case):
+            monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+        T = training_set([((0, "a"), 1), ((2.5, "b"), 0), ((1, "a"), 0.5)])
+        assert (T.m, built) == (3, [])
+
     def test_one_feedback_per_case(self):
         with pytest.raises(DimensionMismatch, match="2 cases but 1 feedbacks"):
             TrainingSet(FeatureColumns([[0, 2]]), [1])

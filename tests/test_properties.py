@@ -11,7 +11,8 @@ The loader's rows, built without the constructors' checks, must be rows
 the constructors accept, and the audit's template must write the text
 ``json.dumps(..., indent=2)`` writes.  A block of queries must get the
 answers its rows get one at a time: a linear hypothesis the same bits,
-and a tree the same leaves.
+and a tree the same leaves.  Pairs of one width and their columns must
+build the same training set or name the same fault.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import copy
 import io
 import itertools
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -36,6 +38,8 @@ from minconsist.core import (  # noqa: E402
     FeatureVector,
     InconsistencyReport,
     LinearHypothesis,
+    MinconsistError,
+    TrainingSet,
     YKind,
     training_set,
 )
@@ -268,6 +272,38 @@ def test_loaded_rows_are_rows_the_constructors_accept(rows):
         loaded = load_queries(queries, dataset.feature_names, dataset.schema)
         assert tuple(FeatureVector(q).values for q in loaded.rows()) == tuple(loaded.rows())
         assert loaded == dataset.training.columns
+
+
+# Numbers; numbers and symbols; and those with bools, None and non-finite floats.
+# Each is small, and 1 == 1.0, so vectors repeat.
+VALUES = [[0, 1, 1.0, -2.5], [0, 1, "a", "b"], [0, 1.0, "a", True, None, math.nan, math.inf]]
+FEEDBACKS = [[0, 1, 0.5], [0, -1, 0.5, True, None, math.nan, "1"]]
+
+
+@st.composite
+def uniform_pairs(draw):
+    """One to six ``(values, feedback)`` pairs, all of one width, from drawn alphabets."""
+    n, values, feedbacks = (draw(st.integers(1, 3)), draw(st.sampled_from(VALUES)),
+                            draw(st.sampled_from(FEEDBACKS)))
+    return draw(st.lists(st.tuples(st.tuples(*[st.sampled_from(values)] * n),
+                                   st.sampled_from(feedbacks)), min_size=1, max_size=6))
+
+
+def _outcome(build):
+    """What ``build`` returns, or the type and message of the error it raises."""
+    try:
+        return build()
+    except MinconsistError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(pairs=uniform_pairs())
+def test_pairs_and_columns_name_the_same_fault(pairs):
+    xs, ys = zip(*pairs)
+    assert _outcome(lambda: training_set(pairs)) == _outcome(
+        lambda: TrainingSet(FeatureColumns(list(zip(*xs))), ys)
+    )
 
 
 # -- generated argument lists and sidecar schemas ----------------------------
