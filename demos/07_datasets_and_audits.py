@@ -70,7 +70,7 @@ with tempfile.TemporaryDirectory(prefix="minconsist-demo-") as tmp:
     print()
 
     saved = load_model(model_path)
-    print("saved hypothesis:", saved.hypothesis.b, saved.hypothesis.a)
+    print("saved hypothesis:", saved.fitted.b, saved.fitted.a)
     print("saved total:     ", saved.total_inconsistency)
 
     # Categorical models ride the same rails; the sidecar travels with the

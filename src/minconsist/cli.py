@@ -40,6 +40,7 @@ from .dataio import (
     save_model,
 )
 from .oracle import run_all_checks
+from .pointwise import TreePartition
 
 
 def _train_params() -> tuple[Param, ...]:
@@ -153,7 +154,11 @@ def cmd_train(args: argparse.Namespace, params: dict) -> int:
     family = args.learner
     y_kind = _infer_y_kind(dataset.training, family)
     fitted, total = select_hypothesis(family, params, dataset.training)
-    save_model(Model.trained(family, params, dataset, y_kind, fitted, total), args.out)
+    # A model that keeps no hypothesis answers from its training data, named by their hash.
+    training_hash = dataset.content_hash if family_spec(family).pointwise else None
+    save_model(Model(family, params, dataset.feature_names, dataset.schema, dataset.target_name,
+                     y_kind, fitted=fitted, training_hash=training_hash,
+                     total_inconsistency=total), args.out)
     _echo_params(family, params, dataset, total, args.out)
     return 0
 
@@ -164,8 +169,8 @@ def _require_matching_data(model: Model, path: str) -> Dataset:
         raise TrainingDataMismatch(
             f"{path} does not match the data this model was trained on"
         )
-    if model.tree is not None:
-        last = max((i for leaf in model.tree.leaves() for i in leaf.case_indices), default=0)
+    if isinstance(model.fitted, TreePartition):
+        last = max((i for leaf in model.fitted.leaves() for i in leaf.case_indices), default=0)
         if last >= dataset.training.m:
             raise ModelFormatError(
                 f"the model's tree names case {last + 1}, but {path} has {dataset.training.m}"

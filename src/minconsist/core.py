@@ -654,8 +654,8 @@ class FamilySpec:
     a complete, checked parameter set.
 
     - ``fit(params, training)`` returns ``(fitted, total)``: what a model
-      keeps (a :class:`LinearHypothesis`, the tree of ``dtree``, or None)
-      and the least total inconsistency over ``training``.
+      keeps, an instance of ``keeps`` or None, and the least total
+      inconsistency over ``training``.
     - ``answers(params, fitted, training, queries)`` yields one answer
       per row of the :class:`FeatureColumns` ``queries``, in order; a
       query that cannot be answered raises after the answers before it.
@@ -663,9 +663,10 @@ class FamilySpec:
       :class:`InconsistencyReport` of ``fitted`` over ``training``: one
       position per case, in case order, and the total that ``fit`` returns.
 
-    ``pointwise`` marks a family that answers each query from its
-    training cases rather than from a fitted hypothesis, so its
-    ``answers`` need ``training``; the others take None.
+    ``keeps`` is the type of what a fit returns for the model (a
+    :class:`LinearHypothesis`, the tree of ``dtree``), or None when a fit
+    keeps nothing.  ``symbols`` marks a family whose features are all
+    nominal; every other family takes no nominal feature.
     """
 
     name: str
@@ -675,7 +676,13 @@ class FamilySpec:
     answers: Callable[..., Iterable[float]]
     audit: Callable[..., InconsistencyReport]
     one_of: tuple[str, ...] = ()
-    pointwise: bool = False
+    keeps: type | None = None
+    symbols: bool = False
+
+    @property
+    def pointwise(self) -> bool:
+        """Whether the family answers from its training cases; others' ``answers`` take None."""
+        return self.keeps is not LinearHypothesis
 
     def complete(self, values: Mapping[str, object], name: Callable[[str], str] = str) -> dict:
         """``values`` in registry order, with the default of every unset parameter.

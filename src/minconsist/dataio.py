@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, NoReturn, Sequence
@@ -356,7 +357,7 @@ def _fault(kind: ColumnKind, token: str, what: str) -> str:
 
 @dataclass(frozen=True)
 class Model:
-    """Everything a trained model remembers."""
+    """Everything a trained model remembers; ``fitted`` is what its family's fit returned."""
 
     family: str
     params: dict
@@ -364,35 +365,13 @@ class Model:
     schema: FeatureSchema
     target_name: str
     y_kind: YKind
-    hypothesis: LinearHypothesis | None = None
-    tree: TreePartition | None = None
+    fitted: LinearHypothesis | TreePartition | None = None
     training_hash: str | None = None
     total_inconsistency: float | None = None
 
-    @classmethod
-    def trained(cls, family: str, params: dict, dataset: Dataset, y_kind: YKind,
-                fitted: LinearHypothesis | TreePartition | None, total: float) -> "Model":
-        """The model of ``fitted``, what the family's fit to ``dataset`` returned.
-
-        A hypothesis answers on its own.  Any other model answers from
-        its training data, so it names them by their content hash.
-        """
-        linear = isinstance(fitted, LinearHypothesis)
-        return cls(
-            family, params, dataset.feature_names, dataset.schema, dataset.target_name, y_kind,
-            hypothesis=fitted if linear else None,
-            tree=None if linear else fitted,
-            training_hash=None if linear else dataset.content_hash,
-            total_inconsistency=total,
-        )
-
-    @property
-    def fitted(self) -> LinearHypothesis | TreePartition | None:
-        """What the family's fit returned: the hypothesis, else the tree, if any."""
-        return self.tree if self.hypothesis is None else self.hypothesis
-
 
 def save_model(model: Model, path: str | Path) -> None:
+    fitted = model.fitted
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -402,8 +381,9 @@ def save_model(model: Model, path: str | Path) -> None:
         "schema": [_column_kind_to_json(kind) for kind in model.schema.columns],
         "target": model.target_name,
         "y_kind": model.y_kind.value,
-        "hypothesis": _hypothesis_to_json(model.hypothesis),
-        "tree": _tree_to_json(model.tree.root) if model.tree is not None else None,
+        "hypothesis": (_hypothesis_to_json(fitted) if isinstance(fitted, LinearHypothesis)
+                       else None),
+        "tree": _tree_to_json(fitted.root) if isinstance(fitted, TreePartition) else None,
         "training_hash": model.training_hash,
         "total_inconsistency": model.total_inconsistency,
     }
@@ -419,12 +399,13 @@ def _write(path: str | Path, text: str) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    """A model file, checked against its family's registry row.
+    """A model file, checked against its family's registry row alone.
 
     The family must know the parameters and learn from the feedback
-    domain; a linear family needs a hypothesis over numbers, one
-    coefficient per feature, and a query-time family keeps none but names
-    its training data by their content hash.  Only a dtree model keeps a tree.
+    domain.  The hypothesis, the tree and the training data's content hash
+    are each present exactly when the row's ``keeps`` says so; a hypothesis
+    holds one coefficient per feature, and a column is nominal exactly when
+    the family takes symbols.  The total is a finite number >= 0, or null.
     """
     doc = _read(path, ModelFormatError, str(path))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -447,44 +428,38 @@ def load_model(path: str | Path) -> Model:
         y_kinds = [kind.value for kind in YKind]
         y_kind = YKind(_field(doc, "y_kind", lambda v: v in y_kinds, f"one of {y_kinds}"))
         spec.require_y_kind(y_kind)
-        hypothesis = _hypothesis_from_json(_field(
-            doc, "hypothesis", lambda v: v is None or isinstance(v, dict), "an object or null"
-        ))
-        if (hypothesis is None) != spec.pointwise:
-            keeps = "keeps no" if spec.pointwise else "needs its"
-            raise ModelFormatError(f"a {family} model {keeps} hypothesis")
+        hypothesis = _hypothesis_from_json(
+            _field(doc, "hypothesis", _is_object_or_null, "an object or null")
+        )
+        tree_doc = _field(doc, "tree", _is_object_or_null, "an object or null")
+        for key, value, kind in (("hypothesis", hypothesis, LinearHypothesis),
+                                 ("tree", tree_doc, TreePartition)):
+            if (value is None) == (spec.keeps is kind):
+                keeps = "needs its" if value is None else "keeps no"
+                raise ModelFormatError(f"a {family} model {keeps} {key}")
         if hypothesis is not None and hypothesis.n != len(names):
             raise ModelFormatError(
                 f"hypothesis b must hold one coefficient per feature name ({len(names)}), "
                 f"got {hypothesis.n}"
             )
-        if hypothesis is not None and any(isinstance(c, NominalKind) for c in schema.columns):
-            raise ModelFormatError("a linear hypothesis takes no nominal feature")
+        if any(isinstance(c, NominalKind) != spec.symbols for c in schema.columns):
+            takes = "only" if spec.symbols else "no"
+            raise ModelFormatError(f"a {family} model takes {takes} nominal features")
         if spec.pointwise:
             _field(doc, "training_hash", lambda v: isinstance(v, str),
                    "the content hash of the training data")
-        tree_doc = _field(doc, "tree", lambda v: v is None or isinstance(v, dict),
-                          "an object or null")
-        if (tree_doc is None) == (family == "dtree"):
-            keeps = "needs its" if family == "dtree" else "keeps no"
-            raise ModelFormatError(f"a {family} model {keeps} tree")
-        tree = None if tree_doc is None else TreePartition(
+        elif doc.get("training_hash") is not None:
+            raise ModelFormatError(f"a {family} model keeps no training_hash")
+        total = _field(doc, "total_inconsistency",
+                       lambda v: v is None or _is_number(v) and 0 <= v <= sys.float_info.max,
+                       "a finite number >= 0, or null")
+        fitted = hypothesis if tree_doc is None else TreePartition(
             _tree_from_json(tree_doc, schema.n), schema.n
         )
     except MinconsistError as exc:  # includes the schema's and hypothesis's own checks
         raise ModelFormatError(f"{path}: {exc}") from None
-    return Model(
-        family=family,
-        params=params,
-        feature_names=tuple(names),
-        schema=schema,
-        target_name=target,
-        y_kind=y_kind,
-        hypothesis=hypothesis,
-        tree=tree,
-        training_hash=doc.get("training_hash"),
-        total_inconsistency=doc.get("total_inconsistency"),
-    )
+    return Model(family, params, tuple(names), schema, target, y_kind, fitted=fitted,
+                 training_hash=doc.get("training_hash"), total_inconsistency=total)
 
 
 def _field(doc: dict, key: str, ok: Callable[[object], bool], what: str):
@@ -531,8 +506,8 @@ def _column_kind_from_model(entry: object) -> ColumnKind:
     raise ModelFormatError(f"model schema declares unknown kind {kind!r}")
 
 
-def _hypothesis_to_json(h: LinearHypothesis | None) -> dict | None:
-    return None if h is None else {"kind": "linear", "b": list(h.b), "a": h.a}
+def _hypothesis_to_json(h: LinearHypothesis) -> dict:
+    return {"kind": "linear", "b": list(h.b), "a": h.a}
 
 
 def _hypothesis_from_json(doc: dict | None) -> LinearHypothesis | None:
@@ -542,6 +517,10 @@ def _hypothesis_from_json(doc: dict | None) -> LinearHypothesis | None:
         b = _field(doc, "b", _is_numbers, "a list of numbers")
         return LinearHypothesis(tuple(b), _field(doc, "a", _is_number, "a number"))
     raise ModelFormatError(f"unknown hypothesis kind {doc.get('kind')!r}")
+
+
+def _is_object_or_null(value: object) -> bool:
+    return value is None or isinstance(value, dict)
 
 
 def _is_number(value: object) -> bool:

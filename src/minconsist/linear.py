@@ -549,9 +549,11 @@ class ErmLearner:
 register_family(FamilySpec(
     "svm", (W,), frozenset({YKind.PM1}), _svm_fit, _answers,
     lambda params, f, training: svm_report(f, training, SvmParams(params[W.key])),
+    keeps=LinearHypothesis,
 ))
 for _name, _params in (("svr", (EPSILON, LAMBDA)), ("erm", ())):
     register_family(FamilySpec(
         _name, _params, frozenset(YKind), _svr_fit, _answers,
         lambda params, f, training: svr_report(f, training, _svr_params(params)),
+        keeps=LinearHypothesis,
     ))

@@ -53,21 +53,27 @@ def brute_knn_majority(
     """Majority vote over the k nearest cases, ties at the cut included.
 
     Implemented with its own distance code and plain counting; 0 wins a
-    split vote.
+    split vote.  A distance beyond the floating-point range sorts after
+    every finite one, and such distances are compared with each other
+    measured from coordinates scaled by 2**-600.
     """
     if k < 1:
         raise InvalidParameter(f"k must be positive, got {k!r}")
     if k > training.m:
         raise InvalidParameter(f"k={k} but only {training.m} cases")
+    if metric not in ("euclidean", "manhattan"):
+        raise InvalidParameter(f"unknown metric {metric!r}")
+
+    def measured(x: FeatureVector, scale: float) -> float:
+        diffs = [a * scale - b * scale for a, b in zip(x.values, x0.values)]
+        if metric == "euclidean":
+            return math.sqrt(sum(d * d for d in diffs))
+        return sum(abs(d) for d in diffs)
+
     dists = []
     for case in training.cases:
-        if metric == "euclidean":
-            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(case.x.values, x0.values)))
-        elif metric == "manhattan":
-            d = sum(abs(a - b) for a, b in zip(case.x.values, x0.values))
-        else:
-            raise InvalidParameter(f"unknown metric {metric!r}")
-        dists.append(d)
+        d = measured(case.x, 1)
+        dists.append((d, measured(case.x, 2.0 ** -600) if d == math.inf else 0.0))
     cutoff = sorted(dists)[k - 1]
     votes = Counter(
         case.y for case, d in zip(training.cases, dists) if d <= cutoff

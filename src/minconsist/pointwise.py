@@ -66,9 +66,15 @@ def distance(x1: FeatureVector, x2: FeatureVector, metric: str = METRIC.default)
     """Distance between two number-valued feature vectors.
 
     Ordinal positions take part through their rank integers; nominal
-    positions have no distance and are rejected.
+    positions have no distance and are rejected.  A distance beyond the
+    floating-point range is inf.
     """
-    return _column_distances([(v,) for v in x1.values], x2.values, metric)[0]
+    columns = [(v,) for v in x1.values]
+    d = _column_distances(columns, x2.values, metric)[0]
+    if d == math.inf:  # a term overflowed: measure again scaled, then scale back
+        (d,), shift = _scaled_distances(columns, x2.values, metric)
+        d *= 2.0 ** shift  # exact, or inf beyond the range
+    return d
 
 
 def _column_distances(
@@ -94,6 +100,24 @@ def _column_distances(
         else:
             totals = [t + abs(a - b) for t, a in zip(totals, column)]
     return list(map(math.sqrt, totals)) if metric == "euclidean" else totals
+
+
+def _scaled_distances(
+    columns: Sequence[Sequence[float]], x0: Sequence[float], metric: str
+) -> tuple[list[float], int]:
+    """The distances of :func:`_column_distances` from coordinates scaled by 2**-shift, and shift.
+
+    The shift is chosen from the largest magnitude, so that no total of n
+    scaled terms overflows.  Scaling by a power of two is exact until a
+    value falls below 2**-1022; what it loses there, under 2**-1074, is far
+    below the rounding of a total that overflowed unscaled (at least 2**-24
+    once scaled), so rows that differ only there tie, as they do unscaled.
+    """
+    n = len(x0).bit_length()
+    top = (1021 - n) // 2 if metric == "euclidean" else 1022 - n
+    shift = math.frexp(max(abs(float(v)) for v in chain(x0, *columns)))[1] - top
+    scaled = [[math.ldexp(v, -shift) for v in values] for values in (*columns, x0)]
+    return _column_distances(scaled[:-1], scaled[-1], metric), shift
 
 
 def _dimensions(n1: int, n2: int) -> SchemaMismatch:
@@ -154,8 +178,8 @@ def smoothing_counterparts(
     past k when further cases tie the k-th distance exactly, so the
     selection never depends on how equal distances happen to sort.
     """
-    dists = _column_distances(_columns(training), x0.values, spec.metric)
-    return CounterpartSet(tuple(training.cases[i] for i in _chosen(dists, spec.mode, x0.values)))
+    chosen = _chosen(_columns(training), x0.values, spec)
+    return CounterpartSet(tuple(training.cases[i] for i in chosen))
 
 
 def _columns(training: TrainingSet) -> tuple[tuple[FeatureValue, ...], ...]:
@@ -165,15 +189,35 @@ def _columns(training: TrainingSet) -> tuple[tuple[FeatureValue, ...], ...]:
 
 
 def _chosen(
-    dists: Sequence[float], mode: Union[KNearest, FixedRadius], x0: tuple[FeatureValue, ...]
+    columns: Sequence[Sequence[FeatureValue]], x0: tuple[FeatureValue, ...],
+    spec: NeighborhoodSpec,
 ) -> list[int]:
-    """Indices, in training order, of the cases the neighborhood rule selects."""
+    """Indices, in training order, of the cases the neighborhood rule selects.
+
+    A case whose distance overflows to inf lies beyond every case whose
+    distance is finite.  Where the rule reaches such cases, they are
+    measured again from coordinates scaled by one power of two
+    (:func:`_scaled_distances`), and compared with each other and with
+    the radius scaled the same way.
+    """
+    dists, mode = _column_distances(columns, x0, spec.metric), spec.mode
     if isinstance(mode, KNearest):
         if mode.k > len(dists):
             raise KExceedsSampleSize(f"k={mode.k} but only {len(dists)} cases")
-        cutoff = sorted(dists)[mode.k - 1]
-        return [i for i, d in enumerate(dists) if d <= cutoff]
-    chosen = [i for i, d in enumerate(dists) if d <= mode.radius]
+        limit = sorted(dists)[mode.k - 1]
+    else:
+        limit = mode.radius
+    chosen = [i for i, d in enumerate(dists) if d <= limit]
+    if limit == math.inf or isinstance(mode, FixedRadius) and math.inf in dists:
+        far = [i for i, d in enumerate(dists) if d == math.inf]
+        scaled, shift = _scaled_distances([[column[i] for i in far] for column in columns],
+                                          x0, spec.metric)
+        if isinstance(mode, KNearest):  # the nearest of the far cases complete the k
+            limit = sorted(scaled)[mode.k - (len(dists) - len(far)) - 1]
+        else:
+            limit = math.ldexp(mode.radius, -shift)
+        chosen = sorted([i for i in chosen if dists[i] < math.inf]
+                        + [i for i, d in zip(far, scaled) if d <= limit])
     if not chosen:
         raise EmptyNeighborhood(f"no case within radius {mode.radius} of {x0!r}")
     return chosen
@@ -509,7 +553,7 @@ def _neighborhood_answers(
     columns = _columns(training)
     feedbacks = training.feedbacks
     for x0 in queries.rows():
-        chosen = _chosen(_column_distances(columns, x0, spec.metric), spec.mode, x0)
+        chosen = _chosen(columns, x0, spec)
         ys = [feedbacks[i] for i in chosen]
         if vote:
             label, mu = _vote(ys)
@@ -635,11 +679,11 @@ def _audit(family, params, tree, training) -> InconsistencyReport:
 def _register(name: str, params: tuple[Param, ...], y_kinds: frozenset[YKind], **kw) -> None:
     register_family(FamilySpec(
         name, params, y_kinds, partial(_fit, name), partial(_answers, name),
-        partial(_audit, name), pointwise=True, **kw,
+        partial(_audit, name), **kw,
     ))
 
 
 _register("smoothing", (K, RADIUS, METRIC), frozenset(YKind), one_of=(K.key, RADIUS.key))
 _register("knn", (K, METRIC), frozenset({YKind.BINARY01}))
-_register("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}))
-_register("nb", (), frozenset({YKind.BINARY01}))
+_register("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}), keeps=TreePartition)
+_register("nb", (), frozenset({YKind.BINARY01}), symbols=True)

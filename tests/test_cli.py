@@ -77,7 +77,7 @@ class TestTrain:
         assert out.exists()
         model = load_model(out)
         assert model.family == "svm"
-        assert model.hypothesis is not None
+        assert model.fitted is not None
 
     def test_a_fit_past_the_step_bound_is_an_error(self, write, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(linear, "STEPS_PER_ROW", 0)
@@ -95,13 +95,13 @@ class TestTrain:
                     "--out", out]) == 0
         model = load_model(out)
         assert model.training_hash is not None
-        assert model.hypothesis is None
+        assert model.fitted is None
 
     def test_dtree_train_saves_tree(self, write, tmp_path):
         data = write("d.csv", BIN_CSV)
         out = tmp_path / "m.json"
         assert run(["train", "--learner", "dtree", "--data", data, "--out", out]) == 0
-        assert load_model(out).tree is not None
+        assert load_model(out).fitted is not None
 
     def test_dtree_splits_at_a_negative_threshold(self, write, tmp_path, capsys):
         data = write("d.csv", "x,y\n-3,0\n-2,0\n1,1\n2,1\n")
@@ -389,6 +389,71 @@ class TestNonFiniteResults:
                    capsys, "the inconsistency of case 1")
 
 
+class TestNeighborsBeyondTheFloatRange:
+    """A neighbor whose distance total overflows is still chosen by its distance.
+
+    At 1e200 every squared difference below overflows; the same tables
+    at smaller scales give the same answers, counts and scores.
+    """
+
+    # No case is equally far from two others: rounding the scaled cells could break the tie.
+    KNN_CSV = "x1,y\n1,1\n2,0\n4,0\n"  # the query 1.1 is nearest the case labelled 1
+    SMOOTHING_CSV = "x1,y\n1,1.5\n5,3.5\n"  # the radius 100 around 1 holds both cases
+
+    @staticmethod
+    def _scaled(table, scale):
+        """``table`` with every feature cell multiplied by ``scale``."""
+        head, *rows = table.splitlines()
+        cells = [row.split(",") for row in rows]
+        return "\n".join([head, *(",".join([*(repr(float(v) * scale) for v in xs), y])
+                                  for *xs, y in cells)]) + "\n"
+
+    def _answers(self, write, tmp_path, capsys, flags, table, query):
+        """What ``predict`` writes at ``query``, and the audit's (case, mu, counterparts)."""
+        data, model = write("d.csv", table), tmp_path / "m.json"
+        assert run(["train", *flags, "--data", data, "--out", model]) == 0
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--queries", write("q.csv", f"x1\n{query}\n"),
+                    "--data", data]) == 0
+        predicted = capsys.readouterr().out
+        assert run(["audit", "--model", model, "--data", data]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        return predicted, [(row["case"], row["mu"], row["counterparts"]) for row in rows]
+
+    def test_knn_takes_the_nearest_far_case(self, write, tmp_path, capsys):
+        assert self._answers(write, tmp_path, capsys, ["--learner", "knn", "--k", "1"],
+                             "x1,y\n1e200,1\n2e200,0\n3e200,0\n", "1.1e200")[0] == "1\n"
+
+    def test_smoothing_reaches_a_far_case_inside_the_radius(self, write, tmp_path, capsys):
+        flags = ["--learner", "smoothing", "--radius", "1e300"]
+        assert self._answers(write, tmp_path, capsys, flags,
+                             "x1,y\n1e200,1.5\n5e200,3.5\n", "1e200")[0] == "2.5\n"
+
+    def test_manhattan_takes_the_nearest_far_case(self, write, tmp_path, capsys):
+        # Both differences, 2.7e308 and 2.5e308, overflow on their own.
+        flags = ["--learner", "knn", "--k", "1", "--metric", "manhattan"]
+        assert self._answers(write, tmp_path, capsys, flags,
+                             "x1,y\n-1.7e308,0\n-1.5e308,1\n", "1e308")[0] == "1\n"
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_every_scale_gives_the_same_answers(self, write, tmp_path, capsys, metric):
+        for learner, flags, table, query, expected in (
+            ("knn", ["--k", "1"], self.KNN_CSV, 1.1, "1\n"),
+            ("knn", ["--k", "2"], self.KNN_CSV, 1.1, "0\n"),
+            ("smoothing", ["--radius", 100.0], self.SMOOTHING_CSV, 1.0, "2.5\n"),  # scales
+            ("smoothing", ["--k", "1"], self.SMOOTHING_CSV, 4.0, "3.5\n"),
+        ):
+            seen = set()
+            for scale in (1, 1e100, 1e200):
+                argv = ["--learner", learner, "--metric", metric,
+                        *(repr(v * scale) if isinstance(v, float) else v for v in flags)]
+                predicted, audited = self._answers(write, tmp_path, capsys, argv,
+                                                   self._scaled(table, scale), repr(query * scale))
+                assert predicted == expected, (learner, flags, scale)
+                seen.add(repr(audited))
+            assert len(seen) == 1, (learner, flags)
+
+
 class TestHugeIntegralCells:
     """1e200 stays a float, and neither distances nor linear fits crash on it."""
 
@@ -609,7 +674,69 @@ class TestModelChecks:
         model.write_text(json.dumps({**json.loads(model.read_text()), "schema": nominal}))
         capsys.readouterr()
         self._rejected(model, write("q.csv", "x\na\n"), write("n.csv", "x,y\na,-1\nb,1\n"),
-                       capsys, "a linear hypothesis takes no nominal feature")
+                       capsys, "a svm model takes no nominal features")
+
+    def test_dtree_model_over_a_nominal_column_is_a_data_error(self, write, tmp_path, capsys):
+        # The hash is recomputed under the edited schema, so only the kind rule can refuse it.
+        data, model = write("d.csv", BIN_CSV), tmp_path / "m.json"
+        assert run(["train", "--learner", "dtree", "--data", data, "--out", model]) == 0
+        sidecar = write("d.schema.json", json.dumps({"columns": {"x": {"kind": "nominal"}}}))
+        doc = {**json.loads(model.read_text()),
+               "schema": [{"kind": "nominal", "symbols": ["0", "1", "5", "6"]}],
+               "training_hash": load_dataset(data, schema_path=sidecar).content_hash}
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        self._rejected(model, write("q.csv", "x\n1\n"), data, capsys,
+                       f"{model}: a dtree model takes no nominal features")
+
+    def test_nb_model_over_a_numeric_column_is_a_data_error(self, write, tmp_path, capsys):
+        data, model = write("d.csv", "x,y\na,0\nb,1\n"), tmp_path / "m.json"
+        assert run(["train", "--learner", "nb", "--data", data, "--out", model]) == 0
+        model.write_text(json.dumps({**json.loads(model.read_text()),
+                                     "schema": [{"kind": "numeric"}]}))
+        capsys.readouterr()
+        self._rejected(model, write("q.csv", "x\n1\n"), write("n.csv", BIN_CSV), capsys,
+                       f"{model}: a nb model takes only nominal features")
+
+    @pytest.mark.parametrize("total", [math.inf, -math.inf, math.nan, 2**1024, -1.0, -5e-324,
+                                       "abc", "0.5", True, [0.5]],
+                             ids=["inf", "-inf", "nan", "2**1024", "-1.0", "-5e-324", "abc",
+                                  "text-0.5", "True", "list"])
+    @pytest.mark.parametrize("family", ["svm", "knn"])
+    def test_a_total_that_is_not_a_finite_number_at_least_0_is_a_data_error(
+            self, write, tmp_path, capsys, family, total):
+        data = write("d.csv", {"svm": PM1_CSV}.get(family, BIN_CSV))
+        model = tmp_path / "m.json"
+        assert run(["train", "--learner", family, *AUDIT_FLAGS[family], "--data", data,
+                    "--out", model]) == 0
+        model.write_text(json.dumps({**json.loads(model.read_text()),
+                                     "total_inconsistency": total}))
+        capsys.readouterr()
+        self._rejected(model, write("q.csv", "x1,x2\n2,2\n" if family == "svm" else "x\n2\n"),
+                       data, capsys, f"{model}: total_inconsistency must be a finite number "
+                       f">= 0, or null, got {total!r}")
+
+    @pytest.mark.parametrize("total", [None, 0, 0.0, 3, 1.7976931348623157e308])
+    def test_a_total_that_is_null_or_a_finite_number_at_least_0_loads(self, write, tmp_path,
+                                                                      total):
+        data, model = write("d.csv", PM1_CSV), tmp_path / "m.json"
+        assert run(["train", "--learner", "svm", "--w", "1", "--data", data,
+                    "--out", model]) == 0
+        model.write_text(json.dumps({**json.loads(model.read_text()),
+                                     "total_inconsistency": total}))
+        assert load_model(model).total_inconsistency == total
+
+    @pytest.mark.parametrize("edit", [5, "0" * 64, ""])
+    @pytest.mark.parametrize("family", ["erm", "svm", "svr"])
+    def test_linear_model_with_a_data_hash_is_a_data_error(self, write, tmp_path, capsys,
+                                                           family, edit):
+        data, model = write("d.csv", PM1_CSV), tmp_path / "m.json"
+        assert run(["train", "--learner", family, *AUDIT_FLAGS.get(family, []), "--data", data,
+                    "--out", model]) == 0
+        model.write_text(json.dumps({**json.loads(model.read_text()), "training_hash": edit}))
+        capsys.readouterr()
+        self._rejected(model, write("q.csv", "x1,x2\n2,2\n"), data, capsys,
+                       f"{model}: a {family} model keeps no training_hash")
 
     @pytest.mark.parametrize("edit", [None, DELETE, 5], ids=["null", "absent", "number"])
     @pytest.mark.parametrize("family", [f for f in family_names() if family_spec(f).pointwise])
@@ -714,14 +841,14 @@ def test_predict_writes_the_per_query_answers(write, tmp_path, capsys, family):
     fitted, training = load_model(model), training_set(zip(points, ys))
     vectors = [FeatureVector(q) for q in queries]
     if family in ("svm", "svr", "erm"):
-        answers = [fitted.hypothesis(x0) for x0 in vectors]
+        answers = [fitted.fitted(x0) for x0 in vectors]
     elif family == "smoothing":
         spec = NeighborhoodSpec(KNearest(2), "euclidean")
         answers = [smoothing_fit(x0, training, spec).value for x0 in vectors]
     elif family == "knn":
         answers = [knn_predict(x0, training, 3)[0] for x0 in vectors]
     elif family == "dtree":
-        answers = [dtree_predict(x0, fitted.tree, training)[0] for x0 in vectors]
+        answers = [dtree_predict(x0, fitted.fitted, training)[0] for x0 in vectors]
     else:
         answers = [nb_predict(x0, training)[0] for x0 in vectors]
     assert capsys.readouterr().out == "".join(f"{_fmt_prediction(v)}\n" for v in answers)
@@ -751,7 +878,7 @@ class TestAudit:
         doc = json.loads(capsys.readouterr().out)
         saved = load_model(model)
         T = training_set([((0, 0), -1), ((0, 1), -1), ((2, 2), 1), ((3, 2), 1)])
-        zeta = svm_slack(saved.hypothesis, T)
+        zeta = svm_slack(saved.fitted, T)
         by_case = {row["case"]: row["mu"] for row in doc["rows"]}
         assert [by_case[i + 1] for i in range(4)] == list(zeta)
 
@@ -910,8 +1037,8 @@ class TestSvrErmAgreement:
                     "--out", erm_out]) == 0
         capsys.readouterr()
         a, b = load_model(svr_out), load_model(erm_out)
-        assert a.hypothesis.b == b.hypothesis.b
-        assert a.hypothesis.a == b.hypothesis.a
+        assert a.fitted.b == b.fitted.b
+        assert a.fitted.a == b.fitted.a
         assert a.total_inconsistency == b.total_inconsistency
 
 

@@ -267,7 +267,7 @@ def _linear_model() -> Model:
         schema=FeatureSchema.numeric(2),
         target_name="y",
         y_kind=YKind.REAL,
-        hypothesis=LinearHypothesis((0.1 + 0.2, 1e-17), -0.30000000000000004),
+        fitted=LinearHypothesis((0.1 + 0.2, 1e-17), -0.30000000000000004),
         total_inconsistency=0.75,
     )
 
@@ -335,8 +335,8 @@ class TestModelFiles:
         path = tmp_path / "m.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.hypothesis.b == model.hypothesis.b
-        assert loaded.hypothesis.a == model.hypothesis.a
+        assert loaded.fitted.b == model.fitted.b
+        assert loaded.fitted.a == model.fitted.a
         assert loaded.total_inconsistency == model.total_inconsistency
         assert loaded.params == model.params
         assert loaded.schema == model.schema
@@ -354,13 +354,13 @@ class TestModelFiles:
             schema=FeatureSchema.numeric(1),
             target_name="y",
             y_kind=YKind.BINARY01,
-            tree=tree,
+            fitted=tree,
             training_hash="0" * 64,
         )
         path = tmp_path / "m.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.tree == tree
+        assert loaded.fitted == tree
         assert loaded.training_hash == model.training_hash
 
     def test_pointwise_payload(self, tmp_path):

@@ -1,5 +1,7 @@
 """Query-time learners: local smoothing, k-nearest, trees, naive Bayes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,14 @@ class TestDistance:
 
     def test_ordinal_ranks_are_numbers(self):
         assert distance(vec(0), vec(3)) == 3.0
+
+    def test_a_distance_whose_terms_overflow_is_measured_scaled(self):
+        assert distance(vec(1e200), vec(3e200)) == 2e200
+        big = 2.0 ** 700  # about 5e210, so the 3-4-5 triangle scales exactly
+        assert distance(vec(3 * big, 0.0), vec(0.0, 4 * big)) == 5 * big
+        assert distance(vec(-1.5e308), vec(1e308), "manhattan") == math.inf
+        assert distance(vec(1e308, 1e308), vec(0.0, 0.0)) == math.sqrt(2) * 1e308
+        assert distance(vec(1.5e308, 1.5e308), vec(0.0, 0.0)) == math.inf  # beyond the range
 
     def test_nominal_rejected(self):
         with pytest.raises(SchemaMismatch):

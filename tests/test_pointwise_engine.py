@@ -39,20 +39,36 @@ def vec(*values):
     return FeatureVector.of(*values)
 
 
-def brute_distance(x, y, metric):
+FAR = 2.0 ** -600  # the scale a distance beyond the float range is measured again at
+
+
+def brute_distance(x, y, metric, scale=1):
     total = 0.0
     for a, b in zip(x.values, y.values):
+        a, b = a * scale, b * scale
         total += (a - b) * (a - b) if metric == "euclidean" else abs(a - b)
     return math.sqrt(total) if metric == "euclidean" else total
 
 
 def neighbors(x0, training, params):
-    """Feedbacks of the cases the neighborhood rule takes, in training order."""
-    dists = [brute_distance(case.x, x0, params["metric"]) for case in training.cases]
+    """Feedbacks of the cases the neighborhood rule takes, in training order.
+
+    A distance beyond the float range lies beyond every finite one; such
+    distances are compared with each other, and with the radius, at ``FAR``.
+    """
+    keys = []
+    for case in training.cases:
+        d = brute_distance(case.x, x0, params["metric"])
+        keys.append((d, brute_distance(case.x, x0, params["metric"], FAR) if d == math.inf
+                     else 0.0))
     if params.get("k", 0) > training.m:
         raise KExceedsSampleSize(f"k={params['k']} but only {training.m} cases")
-    cut = sorted(dists)[params["k"] - 1] if "k" in params else params["radius"]
-    return [case.y for case, d in zip(training.cases, dists) if d <= cut]
+    if "k" in params:
+        cut = sorted(keys)[params["k"] - 1]
+        return [case.y for case, key in zip(training.cases, keys) if key <= cut]
+    radius = params["radius"]
+    return [case.y for case, (d, far) in zip(training.cases, keys)
+            if d <= radius or d == math.inf and far <= radius * FAR]
 
 
 def reference(family, params, tree, training, x0):
@@ -161,6 +177,55 @@ def test_neighborhood_families_match(seed, metric, grid):
             params = {"radius": radius, "metric": metric}
             assert_brute("smoothing", params, reals,
                          [q for q in queries if neighbors(q, reals, params)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("metric, scale", [("euclidean", 1e150), ("euclidean", 1e200),
+                                           ("euclidean", 1e300), ("manhattan", 1e200),
+                                           ("manhattan", 5e307)])
+def test_neighborhood_families_match_beyond_the_float_range(seed, metric, scale):
+    # At 1e150 no total overflows; at the larger scales some or all do.
+    rng = random.Random(f"far:{seed}:{metric}:{scale}")
+    n, grid = rng.randrange(1, 4), rng.random() < 0.5
+    m = min(rng.randrange(1, 16), 4 ** n if grid else 16)
+    xs = [[v * scale for v in x] for x in numeric_sample(rng, m, n, grid)]
+    labels = training_set([(x, rng.randrange(2)) for x in xs])
+    reals = training_set([(x, rng.choice((0, 1, -2, 0.5))) for x in xs])
+    queries = [case.x for case in labels.cases] + [
+        vec(*(rng.uniform(-3.0, 3.0) * scale for _ in range(n))) for _ in range(10)
+    ]
+    for k in {1, 2, rng.randrange(1, labels.m + 1), labels.m}:
+        assert_brute("knn", {"k": k, "metric": metric}, labels, queries)
+        assert_brute("smoothing", {"k": k, "metric": metric}, reals, queries)
+    for radius in (scale, 2.5 * scale, 1e308):
+        params = {"radius": radius, "metric": metric}
+        assert_brute("smoothing", params, reals,
+                     [q for q in queries if neighbors(q, reals, params)])
+
+
+def test_near_cases_keep_their_unscaled_distances():
+    # The far case's total overflows, so the query's distances are taken
+    # again; 1e-120 scaled with it would square to 0 and tie the case at 0.
+    training = training_set([((0.0,), 1), ((1e-120,), 0), ((1e200,), 0)])
+    queries = FeatureColumns.of([vec(0.0)])
+    for k, answer in ((1, (1, 0.0, 1)), (2, (0, 0.5, 2)), (3, (0, 1 / 3, 3))):
+        params = {"k": k, "metric": "euclidean"}
+        assert list(pointwise_answers("knn", params, None, training, queries)) == [answer]
+
+
+@pytest.mark.parametrize("tiny", [1e-160, 1e-270, 1e-300, 5e-324])
+@pytest.mark.parametrize("scale", [1, 1e100, 1e200])
+def test_a_difference_lost_to_scaling_ties_as_it_does_unscaled(scale, tiny):
+    # Two cases differ only by ``tiny``, 2*scale from the query.  Unscaled,
+    # tiny's term is absorbed in the total 4*scale**2 or its square is 0, so
+    # they tie.  At 1e200 the totals overflow, and scaled by 2**-156, tiny
+    # squares to 0 (1e-160), is subnormal (1e-270) or is 0 (1e-300, 5e-324):
+    # they tie there too, and k=1 keeps both.
+    training = training_set([((scale, tiny), 1), ((scale, 0), 0)])
+    queries = FeatureColumns.of([vec(3 * scale, 0)])
+    assert list(pointwise_answers("knn", {"k": 1, "metric": "euclidean"}, None, training,
+                                  queries)) == [(0, 0.5, 2)]
+    assert brute_knn_majority(vec(3 * scale, 0), training, 1) == 0
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -4,8 +4,11 @@ Every ``train``, ``predict`` and ``audit`` run on generated CSV text must
 return 0, 1 or 2 from ``main``, as must every generated argument list and
 every ``train`` with a generated sidecar schema.  Every ``predict`` and
 ``audit`` run on a model document with one field, parameter or tree node
-replaced by a generated JSON value must return 0 or 1.  An exception
-escaping ``main`` would reach the user as a traceback.
+replaced by a generated JSON value must return 0 or 1, as must each
+family's model with its columns declared under every kind and its
+training hash taken again.  An exception escaping ``main`` would reach
+the user as a traceback.  Each family's model file comes back through
+its one ``fitted`` slot byte for byte.
 
 The loader's rows, built without the constructors' checks, must be rows
 the constructors accept, and the audit's template must write the text
@@ -41,13 +44,16 @@ from minconsist.core import (  # noqa: E402
     MinconsistError,
     TrainingSet,
     YKind,
+    family_spec,
     training_set,
 )
 from minconsist.dataio import (  # noqa: E402
     Model,
     load_dataset,
     load_dataset_for_model,
+    load_model,
     load_queries,
+    save_model,
 )
 from minconsist.pointwise import TreeLeaf, TreeNode, TreePartition, _routed  # noqa: E402
 
@@ -181,6 +187,51 @@ def test_edited_model_documents_keep_the_exit_code_contract(trained, data):
         _run(["predict", "--model", model, "--queries", queries_csv, "--data", training_csv],
              codes=(0, 1))
         _run(["audit", "--model", model, "--data", training_csv], codes=(0, 1))
+
+
+def _kind(entry, tokens):
+    """A model-file schema entry of kind ``entry`` over a column's ``tokens``."""
+    if entry == "numeric":
+        return {"kind": "numeric"}
+    if entry == "ordinal":
+        return {"kind": "ordinal", "levels": list(dict.fromkeys(tokens))}
+    return {"kind": "nominal", "symbols": sorted(set(tokens))}
+
+
+@pytest.mark.parametrize("kinds", list(itertools.product(["numeric", "ordinal", "nominal"],
+                                                         repeat=2)), ids="-".join)
+@pytest.mark.parametrize("family", sorted(FAMILY_FLAGS))
+def test_a_model_with_each_column_kind_keeps_the_exit_code_contract(trained, family, kinds):
+    # A model that names its training data by their hash gets the hash of the
+    # data parsed under the edited schema, so the edit reaches the family's
+    # answers and audit, unless the data do not parse under it.
+    doc, training_csv, _ = trained[family]
+    header, *rows = [line.split(",") for line in training_csv.read_text().splitlines()]
+    columns = [_kind(kind, tokens) for kind, tokens in zip(kinds, list(zip(*rows))[:2])]
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar, model = Path(tmp, "s.json"), Path(tmp, "m.json")
+        queries = Path(tmp, "q.csv")
+        queries.write_text("".join(",".join(row[:2]) + "\n" for row in [header, *rows]),
+                           encoding="utf-8")
+        sidecar.write_text(json.dumps({"columns": dict(zip(header, columns))}), encoding="utf-8")
+        training_hash = doc["training_hash"]
+        if training_hash is not None:
+            with contextlib.suppress(MinconsistError):
+                training_hash = load_dataset(training_csv, schema_path=sidecar).content_hash
+        model.write_text(json.dumps({**doc, "schema": columns, "training_hash": training_hash}),
+                         encoding="utf-8")
+        _run(["predict", "--model", model, "--queries", queries, "--data", training_csv],
+             codes=(0, 1))
+        _run(["audit", "--model", model, "--data", training_csv], codes=(0, 1))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FLAGS))
+def test_a_model_file_round_trips_through_its_fitted_slot(trained, family, tmp_path):
+    path = trained[family][1].parent / f"{family}.json"
+    loaded, keeps = load_model(path), family_spec(family).keeps
+    assert loaded.fitted is None if keeps is None else isinstance(loaded.fitted, keeps)
+    save_model(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 # -- the audit's template against json ---------------------------------------
