@@ -241,6 +241,28 @@ def _unfit(values: Sequence[object], kinds: tuple[type, ...]) -> int | None:
                  or isinstance(v, float) and not math.isfinite(v)), None)
 
 
+_FLOAT_BOUND = 2 ** 1024 - 2 ** 970  # the least int that float() rounds beyond the range
+
+
+def _floats(values: Sequence[int | float], feature: int | None = None) -> tuple[float, ...]:
+    """Numeric feature values as floats; an int beyond the float range is rejected by place.
+
+    ``values`` is one vector, or, given ``feature`` (from 0), that
+    feature's column over the cases.  The value rule admits any int, and
+    families that only compare values (``dtree``) keep them; the families
+    that compute with features convert them here.
+    """
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        from decimal import Decimal  # writes an int of any length, where repr may refuse
+        i = next(i for i, v in enumerate(values) if abs(v) >= _FLOAT_BOUND)
+        place = f"feature {i + 1}" if feature is None else f"case {i + 1}, feature {feature + 1}"
+        raise SchemaMismatch(
+            f"{place}: value {Decimal(values[i]):.3E} is beyond the float range"
+        ) from None
+
+
 def _kind_of(value: object) -> tuple[type, ...]:
     """The kinds of ``value``'s column, which keeps one kind: symbols, or numbers."""
     return (str,) if isinstance(value, str) else _NUMBER_KINDS

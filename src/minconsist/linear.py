@@ -20,7 +20,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     Aggregation,
@@ -37,6 +37,7 @@ from .core import (
     SolverDiverged,
     TrainingSet,
     YKind,
+    _floats,
     aggregate_mus,
     register_family,
     require_labels,
@@ -480,10 +481,9 @@ def _svm_problem(training: TrainingSet, params: SvmParams):
     A case's row is y (x, 1), so its place is its margin y f(x); its loss
     falls at 1/m up to the kink at 1 and is flat after it.
     """
-    _require_numeric_features(training)
+    xs = _feature_rows(training)
     require_labels(training, YKind.PM1)
-    rows = [[y * float(x) for x in (*xs, 1.0)]
-            for xs, y in zip(training.columns.rows(), training.feedbacks)]
+    rows = [[y * x for x in (*row, 1.0)] for row, y in zip(xs, training.feedbacks)]
     return rows, [0.0] * len(rows), (1.0,), (-1.0 / training.m, 0.0), params.w
 
 
@@ -493,10 +493,10 @@ def _svr_problem(training: TrainingSet, params: SvrParams):
     A case's place is f(x) - y, its residual negated; its loss is flat
     inside the tube [-epsilon, epsilon] and has slope 1 outside it.
     """
-    _require_numeric_features(training)
+    xs = _feature_rows(training)
     eps = params.epsilon
     kinks, slopes = ((-eps, eps), (-1.0, 0.0, 1.0)) if eps else ((0.0,), (-1.0, 1.0))
-    rows = [[float(x) for x in (*xs, 1.0)] for xs in training.columns.rows()]
+    rows = [[*row, 1.0] for row in xs]
     offsets = [-float(y) for y in training.feedbacks]
     return rows, offsets, kinks, slopes, params.lam
 
@@ -513,6 +513,12 @@ def _require_numeric_features(training: TrainingSet) -> None:
     for pos, column in enumerate(training.columns.columns):
         if isinstance(column[0], str):
             raise IncompatibleFamily(f"case 1, feature {pos + 1}: linear learners need numbers")
+
+
+def _feature_rows(training: TrainingSet) -> Iterator[tuple[float, ...]]:
+    """Each case's features as floats (:func:`_floats`), once they are checked to be numbers."""
+    _require_numeric_features(training)
+    return zip(*(_floats(column, j) for j, column in enumerate(training.columns.columns)))
 
 
 def _svr_params(params: Mapping[str, object]) -> SvrParams:

@@ -13,12 +13,14 @@ query.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain, product
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     Aggregation,
@@ -38,6 +40,7 @@ from .core import (
     SchemaMismatch,
     TrainingSet,
     YKind,
+    _floats,
     _mean,
     _require_disjoint,
     _unfit,
@@ -69,32 +72,42 @@ def distance(x1: FeatureVector, x2: FeatureVector, metric: str = METRIC.default)
     positions have no distance and are rejected.  A distance beyond the
     floating-point range is inf.
     """
-    columns = [(v,) for v in x1.values]
-    d = _column_distances(columns, x2.values, metric)[0]
+    b = _query([(v,) for v in x1.values], x2.values)
+    METRIC.check(metric)
+    columns = [(a,) for a in _floats(x1.values)]
+    d = _column_distances(columns, b, metric)[0]
     if d == math.inf:  # a term overflowed: measure again scaled, then scale back
-        (d,), shift = _scaled_distances(columns, x2.values, metric)
+        (d,), shift = _scaled_distances(columns, b, metric)
         d *= 2.0 ** shift  # exact, or inf beyond the range
     return d
 
 
-def _column_distances(
-    columns: Sequence[Sequence[FeatureValue]], x0: Sequence[FeatureValue], metric: str
-) -> list[float]:
-    """The distance from every row of the transposed ``columns`` to the values ``x0``.
+def _query(
+    columns: Sequence[Sequence[FeatureValue]], x0: Sequence[FeatureValue]
+) -> tuple[float, ...]:
+    """The values ``x0`` as floats, once they can be measured against the transposed ``columns``.
 
-    Each row's total starts at 0.0 and adds one term per position, in
-    position order.  A nominal position, in the rows or in ``x0``, has
-    no distance and is rejected.
+    A width mismatch is named first, then the first nominal position, in
+    the columns or in ``x0``.
     """
     if len(x0) != len(columns):
         raise _dimensions(len(columns), len(x0))
-    if metric not in METRICS:
-        METRIC.check(metric)
-    totals = [0.0] * len(columns[0])
     for pos, (column, b) in enumerate(zip(columns, x0)):
         if isinstance(column[0], str) or isinstance(b, str):  # columns hold one kind
             raise _nominal(pos)
-        b = float(b)  # all-float terms: faster than mixed, and a huge int squares to inf
+    return _floats(x0)
+
+
+def _column_distances(
+    columns: Sequence[Sequence[float]], x0: Sequence[float], metric: str
+) -> list[float]:
+    """The distance from every row of the transposed float ``columns`` to the float values ``x0``.
+
+    Each row's total starts at 0.0 and adds one term per position, in
+    position order.
+    """
+    totals = [0.0] * len(columns[0])
+    for column, b in zip(columns, x0):
         if metric == "euclidean":
             totals = [t + (a - b) * (a - b) for t, a in zip(totals, column)]
         else:
@@ -115,7 +128,7 @@ def _scaled_distances(
     """
     n = len(x0).bit_length()
     top = (1021 - n) // 2 if metric == "euclidean" else 1022 - n
-    shift = math.frexp(max(abs(float(v)) for v in chain(x0, *columns)))[1] - top
+    shift = math.frexp(max(map(abs, chain(x0, *columns))))[1] - top
     scaled = [[math.ldexp(v, -shift) for v in values] for values in (*columns, x0)]
     return _column_distances(scaled[:-1], scaled[-1], metric), shift
 
@@ -178,49 +191,199 @@ def smoothing_counterparts(
     past k when further cases tie the k-th distance exactly, so the
     selection never depends on how equal distances happen to sort.
     """
-    chosen = _chosen(_columns(training), x0.values, spec)
+    chosen = next(_selections(spec, training, FeatureColumns.of((x0,))))
     return CounterpartSet(tuple(training.cases[i] for i in chosen))
 
 
-def _columns(training: TrainingSet) -> tuple[tuple[FeatureValue, ...], ...]:
-    """The training features by position; numbers become floats."""
-    return tuple(column if isinstance(column[0], str) else tuple(map(float, column))
-                 for column in training.columns.columns)
+def _selections(
+    spec: NeighborhoodSpec, training: TrainingSet, queries: FeatureColumns
+) -> Iterator[list[int]]:
+    """Indices, in training order, of the cases the rule selects at each row of ``queries``."""
+    grid = _CellGrid(tuple(column if isinstance(column[0], str) else _floats(column, j)
+                           for j, column in enumerate(training.columns.columns)), spec)
+    for x0 in queries.rows():
+        yield grid.selected(x0)
+
+
+_KEPT = 1 << 14  # the most cases the measured blocks of one engine call keep at once
+
+
+class _CellGrid:
+    """The training cases bucketed by their first (up to) three features, for one engine call.
+
+    Each indexed feature is cut at up to c - 1 distinct data values,
+    ``sorted(column)[m * t // c]`` with c = round((m / 4) ** (1 / D)) (at
+    least one), so skewed data still fills the cells evenly and no cell
+    lies between two equal edges; a value's cell is
+    ``bisect_right(edges, value)``.  The cases are held cell by cell, the
+    cells in lexicographic order, so the cells of a block that differ
+    only in their last index are one run of cases.  A block is every
+    case whose cell lies within Chebyshev distance r, its ring, of a
+    query's cell.  The call keeps, by cell, the first ring whose block
+    holds k cases, and the blocks it measures, up to :data:`_KEPT` cases
+    (queries in one cell share them).
+    """
+
+    def __init__(
+        self, columns: tuple[tuple[FeatureValue, ...], ...], spec: NeighborhoodSpec
+    ) -> None:
+        m, indexed = len(columns[0]), columns[:3]
+        c = max(1, round((m / 4) ** (1 / len(indexed))))
+        self.columns, self.spec = columns, spec
+        self.edges = [sorted({ordered[m * t // c] for t in range(1, c)})
+                      for ordered in map(sorted, indexed)]
+        self.sizes = [len(edges) + 1 for edges in self.edges]
+        self.strides = [math.prod(self.sizes[j + 1:]) for j in range(len(indexed))]
+        places = [0] * m
+        for edges, column, stride in zip(self.edges, indexed, self.strides):
+            cells = map(partial(bisect_right, edges), column)
+            places = list(map(operator.add, places, map(stride.__mul__, cells)))
+        self.order = sorted(range(m), key=places.__getitem__)
+        self.held = tuple([column[i] for i in self.order] for column in columns)
+        tally = Counter(places)
+        self.starts = list(accumulate(map(tally.__getitem__, range(math.prod(self.sizes))),
+                                      initial=0))
+        self.rings: dict[tuple[int, ...], tuple[range, int]] = {}
+        self.blocks: dict[tuple[tuple[int, ...], int], tuple[list[int], tuple[list, ...]]] = {}
+        self.kept = 0
+
+    def selected(self, x0: tuple[FeatureValue, ...]) -> list[int]:
+        """Indices, in training order, of the cases the neighborhood rule selects at ``x0``.
+
+        The selection is measured on the block of the first ring past
+        which every case lies strictly beyond its reach (the radius, or
+        the k-th distance), so every tie at the cut is inside.  For k
+        cases, the reach is first measured on the first block that holds
+        k cases; the k-th distance of a larger block is no larger, so a
+        second block measured is the last.  A k-th distance of inf prunes
+        nothing, nor does a bound of inf for a radius: the block is then
+        the whole set.
+        """
+        b, spec = _query(self.columns, x0), self.spec
+        mode, m = spec.mode, len(self.order)
+        if isinstance(mode, KNearest) and mode.k > m:
+            raise KExceedsSampleSize(f"k={mode.k} but only {m} cases")
+        cell = tuple(map(bisect_right, self.edges, b))
+        rings, r = self.rings.get(cell) or self.first_rings(cell)
+        bound = partial(self.bound, cell, b, spec.metric)
+        if isinstance(mode, KNearest):
+            ids, columns = self.block(cell, r)
+            chosen, reach = _chosen(columns, b, spec)
+            # past a finite reach, a bound of inf holds only cases the full scan leaves out
+            end = _first(lambda s: reach < bound(s), rings[r:])
+            if end > r:
+                ids, columns = self.block(cell, end)
+                chosen, _ = _chosen(columns, b, spec)
+        else:
+            # a case whose distance is inf may lie within the radius
+            end = _first(lambda s: mode.radius < bound(s), rings)
+            if end < rings[-1] and bound(end) == math.inf:
+                end = rings[-1]
+            ids, columns = self.block(cell, end)
+            chosen, _ = _chosen(columns, b, spec)
+        if not chosen:
+            raise EmptyNeighborhood(f"no case within radius {mode.radius} of {x0!r}")
+        return sorted(map(ids.__getitem__, chosen))
+
+    def first_rings(self, cell: tuple[int, ...]) -> tuple[range, int]:
+        """The rings around ``cell``, the last holding every case, and the first to measure.
+
+        That is the first whose block holds k cases, for k nearest, and 0
+        for a radius.
+        """
+        rings = range(max(max(q, size - 1 - q) for q, size in zip(cell, self.sizes)) + 1)
+        mode = self.spec.mode
+        k = mode.k if isinstance(mode, KNearest) else 0
+        found = self.rings[cell] = rings, _first(lambda s: self.count(cell, s) >= k, rings)
+        return found
+
+    def runs(self, cell: tuple[int, ...], r: int) -> list[tuple[int, int]]:
+        """The block of ring r around ``cell``, as runs of positions in the held order."""
+        *outer, last = [range(max(0, q - r), min(size, q + r + 1))
+                        for q, size in zip(cell, self.sizes)]
+        heads = map(sum, product(*(range(span.start * stride, span.stop * stride, stride)
+                                   for span, stride in zip(outer, self.strides))))
+        return [(self.starts[head + last.start], self.starts[head + last.stop])
+                for head in heads]
+
+    def count(self, cell: tuple[int, ...], r: int) -> int:
+        """The number of cases in the block of ring r around ``cell``."""
+        return sum(stop - start for start, stop in self.runs(cell, r))
+
+    def block(self, cell: tuple[int, ...], r: int) -> tuple[list[int], tuple[list, ...]]:
+        """The ids of the cases in the block of ring r around ``cell``, and their columns."""
+        found = self.blocks.get((cell, r))
+        if found is None:
+            runs = self.runs(cell, r)
+            found = (list(chain.from_iterable(self.order[start:stop] for start, stop in runs)),
+                     tuple(list(chain.from_iterable(column[start:stop] for start, stop in runs))
+                           for column in self.held))
+            self.kept += len(found[0])
+            if self.kept > _KEPT:
+                self.blocks.clear()
+                self.kept = len(found[0])
+            self.blocks[cell, r] = found
+        return found
+
+    def bound(self, cell: tuple[int, ...], x0: Sequence[float], metric: str, r: int) -> float:
+        """A lower bound on the distance from ``x0`` of each case outside a block (not the last).
+
+        Such a case lies, in some indexed feature, at or above the edge
+        ``e`` after the block or below the edge before it.  Float
+        subtraction, squaring and ``abs`` keep order, so the term ``e``
+        makes, computed as the case's own term is, is at most the case's
+        term; a float sum of non-negative terms is at least each term, and
+        ``sqrt`` keeps order.  The bound grows with r.
+        """
+        gaps = []
+        for edges, q, b in zip(self.edges, cell, x0):
+            if q + r < len(edges):
+                gaps.append(edges[q + r] - b)
+            if q - r > 0:
+                gaps.append(edges[q - r - 1] - b)
+        if metric == "euclidean":
+            return math.sqrt(min(g * g for g in gaps))
+        return min(map(abs, gaps))
+
+
+def _first(holds: Callable[[int], bool], rings: range) -> int:
+    """The first of ``rings`` at which ``holds``, which holds after any ring it holds at.
+
+    It is taken to hold at the last ring, which is never probed.  Probes
+    at 0, 1, 3, 7, ... rings out bracket the answer and a bisection finds
+    it there, so a near answer costs few probes.
+    """
+    lo, probe, step, last = 0, 0, 1, len(rings) - 1
+    while probe < last and not holds(rings[probe]):
+        lo, probe, step = probe + 1, probe + step, step * 2
+    return rings[bisect_left(rings, True, lo, min(probe, last), key=holds)]
 
 
 def _chosen(
-    columns: Sequence[Sequence[FeatureValue]], x0: tuple[FeatureValue, ...],
-    spec: NeighborhoodSpec,
-) -> list[int]:
-    """Indices, in training order, of the cases the neighborhood rule selects.
+    columns: Sequence[Sequence[float]], x0: Sequence[float], spec: NeighborhoodSpec
+) -> tuple[list[int], float]:
+    """Indices, in row order, of the rows the rule selects, and the distance it reaches.
 
-    A case whose distance overflows to inf lies beyond every case whose
-    distance is finite.  Where the rule reaches such cases, they are
-    measured again from coordinates scaled by one power of two
-    (:func:`_scaled_distances`), and compared with each other and with
-    the radius scaled the same way.
+    The reach is the k-th distance, or the radius.  A row whose distance
+    overflows to inf lies beyond every row whose distance is finite.
+    Where the rule reaches such rows, they are measured again from
+    coordinates scaled by one power of two (:func:`_scaled_distances`),
+    and compared with each other and with the radius scaled the same way.
     """
     dists, mode = _column_distances(columns, x0, spec.metric), spec.mode
-    if isinstance(mode, KNearest):
-        if mode.k > len(dists):
-            raise KExceedsSampleSize(f"k={mode.k} but only {len(dists)} cases")
-        limit = sorted(dists)[mode.k - 1]
-    else:
-        limit = mode.radius
-    chosen = [i for i, d in enumerate(dists) if d <= limit]
-    if limit == math.inf or isinstance(mode, FixedRadius) and math.inf in dists:
+    reach = sorted(dists)[mode.k - 1] if isinstance(mode, KNearest) else mode.radius
+    chosen = [i for i, d in enumerate(dists) if d <= reach]
+    if reach == math.inf or isinstance(mode, FixedRadius) and math.inf in dists:
         far = [i for i, d in enumerate(dists) if d == math.inf]
         scaled, shift = _scaled_distances([[column[i] for i in far] for column in columns],
                                           x0, spec.metric)
-        if isinstance(mode, KNearest):  # the nearest of the far cases complete the k
+        if isinstance(mode, KNearest):  # the nearest of the far rows complete the k
             limit = sorted(scaled)[mode.k - (len(dists) - len(far)) - 1]
         else:
             limit = math.ldexp(mode.radius, -shift)
         chosen = sorted([i for i in chosen if dists[i] < math.inf]
                         + [i for i, d in zip(far, scaled) if d <= limit])
-    if not chosen:
-        raise EmptyNeighborhood(f"no case within radius {mode.radius} of {x0!r}")
-    return chosen
+    return chosen, reach
 
 
 def smoothing_case_inconsistency(h_value: float, counterparts: CounterpartSet) -> float:
@@ -525,8 +688,9 @@ def pointwise_answers(
     per-query functions (:func:`smoothing_fit`, :func:`knn_predict`,
     :func:`dtree_predict`, :func:`nb_predict`) on one query.  The work that
     depends on the training set alone is done once per call: the label
-    check, the float columns of ``smoothing`` and ``knn``, the
-    value table of ``nb`` (with its check that every training value is
+    check, the float columns of ``smoothing`` and ``knn`` and their cell
+    grid (:class:`_CellGrid`, which keeps the blocks of cells measured),
+    the value table of ``nb`` (with its check that every training value is
     nominal), and each reached ``dtree`` leaf's vote.  ``dtree`` routes
     the whole block down the tree at once; the other families answer
     query by query.  A query that fails ends the iteration after the
@@ -550,10 +714,8 @@ def _neighborhood_answers(
 ) -> Iterator[tuple[float, float, int]]:
     if vote:
         require_labels(training, YKind.BINARY01)
-    columns = _columns(training)
     feedbacks = training.feedbacks
-    for x0 in queries.rows():
-        chosen = _chosen(columns, x0, spec)
+    for chosen in _selections(spec, training, queries):
         ys = [feedbacks[i] for i in chosen]
         if vote:
             label, mu = _vote(ys)

@@ -1,6 +1,7 @@
 """Domain types and the shared learner contract."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,29 @@ class TestSelectHypothesis:
             select_hypothesis("smoothing", {"k": 1, "radius": 1.0}, T)
         with pytest.raises(InvalidParameter):
             select_hypothesis("mystery", {}, T)
+
+    @pytest.mark.parametrize("family, params, labels", [
+        ("smoothing", {"k": 1}, (1, 0)),
+        ("knn", {"k": 1}, (1, 0)),
+        ("svm", {"w": 0.5}, (1, -1)),
+        ("svr", {"epsilon": 0.1, "lambda": 0.1}, (1, 0)),
+        ("erm", {}, (1, 0)),
+    ])
+    def test_an_int_beyond_the_float_range_is_named(self, family, params, labels):
+        # The value rule admits any int; the families that compute with
+        # features name one that no float holds.
+        for big, named in ((10 ** 400, "1.000E+400"), (10 ** 5000, "1.000E+5000"),
+                           (-(2 ** 1024), "-1.798E+308")):
+            T = training_set([((0, 0), labels[1]), ((0, big), labels[0])])
+            message = f"case 2, feature 2: value {named} is beyond the float range"
+            with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+                select_hypothesis(family, params, T)
+
+    def test_ranks_and_symbols_keep_any_int(self):
+        T = training_set([((10 ** 400,), 1), ((0,), 0)])
+        assert select_hypothesis("dtree", {}, T)[1] == 0.0
+        with pytest.raises(SchemaMismatch, match="feature 1 must be nominal"):
+            select_hypothesis("nb", {}, T)
 
 
 class TestProblemStatement:

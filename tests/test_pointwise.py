@@ -74,6 +74,24 @@ class TestDistance:
         with pytest.raises(SchemaMismatch):
             distance(vec(0.0), vec(1.0, 2.0))
 
+    def test_a_query_int_beyond_the_float_range_is_named(self):
+        # The training set is measurable; the query's second value is not.
+        T = training_set([((0, 1), 1), ((2, 3), 0)])
+        query = vec(1, -(10 ** 400))
+        message = r"^feature 2: value -1\.000E\+400 is beyond the float range$"
+        for answer in (lambda: knn_predict(query, T, 1),
+                       lambda: smoothing_fit(query, T, NeighborhoodSpec(KNearest(1))),
+                       lambda: smoothing_counterparts(query, T,
+                                                      NeighborhoodSpec(FixedRadius(1.0))),
+                       lambda: distance(vec(0, 1), query)):
+            with pytest.raises(SchemaMismatch, match=message):
+                answer()
+        # a width mismatch and a nominal position are named first
+        with pytest.raises(SchemaMismatch, match="dimension 2 and 3"):
+            knn_predict(vec(10 ** 400, 0, 0), T, 1)
+        with pytest.raises(SchemaMismatch, match="feature 2 is nominal"):
+            knn_predict(vec(10 ** 400, "a"), T, 1)
+
 
 class TestNeighborhoods:
     T = training_set([((0,), 1), ((1,), 2), ((5,), 9)])

@@ -12,6 +12,7 @@ error class, its message and the query it happens at are written out.
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,7 @@ from minconsist import (
     TreeNode,
     training_set,
 )
+from minconsist import pointwise
 from minconsist.oracle import brute_knn_majority, brute_nb_total
 from minconsist.pointwise import TreePartition, dtree_build, pointwise_answers
 
@@ -138,12 +140,12 @@ def assert_brute(family, params, training, queries):
 # Seeded samples
 
 
-def numeric_sample(rng, m, n, grid):
-    """Distinct points: small integer grids (many distance ties) or floats."""
+def numeric_sample(rng, m, n, grid, side=4):
+    """Distinct points: integer lattices of ``side`` values a position (many ties) or floats."""
     points = set()
     while len(points) < m:
         if grid:
-            points.add(tuple(rng.randrange(4) for _ in range(n)))
+            points.add(tuple(rng.randrange(side) for _ in range(n)))
         else:
             points.add(tuple(round(rng.uniform(-3.0, 3.0), rng.choice((1, 3, 17)))
                              for _ in range(n)))
@@ -179,20 +181,57 @@ def test_neighborhood_families_match(seed, metric, grid):
                          [q for q in queries if neighbors(q, reals, params)])
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("metric, scale", [("euclidean", 1e150), ("euclidean", 1e200),
-                                           ("euclidean", 1e300), ("manhattan", 1e200),
-                                           ("manhattan", 5e307)])
-def test_neighborhood_families_match_beyond_the_float_range(seed, metric, scale):
-    # At 1e150 no total overflows; at the larger scales some or all do.
-    rng = random.Random(f"far:{seed}:{metric}:{scale}")
-    n, grid = rng.randrange(1, 4), rng.random() < 0.5
-    m = min(rng.randrange(1, 16), 4 ** n if grid else 16)
-    xs = [[v * scale for v in x] for x in numeric_sample(rng, m, n, grid)]
+def tie_cut(x0, training, metric):
+    """A k whose k-th nearest case ties the next one, so the cut falls inside a tie; or None."""
+    dists = sorted(brute_distance(case.x, x0, metric) for case in training.cases)
+    return next((k for k in range(1, len(dists)) if dists[k - 1] == dists[k]), None)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("grid", [True, False], ids=["lattice", "floats"])
+def test_neighborhood_families_match_across_many_cells(seed, metric, grid):
+    # 60 to 300 cases give the search many cells a feature; n > 3 adds
+    # features the cells do not index.  Lattices tie most distances.
+    rng = random.Random(f"cells:{seed}:{metric}:{grid}")
+    m, n = rng.randrange(60, 301), rng.randrange(1, 6)
+    side = max(4, math.ceil((2 * m) ** (1 / n)))
+    xs = numeric_sample(rng, m, n, grid, side)
+    labels = training_set([(x, rng.randrange(2)) for x in xs])
+    reals = training_set([(x, rng.choice((0, 1, -2, 0.5, rng.uniform(-9, 9)))) for x in xs])
+    # training points (cell edges are among them), fresh points and points
+    # beyond the data's range on either side
+    low, high = (-2, side + 2) if grid else (-4.0, 4.0)
+    draw = rng.randrange if grid else rng.uniform
+    queries = rng.sample([case.x for case in labels.cases], 24) + [
+        vec(*(draw(low, high) for _ in range(n))) for _ in range(12)
+    ] + [vec(*(bound * 3 for _ in range(n))) for bound in (low, high)]
+    ties = {tie_cut(q, labels, metric) for q in queries[:12]} - {None}
+    for k in {1, min(ties, default=2), labels.m}:
+        assert_brute("knn", {"k": k, "metric": metric}, labels, queries)
+        assert_brute("smoothing", {"k": k, "metric": metric}, reals, queries)
+    # radii on exact case distances, so cases sit on the boundary
+    for a, b in ((queries[0], labels.cases[0].x), (queries[30], rng.choice(labels.cases).x)):
+        radius = brute_distance(a, b, metric)
+        if radius > 0.0:
+            params = {"radius": radius, "metric": metric}
+            assert_brute("smoothing", params, reals,
+                         [q for q in queries if neighbors(q, reals, params)])
+
+
+def far_samples(rng, m, n, grid, scale, side=4):
+    """Training sets, with labels and with real feedbacks, of sample points at ``scale``."""
+    step = scale * 3 / (side - 1) if side > 4 else scale
+    xs = [[v * (step if grid else scale) for v in x]
+          for x in numeric_sample(rng, m, n, grid, side)]
     labels = training_set([(x, rng.randrange(2)) for x in xs])
     reals = training_set([(x, rng.choice((0, 1, -2, 0.5))) for x in xs])
+    return labels, reals
+
+
+def assert_brute_beyond_the_float_range(rng, labels, reals, metric, scale):
     queries = [case.x for case in labels.cases] + [
-        vec(*(rng.uniform(-3.0, 3.0) * scale for _ in range(n))) for _ in range(10)
+        vec(*(rng.uniform(-3.0, 3.0) * scale for _ in range(labels.n))) for _ in range(10)
     ]
     for k in {1, 2, rng.randrange(1, labels.m + 1), labels.m}:
         assert_brute("knn", {"k": k, "metric": metric}, labels, queries)
@@ -201,6 +240,147 @@ def test_neighborhood_families_match_beyond_the_float_range(seed, metric, scale)
         params = {"radius": radius, "metric": metric}
         assert_brute("smoothing", params, reals,
                      [q for q in queries if neighbors(q, reals, params)])
+
+
+FAR_SCALES = [("euclidean", 1e150), ("euclidean", 1e200), ("euclidean", 1e300),
+              ("manhattan", 1e200), ("manhattan", 5e307)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("metric, scale", FAR_SCALES)
+def test_neighborhood_families_match_beyond_the_float_range(seed, metric, scale):
+    # At 1e150 no total overflows; at the larger scales some or all do.
+    rng = random.Random(f"far:{seed}:{metric}:{scale}")
+    n, grid = rng.randrange(1, 4), rng.random() < 0.5
+    m = min(rng.randrange(1, 16), 4 ** n if grid else 16)
+    labels, reals = far_samples(rng, m, n, grid, scale)
+    assert_brute_beyond_the_float_range(rng, labels, reals, metric, scale)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("metric, scale", FAR_SCALES)
+def test_neighborhood_families_match_beyond_the_float_range_across_cells(seed, metric, scale):
+    # As above, with 60 to 100 cases, so the search cuts each feature into
+    # several cells whose edges lie at the scale.
+    rng = random.Random(f"far-cells:{seed}:{metric}:{scale}")
+    n, grid = rng.randrange(1, 4), rng.random() < 0.5
+    m = rng.randrange(60, 101)
+    labels, reals = far_samples(rng, m, n, grid, scale, max(4, math.ceil((2 * m) ** (1 / n))))
+    assert_brute_beyond_the_float_range(rng, labels, reals, metric, scale)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_edges_whose_gap_to_the_query_overflows_prune_nothing(n):
+    # Cases near +1e308 and -1e308: from a query near -1e308 the gap to the
+    # upper cells' edges overflows to inf, which bounds nothing, so those
+    # cells are searched as well; radius 1e308 takes cases on both sides.
+    rng = random.Random(f"edges:{n}")
+    xs = {tuple(rng.choice((-1, 1)) * rng.uniform(0.5, 1.0) * 1e308 for _ in range(n))
+          for _ in range(80)}
+    reals = training_set([(x, rng.choice((0, 1, -2, 0.5))) for x in sorted(xs)])
+    queries = [vec(*(-v for v in reals.cases[i].x.values)) for i in range(0, 80, 7)] + [
+        vec(*(-1e308 for _ in range(n))), vec(*(1e308 for _ in range(n))), vec(*(0.0,) * n)
+    ]
+    for params in ({"radius": 1e308, "metric": "manhattan"},
+                   {"k": 3, "metric": "manhattan"}, {"k": 3, "metric": "euclidean"}):
+        assert_brute("smoothing", params, reals,
+                     [q for q in queries if neighbors(q, reals, params)])
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """The engine's distance passes so far, as [passes, rows]."""
+    tally = [0, 0]
+    column_distances = pointwise._column_distances
+
+    def counted(columns, x0, metric):
+        tally[0] += 1
+        tally[1] += len(columns[0])
+        return column_distances(columns, x0, metric)
+
+    monkeypatch.setattr(pointwise, "_column_distances", counted)
+    return tally
+
+
+def repeated_sample(rng, m, n, repeated):
+    """Points whose first ``repeated`` features take only the values 0 and 1; floats after."""
+    return [[rng.randrange(2) for _ in range(repeated)]
+            + [rng.uniform(-3.0, 3.0) for _ in range(n - repeated)] for _ in range(m)]
+
+
+@pytest.mark.parametrize("case", ["wide radius", "k = m", "repeated values", "repeated, 3-D"])
+def test_a_query_measures_at_most_two_blocks(measured, case):
+    # One block for a radius; for k, a block of k cases and, when cases
+    # outside it may come nearer than its k-th, one larger block.  With
+    # 1-D data every case has a cell of about four; a radius wider than
+    # the data, or k = m, reaches all of them, and features of two values
+    # put ties at every cell edge.
+    rng = random.Random(case)
+    m = 400 if case.startswith("repeated") else 300
+    if case.startswith("repeated"):
+        xs = repeated_sample(rng, m, *((3, 2) if "3-D" in case else (2, 1)))
+    else:
+        xs = [[x] for x in rng.sample(range(10 ** 6), m)]
+    labels = training_set([(x, rng.randrange(2)) for x in xs])
+    params = {"wide radius": {"radius": 1e7, "metric": "manhattan"},
+              "k = m": {"k": m, "metric": "euclidean"}}.get(case, {"k": 5, "metric": "euclidean"})
+    family = "smoothing" if "radius" in params else "knn"
+    for x0 in [case.x for case in labels.cases][:60]:  # each query on a grid of its own
+        measured[:] = [0, 0]
+        assert engine(family, params, labels, [x0]) == outcomes(
+            [reference(family, params, None, labels, x0)])
+        passes, rows = measured
+        assert passes <= 2 and rows <= 2 * m
+        if "radius" in params:
+            assert (passes, rows) == (1, m)
+
+
+def test_the_blocks_kept_stay_within_their_bound(monkeypatch):
+    # A few hundred cases kept at most, or one block past that bound: a
+    # wide radius measures every query's block, the whole set, once.
+    monkeypatch.setattr(pointwise, "_KEPT", 250)
+    rng = random.Random("kept")
+    reals = training_set([([x], rng.uniform(-9, 9)) for x in rng.sample(range(10 ** 6), 300)])
+    spec = pointwise.NeighborhoodSpec(pointwise.FixedRadius(1e7))
+    grid = pointwise._CellGrid(tuple(tuple(map(float, column))
+                                     for column in reals.columns.columns), spec)
+    for x0 in reals.columns.rows():
+        assert len(grid.selected(x0)) == 300
+        kept = [len(ids) for ids, _ in grid.blocks.values()]
+        assert sum(kept) == grid.kept <= max(250, max(kept))
+
+
+def test_a_search_of_the_whole_set_holds_little_memory():
+    # Every query of this 1-D leave-in pass measures all 600 cases.  The
+    # blocks kept are bounded, where keeping every block by cell and ring
+    # would hold about 100 MB.
+    rng = random.Random("held")
+    reals = training_set([([x], rng.uniform(-9, 9)) for x in rng.sample(range(10 ** 6), 600)])
+    for params in ({"radius": 1e7, "metric": "manhattan"}, {"k": 600, "metric": "euclidean"}):
+        tracemalloc.start()
+        try:
+            assert len(list(pointwise_answers("smoothing", params, None, reals,
+                                              reals.columns))) == 600
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("kept", [0, 40])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_the_selection_does_not_depend_on_the_blocks_kept(monkeypatch, kept, metric):
+    monkeypatch.setattr(pointwise, "_KEPT", kept)
+    rng = random.Random(f"kept:{kept}:{metric}")
+    xs = numeric_sample(rng, 120, 2, grid=True, side=12)
+    labels = training_set([(x, rng.randrange(2)) for x in xs])
+    queries = [case.x for case in labels.cases] + [
+        vec(rng.randrange(-2, 14), rng.randrange(-2, 14)) for _ in range(20)
+    ]
+    for params in ({"k": 1, "metric": metric}, {"k": 7, "metric": metric},
+                   {"radius": 2.0, "metric": metric}):
+        family = "knn" if "k" in params else "smoothing"
+        assert_brute(family, params, labels, [q for q in queries if neighbors(q, labels, params)])
 
 
 def test_near_cases_keep_their_unscaled_distances():

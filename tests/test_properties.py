@@ -15,7 +15,9 @@ the constructors accept, and the audit's template must write the text
 ``json.dumps(..., indent=2)`` writes.  A block of queries must get the
 answers its rows get one at a time: a linear hypothesis the same bits,
 and a tree the same leaves.  Pairs of one width and their columns must
-build the same training set or name the same fault.
+build the same training set or name the same fault.  The neighbor
+families' cell search must select, at every query, the cases a full
+scan by the engine tests' brute-force reference selects.
 """
 
 import contextlib
@@ -56,6 +58,7 @@ from minconsist.dataio import (  # noqa: E402
     save_model,
 )
 from minconsist.pointwise import TreeLeaf, TreeNode, TreePartition, _routed  # noqa: E402
+from test_pointwise_engine import assert_brute, brute_distance, neighbors  # noqa: E402
 
 FAMILY_FLAGS = {
     "smoothing": ["--k", "1"],
@@ -512,3 +515,41 @@ def test_index_routing_is_routing_row_by_row(case):
             node = node.left if row[node.feature] <= node.threshold else node.right
         assert reached[i] is node
         assert tree.route(FeatureVector(row)) is node
+
+
+@st.composite
+def neighborhood_problem(draw):
+    """Up to 60 lattice points or floats of width one to four, a neighborhood rule and queries.
+
+    The training set comes as labels (for ``knn``) and as real feedbacks
+    (for ``smoothing``); the queries are its own points, then fresh ones,
+    some beyond the points' range.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        side = draw(st.integers(2, 8))
+        coord, fresh = st.integers(0, side - 1), st.integers(-2, side + 1)
+        m = min(m, side ** n)
+    else:
+        coord, fresh = st.floats(-3.0, 3.0), st.floats(-5.0, 5.0)
+    points = sorted(draw(st.sets(st.tuples(*[coord] * n), min_size=m, max_size=m)))
+    labels = training_set([(x, draw(st.sampled_from((0, 1)))) for x in points])
+    reals = training_set([(x, draw(st.sampled_from((0, 1, -2, 0.5, 2.75)))) for x in points])
+    queries = [case.x for case in labels.cases] + [
+        FeatureVector(x) for x in draw(st.lists(st.tuples(*[fresh] * n), max_size=6))
+    ]
+    metric = draw(st.sampled_from(("euclidean", "manhattan")))
+    if draw(st.booleans()):
+        return labels, reals, queries, {"k": draw(st.integers(1, labels.m)), "metric": metric}
+    a, b = draw(st.sampled_from(queries)), draw(st.sampled_from(points))
+    radius = brute_distance(a, FeatureVector(b), metric)  # a case on the boundary
+    return labels, reals, queries, {"radius": radius or 1.0, "metric": metric}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(problem=neighborhood_problem())
+def test_the_cell_search_selects_what_a_full_scan_selects(problem):
+    labels, reals, queries, params = problem
+    if "k" in params:
+        assert_brute("knn", params, labels, queries)
+    assert_brute("smoothing", params, reals, [q for q in queries if neighbors(q, reals, params)])
