@@ -250,17 +250,32 @@ def _floats(values: Sequence[int | float], feature: int | None = None) -> tuple[
     ``values`` is one vector, or, given ``feature`` (from 0), that
     feature's column over the cases.  The value rule admits any int, and
     families that only compare values (``dtree``) keep them; the families
-    that compute with features convert them here.
+    that compute with features convert them here.  A query is not checked
+    before, so a value that is no number (None) is named here too.
     """
     try:
         return tuple(map(float, values))
-    except OverflowError:
-        from decimal import Decimal  # writes an int of any length, where repr may refuse
-        i = next(i for i, v in enumerate(values) if abs(v) >= _FLOAT_BOUND)
-        place = f"feature {i + 1}" if feature is None else f"case {i + 1}, feature {feature + 1}"
-        raise SchemaMismatch(
-            f"{place}: value {Decimal(values[i]):.3E} is beyond the float range"
-        ) from None
+    except (OverflowError, TypeError):
+        raise _number_fault_at(values, feature) from None
+
+
+def _number_fault(value: object) -> str | None:
+    """Why ``value`` is not a finite number that a float holds, or None if it is one."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_KINDS):
+        return f"unsupported feature value {value!r}"
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"value {value!r} is not finite"
+    if abs(value) < _FLOAT_BOUND:
+        return None
+    from decimal import Decimal  # writes an int of any length, where repr may refuse
+    return f"value {Decimal(value):.3E} is beyond the float range"
+
+
+def _number_fault_at(values: Sequence[object], feature: int | None = None) -> SchemaMismatch:
+    """The first fault :func:`_number_fault` finds in ``values``, placed as by :func:`_floats`."""
+    i, fault = next((i, fault) for i, fault in enumerate(map(_number_fault, values)) if fault)
+    place = f"feature {i + 1}" if feature is None else f"case {i + 1}, feature {feature + 1}"
+    return SchemaMismatch(f"{place}: {fault}")
 
 
 def _kind_of(value: object) -> tuple[type, ...]:
@@ -268,12 +283,26 @@ def _kind_of(value: object) -> tuple[type, ...]:
     return (str,) if isinstance(value, str) else _NUMBER_KINDS
 
 
+def _unfit_feedback(ys: Sequence[object]) -> bool:
+    """Whether a feedback breaks the value rule, or is an int beyond the float range."""
+    if _unfit(ys, _NUMBER_KINDS) is not None:
+        return True
+    try:
+        tuple(map(float, ys))
+    except OverflowError:
+        return True
+    return False
+
+
 def _fault(value: object, feedback: bool = False) -> SchemaMismatch:
     """Why the value rule rejects ``value``, a feature value or a ``feedback``."""
     if isinstance(value, float):  # a float the rule rejects is not finite
         return SchemaMismatch(f"{'feedback' if feedback else 'feature values'} must be finite")
-    return SchemaMismatch(f"feedback must be a real number, got {value!r}" if feedback
-                          else f"unsupported feature value {value!r}")
+    if not feedback:
+        return SchemaMismatch(f"unsupported feature value {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return SchemaMismatch(f"feedback {_number_fault(value)}")
+    return SchemaMismatch(f"feedback must be a real number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +384,7 @@ class Case:
     y: float
 
     def __post_init__(self) -> None:
-        if _unfit((self.y,), _NUMBER_KINDS) is not None:
+        if _unfit_feedback((self.y,)):
             raise _fault(self.y, feedback=True)
 
 
@@ -368,7 +397,8 @@ class TrainingSet:
     which keeps reported values bit-for-bit reproducible.  Construction
     checks one feedback per case, one kind per column (numbers or symbols,
     which keeps the value rule of :class:`FeatureVector` and :class:`Case`),
-    finite feedbacks and distinct vectors.  Only a failed check builds the
+    feedbacks that are finite floats or ints within the float range, and
+    distinct vectors.  Only a failed check builds the
     cases, naming the first fault a case-by-case build meets (:func:`_name_fault`).
     """
 
@@ -383,7 +413,7 @@ class TrainingSet:
         if len(ys) != m:
             raise DimensionMismatch(f"{m} cases but {len(ys)} feedbacks")
         if (any(_unfit(column, _kind_of(column[0])) is not None for column in columns)
-                or _unfit(ys, _NUMBER_KINDS) is not None or len(set(self.columns.rows())) < m):
+                or _unfit_feedback(ys) or len(set(self.columns.rows())) < m):
             _name_fault(self.cases)
 
     @property
@@ -491,13 +521,21 @@ class LinearHypothesis:
 
         Each row's sum starts at 0.0, adds ``b_j * x_j`` in position order
         and then ``a``; the fixed order keeps evaluations reproducible bit
-        for bit.  The block runs it column by column.
+        for bit.  The block runs it column by column, and checks no value
+        on the way: a NaN or inf gives its row NaN or inf, and a value no
+        float holds raises :class:`SchemaMismatch`, which names the first
+        row holding a value that is not a finite number, and its feature.
         """
         if x.n != self.n:
             raise DimensionMismatch(f"{self.n}-dim hypothesis applied to {x.n}-dim vector")
         s = [0.0] * len(x)
-        for bj, column in zip(self.b, x.columns):
-            s = [si + bj * xj for si, xj in zip(s, column)]
+        try:
+            for bj, column in zip(self.b, x.columns):
+                s = [si + bj * xj for si, xj in zip(s, column)]
+        except (TypeError, OverflowError):  # no number, or an int beyond the float range
+            i, row = next((i, row) for i, row in enumerate(x.rows(), 1)
+                          if any(map(_number_fault, row)))
+            raise SchemaMismatch(f"row {i}, {_number_fault_at(row)}") from None
         a = self.a
         return [si + a for si in s]
 
@@ -675,28 +713,27 @@ class FamilySpec:
     domains the family learns from.  Every ``params`` argument below is
     a complete, checked parameter set.
 
-    - ``fit(params, training)`` returns ``(fitted, total)``: what a model
-      keeps, an instance of ``keeps`` or None, and the least total
-      inconsistency over ``training``.
     - ``answers(params, fitted, training, queries)`` yields one answer
       per row of the :class:`FeatureColumns` ``queries``, in order; a
       query that cannot be answered raises after the answers before it.
     - ``audit(params, fitted, training)`` returns the
       :class:`InconsistencyReport` of ``fitted`` over ``training``: one
-      position per case, in case order, and the total that ``fit`` returns.
+      position per case, in case order.
+    - ``fit(params, training)`` returns what a model keeps of the fit of
+      least total inconsistency: an instance of ``keeps``, or None (the
+      default fit) when it keeps nothing.
 
-    ``keeps`` is the type of what a fit returns for the model (a
-    :class:`LinearHypothesis`, the tree of ``dtree``), or None when a fit
-    keeps nothing.  ``symbols`` marks a family whose features are all
-    nominal; every other family takes no nominal feature.
+    ``keeps`` is the type of what a fit returns (a :class:`LinearHypothesis`,
+    the tree of ``dtree``), or None.  ``symbols`` marks a family whose
+    features are all nominal; every other family takes no nominal feature.
     """
 
     name: str
     params: tuple[Param, ...]
     y_kinds: frozenset[YKind]
-    fit: Callable[[Mapping[str, object], TrainingSet], tuple[object, float]]
     answers: Callable[..., Iterable[float]]
     audit: Callable[..., InconsistencyReport]
+    fit: Callable[[Mapping[str, object], TrainingSet], object] = lambda params, training: None
     one_of: tuple[str, ...] = ()
     keeps: type | None = None
     symbols: bool = False
@@ -812,15 +849,18 @@ def least_inconsistent(candidates: Iterable[T], score: Callable[[T], float]) -> 
 def select_hypothesis(
     family: str, params: Mapping[str, object], training: TrainingSet
 ) -> tuple[object, float]:
-    """The family's fit of least total inconsistency over ``training``, with that total.
+    """What the family's fit of least total inconsistency over ``training`` keeps, and that total.
 
     ``params`` is checked against the family's registry row, which then
-    fits from the complete parameter set (see :class:`FamilySpec`).  A
-    solver finds a linear family's hypothesis; a family's finite answers
-    are compared by :func:`least_inconsistent` instead.
+    fits from the complete parameter set (see :class:`FamilySpec`); the
+    total is the row's audit of the fit.  A solver finds a linear
+    family's hypothesis; a family's finite answers are compared by
+    :func:`least_inconsistent` instead.
     """
     spec = family_spec(family)
-    return spec.fit(spec.complete(params), training)
+    params = spec.complete(params)
+    fitted = spec.fit(params, training)
+    return fitted, spec.audit(params, fitted, training).total
 
 
 def erm_total_inconsistency(f: LinearHypothesis, training: TrainingSet) -> float:

@@ -526,16 +526,6 @@ def _svr_params(params: Mapping[str, object]) -> SvrParams:
     return SvrParams(params.get(EPSILON.key, 0.0), params.get(LAMBDA.key, 0.0))
 
 
-def _svm_fit(params: Mapping[str, object], training: TrainingSet):
-    f, report = svm_solve(training, SvmParams(params[W.key]))
-    return f, report.total
-
-
-def _svr_fit(params: Mapping[str, object], training: TrainingSet):
-    f, report = svr_solve(training, _svr_params(params))
-    return f, report.total
-
-
 def _answers(params, f: LinearHypothesis, training, queries: FeatureColumns) -> list[float]:
     return f.block(queries)
 
@@ -551,15 +541,18 @@ class ErmLearner:
 # ---------------------------------------------------------------------------
 # Family registration
 
-# The audits look their report function up when called, as the benchmark's tracer needs.
+# The rows look their solver and report functions up when called, as the benchmark's
+# tracer needs.
 register_family(FamilySpec(
-    "svm", (W,), frozenset({YKind.PM1}), _svm_fit, _answers,
+    "svm", (W,), frozenset({YKind.PM1}), _answers,
     lambda params, f, training: svm_report(f, training, SvmParams(params[W.key])),
+    lambda params, training: svm_solve(training, SvmParams(params[W.key]))[0],
     keeps=LinearHypothesis,
 ))
 for _name, _params in (("svr", (EPSILON, LAMBDA)), ("erm", ())):
     register_family(FamilySpec(
-        _name, _params, frozenset(YKind), _svr_fit, _answers,
+        _name, _params, frozenset(YKind), _answers,
         lambda params, f, training: svr_report(f, training, _svr_params(params)),
+        lambda params, training: svr_solve(training, _svr_params(params))[0],
         keeps=LinearHypothesis,
     ))

@@ -5,9 +5,9 @@ constants anchored at the query, the baseline case is the hypothetical
 case the hypothesis generates there (or, for naive Bayes, one per
 feature), and the counterparts are observed cases selected around the
 query: by distance, by tree subdomain, or by shared feature value.
-Each family's registry row fits, answers and audits through one engine,
-:func:`pointwise_answers`; a fit's total scores every training case as a
-query.
+Each family's registry row answers and audits through one engine,
+:func:`pointwise_answers`; the total of a fit is its audit, which scores
+every training case as a query.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .core import (
     YKind,
     _floats,
     _mean,
+    _number_fault,
+    _number_fault_at,
     _require_disjoint,
     _unfit,
     aggregate_mus,
@@ -88,14 +90,18 @@ def _query(
     """The values ``x0`` as floats, once they can be measured against the transposed ``columns``.
 
     A width mismatch is named first, then the first nominal position, in
-    the columns or in ``x0``.
+    the columns or in ``x0``, then the first value that is not a finite
+    number a float holds.
     """
     if len(x0) != len(columns):
         raise _dimensions(len(columns), len(x0))
     for pos, (column, b) in enumerate(zip(columns, x0)):
         if isinstance(column[0], str) or isinstance(b, str):  # columns hold one kind
             raise _nominal(pos)
-    return _floats(x0)
+    b = _floats(x0)
+    if not all(map(math.isfinite, b)):  # a NaN or inf distance meets no reach
+        raise _number_fault_at(x0)
+    return b
 
 
 def _column_distances(
@@ -480,8 +486,10 @@ class TreePartition:
 
     def route(self, x: FeatureVector) -> TreeLeaf:
         """The leaf ``x`` reaches: the one-row case of routing a block."""
-        ((leaf, _),) = _routed(self, FeatureColumns.of((x,)))
-        return leaf
+        leaves, fault = _leaves(self, FeatureColumns.of((x,)))
+        if fault is not None:
+            raise fault
+        return leaves[0]
 
     def leaves(self) -> tuple[TreeLeaf, ...]:
         found: list[TreeLeaf] = []
@@ -728,19 +736,14 @@ def _neighborhood_answers(
 def _leaf_answers(
     tree: TreePartition, training: TrainingSet, queries: FeatureColumns
 ) -> Iterator[tuple[float, float, int]]:
-    """Each query's leaf vote: the block's row indices go down the tree as lists.
+    """Each query's leaf vote, in row order (:func:`_leaves`).
 
-    A node splits its list on its own test, so every leaf receives the
-    indices of the queries that reach it, in order.  The answers then go
-    out in row order, each leaf's vote taken when a query first reaches
-    it, so a query at an empty leaf stops them there.
+    Each leaf's vote is taken when a query first reaches it, so a query
+    at an empty leaf, or one that cannot be routed, stops the answers there.
     """
     require_labels(training, YKind.BINARY01)
     feedbacks = training.feedbacks
-    leaf_of: list = [None] * len(queries)
-    for leaf, indices in _routed(tree, queries):
-        for i in indices:
-            leaf_of[i] = leaf
+    leaf_of, fault = _leaves(tree, queries)
     votes: dict[int, tuple[int, float, int]] = {}  # id of a reached leaf -> its answer
     for leaf in leaf_of:
         answer = votes.get(id(leaf))
@@ -748,6 +751,39 @@ def _leaf_answers(
             ys = [feedbacks[i] for i in _leaf_indices(leaf)]
             answer = votes[id(leaf)] = (*_vote(ys), len(ys))
         yield answer
+    if fault is not None:
+        raise fault
+
+
+def _leaves(
+    tree: TreePartition, queries: FeatureColumns
+) -> tuple[list[TreeLeaf], SchemaMismatch | None]:
+    """The leaf each query reaches, in row order, up to the first that cannot be routed, and why.
+
+    The block's row indices go down the tree as lists (:func:`_routed`).
+    Where a value no threshold compares with (a symbol, None) fails a
+    node's test, the queries are walked down one by one instead, up to
+    the first whose path meets such a value; the fault names it.  The
+    fault is None when every query is routed.
+    """
+    leaf_of: list = [None] * len(queries)
+    try:
+        for leaf, indices in _routed(tree, queries):
+            for i in indices:
+                leaf_of[i] = leaf
+    except TypeError:
+        leaf_of = []
+        for i, values in enumerate(queries.rows(), 1):
+            node = tree.root
+            while isinstance(node, TreeNode):
+                value = values[node.feature]
+                try:
+                    node = node.left if value <= node.threshold else node.right
+                except TypeError:
+                    return leaf_of, SchemaMismatch(
+                        f"row {i}, feature {node.feature + 1}: {_number_fault(value)}")
+            leaf_of.append(node)
+    return leaf_of, None
 
 
 def _routed(
@@ -820,14 +856,6 @@ def _nb_fractions(tallies: Sequence[tuple[int, int]], label: int) -> list[float]
 # The family rows: fit, answer and audit through the engine
 
 
-def _fit(
-    family: str, params: Mapping[str, object], training: TrainingSet
-) -> tuple[TreePartition | None, float]:
-    """What a model keeps (the grown tree of ``dtree``), and the audit's total."""
-    tree = dtree_build(training, _tree_config(params)) if family == "dtree" else None
-    return tree, _audit(family, params, tree, training).total
-
-
 def _answers(family, params, tree, training, queries) -> Iterator[float]:
     return map(itemgetter(0), pointwise_answers(family, params, tree, training, queries))
 
@@ -840,12 +868,12 @@ def _audit(family, params, tree, training) -> InconsistencyReport:
 
 def _register(name: str, params: tuple[Param, ...], y_kinds: frozenset[YKind], **kw) -> None:
     register_family(FamilySpec(
-        name, params, y_kinds, partial(_fit, name), partial(_answers, name),
-        partial(_audit, name), **kw,
+        name, params, y_kinds, partial(_answers, name), partial(_audit, name), **kw,
     ))
 
 
 _register("smoothing", (K, RADIUS, METRIC), frozenset(YKind), one_of=(K.key, RADIUS.key))
 _register("knn", (K, METRIC), frozenset({YKind.BINARY01}))
-_register("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}), keeps=TreePartition)
+_register("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}), keeps=TreePartition,
+          fit=lambda params, training: dtree_build(training, _tree_config(params)))
 _register("nb", (), frozenset({YKind.BINARY01}), symbols=True)

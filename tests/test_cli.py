@@ -28,6 +28,7 @@ from minconsist import (
     load_dataset,
     load_model,
     nb_predict,
+    select_hypothesis,
     smoothing_fit,
     svm_slack,
     svr_report,
@@ -952,7 +953,7 @@ def test_each_row_audits_into_the_report_of_its_fit(write, tmp_path, capsys, fam
     header = json.loads(capsys.readouterr().out)
     spec, params = family_spec(family), load_model(model).params
     training = load_dataset(data).training
-    fitted, total = spec.fit(params, training)
+    fitted, total = select_hypothesis(family, params, training)
     report = spec.audit(params, fitted, training)
     assert isinstance(report, InconsistencyReport)
     # Position i scores case i: the audit's row of case i + 1 holds its mu and count.

@@ -44,6 +44,8 @@ FAULTS = [
      "feedback must be a real number, got False"),
     ([((1, 2), 0), ((3, 4), "1")], SchemaMismatch, "feedback must be a real number, got '1'"),
     ([((1, 2), 0), ((3, 4), math.nan)], SchemaMismatch, "feedback must be finite"),
+    ([((1, 2), 0), ((3, 4), -(10 ** 400))], SchemaMismatch,
+     "feedback value -1.000E+400 is beyond the float range"),
     ([((1, "a"), 0), ((2, "b"), 1), ((3, 4), 0)], SchemaMismatch,
      "case 3, feature 2: mixed value kinds in one column"),
     ([((1, 2), 0), ((3, 4), 1), ((1, 2), 1)], DuplicateFeatureVector,
@@ -67,6 +69,9 @@ TWO_FAULTS = [
      "unsupported feature value None"),
     ([((1, 2), 0), ((1, 2), 1), ((3, 4), True)], SchemaMismatch,
      "feedback must be a real number, got True"),
+    ([((1, 2), 0), ((3, None), 10 ** 400)], SchemaMismatch, "unsupported feature value None"),
+    ([((1, 2), 10 ** 400), ((1, 2), 1)], SchemaMismatch,
+     "feedback value 1.000E+400 is beyond the float range"),
     ([((1, 2), 0), ((1, 2), 1), (("a", 4), 0)], DuplicateFeatureVector,
      "cases 1 and 2 share feature vector (1, 2)"),
     ([((1, 2), 0), (("a", 4), 1), ((1, 2), 0)], SchemaMismatch,
@@ -334,6 +339,20 @@ class TestSelectHypothesis:
             message = f"case 2, feature 2: value {named} is beyond the float range"
             with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
                 select_hypothesis(family, params, T)
+
+    @pytest.mark.parametrize("family, params", [
+        ("smoothing", {"k": 1}), ("svr", {"epsilon": 0.1, "lambda": 0.1}), ("erm", {}),
+    ])
+    def test_a_feedback_int_beyond_the_float_range_is_named(self, family, params):
+        # The value rule of a feedback admits an int only within the float range.
+        for big, named in ((10 ** 400, "1.000E+400"), (-(2 ** 1024), "-1.798E+308")):
+            message = f"^feedback value {re.escape(named)} is beyond the float range$"
+            with pytest.raises(SchemaMismatch, match=message):
+                select_hypothesis(family, params, training_set([((0,), big), ((1,), 0)]))
+            with pytest.raises(SchemaMismatch, match=message):
+                Case(FeatureVector.of(0), big)
+        largest = 2 ** 1024 - 2 ** 971  # the largest float, as an int
+        assert training_set([((0,), largest), ((1,), 0)]).feedbacks[0] == largest
 
     def test_ranks_and_symbols_keep_any_int(self):
         T = training_set([((10 ** 400,), 1), ((0,), 0)])

@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from minconsist import linear
 from minconsist import (
     Aggregation,
     Case,
+    FeatureColumns,
     FeatureVector,
     IncompatibleFamily,
     InfeasibleSlack,
@@ -487,6 +489,30 @@ class TestLearnerAdapters:
         for family, params in (("svm", {"w": 1.0}), ("erm", {})):
             with pytest.raises(IncompatibleFamily, match=f"^{message}$"):
                 select_hypothesis(family, params, T)
+
+    def test_a_block_value_that_is_no_number_a_float_holds_is_named(self):
+        # A block is not checked before it is applied; its fault names the first bad row.
+        f = LinearHypothesis((1.0, 2.0), 0.5)
+        for bad, fault in ((10 ** 400, "value 1.000E+400 is beyond the float range"),
+                           (-(10 ** 400), "value -1.000E+400 is beyond the float range"),
+                           ("a", "unsupported feature value 'a'"),
+                           (None, "unsupported feature value None")):
+            message = f"row 2, feature 2: {fault}"
+            queries = FeatureColumns(((1.0, 2.0, 3.0), (0.0, bad, None)))
+            with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+                f.block(queries)
+            for family in ("svm", "svr", "erm"):
+                with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+                    list(family_spec(family).answers({}, f, None, queries))
+        with pytest.raises(SchemaMismatch, match=r"^row 1, feature 1: value 1\.000E\+400 is"):
+            LinearHypothesis((1.0,), 0.0)(FeatureVector.of(10 ** 400))
+        # A nominal training set reaches the block through the slack and the plain total.
+        T = training_set([(("a",), 1), (("b",), -1)])
+        message = "^row 1, feature 1: unsupported feature value 'a'$"
+        for score in (lambda: svm_slack(UNIT, T), lambda: slack_feasible(UNIT, T, (0.0, 0.0)),
+                      lambda: erm_total_inconsistency(UNIT, T)):
+            with pytest.raises(SchemaMismatch, match=message):
+                score()
 
     def test_plain_fit_reuses_the_tube_solver(self):
         T = training_set([((0.0,), 1.0), ((1.0,), 3.0), ((2.0,), 5.0)])

@@ -1,6 +1,7 @@
 """Query-time learners: local smoothing, k-nearest, trees, naive Bayes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from minconsist import (
     smoothing_fit,
     training_set,
 )
+from minconsist.core import family_spec
 from minconsist.pointwise import LABELS, pointwise_answers
 
 
@@ -91,6 +93,24 @@ class TestDistance:
             knn_predict(vec(10 ** 400, 0, 0), T, 1)
         with pytest.raises(SchemaMismatch, match="feature 2 is nominal"):
             knn_predict(vec(10 ** 400, "a"), T, 1)
+
+
+    @pytest.mark.parametrize("family, params", [
+        ("knn", {"k": 1}), ("knn", {"k": 2, "metric": "manhattan"}),
+        ("smoothing", {"k": 1}), ("smoothing", {"radius": 2.0}),
+    ])
+    def test_a_query_value_that_is_not_finite_is_named(self, family, params):
+        # A block is not checked before it is answered; the answers before the bad query come out.
+        T = training_set([((0, 1), 1), ((2, 3), 0), ((4, 4), 1)])
+        spec = family_spec(family)
+        params = spec.complete(params)
+        clean = list(spec.answers(params, None, T, FeatureColumns(((0,), (1,)))))
+        for bad in (math.nan, math.inf, -math.inf, None):
+            answers = []
+            with pytest.raises(SchemaMismatch, match=f"^feature 2: .*{bad!r}"):
+                for answer in spec.answers(params, None, T, FeatureColumns(((0, 1), (1, bad)))):
+                    answers.append(answer)
+            assert answers == clean
 
 
 class TestNeighborhoods:
@@ -290,6 +310,23 @@ class TestTreeQueries:
         part = dtree_build(self.T)
         assert part.route(vec(2)).leaf_id == part.route(vec(1)).leaf_id
         assert part.route(vec(3)).leaf_id == part.route(vec(4)).leaf_id
+
+    def test_a_query_holding_a_symbol_or_none_is_named(self):
+        # Routing compares a query's values with ranks only where its path tests them.
+        part = dtree_build(self.T)
+        message = "^row 1, feature 1: unsupported feature value 'a'$"
+        with pytest.raises(SchemaMismatch, match=message):
+            dtree_predict(vec("a"), part, self.T)
+        with pytest.raises(SchemaMismatch, match=message):
+            part.route(vec("a"))
+        for bad in ("a", None):
+            answers = []
+            message = f"^row 3, feature 1: unsupported feature value {re.escape(repr(bad))}$"
+            with pytest.raises(SchemaMismatch, match=message):
+                for answer in family_spec("dtree").answers({}, part, self.T,
+                                                            FeatureColumns(((1, 4, bad, 2),))):
+                    answers.append(answer)
+            assert answers == [0, 1]
 
     def test_learner_adapter(self):
         # The learner as the CLI runs it: fit the tree once, then answer.

@@ -17,7 +17,10 @@ answers its rows get one at a time: a linear hypothesis the same bits,
 and a tree the same leaves.  Pairs of one width and their columns must
 build the same training set or name the same fault.  The neighbor
 families' cell search must select, at every query, the cases a full
-scan by the engine tests' brute-force reference selects.
+scan by the engine tests' brute-force reference selects.  A library call
+given one bad value, in a query block or a feedback, must raise nothing
+but a ``MinconsistError``, and a pointwise family must still give the
+answers before the bad query.
 """
 
 import contextlib
@@ -47,6 +50,7 @@ from minconsist.core import (  # noqa: E402
     TrainingSet,
     YKind,
     family_spec,
+    select_hypothesis,
     training_set,
 )
 from minconsist.dataio import (  # noqa: E402
@@ -553,3 +557,73 @@ def test_the_cell_search_selects_what_a_full_scan_selects(problem):
     if "k" in params:
         assert_brute("knn", params, labels, queries)
     assert_brute("smoothing", params, reals, [q for q in queries if neighbors(q, reals, params)])
+
+
+# -- bad values in library calls ---------------------------------------------
+
+# Each family's parameters and feedbacks; nb's features are symbols, the rest's numbers.
+LIBRARY_ROWS = {
+    "smoothing": ({"k": 1}, (0, 1, -2, 0.5)),
+    "knn": ({"k": 2}, (0, 1)),
+    "dtree": ({}, (0, 1)),
+    "nb": ({}, (0, 1)),
+    "svm": ({"w": 1.0}, (-1, 1)),
+    "svr": ({"epsilon": 0.1, "lambda": 0.01}, (0, 1, -2, 0.5)),
+    "erm": ({}, (0, 1, -2, 0.5)),
+}
+BAD_VALUES = [None, math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)]
+
+
+@st.composite
+def bad_value_problem(draw):
+    """A family, a small training set, a clean query block and one bad value put into it.
+
+    The bad value (of the wrong kind, None, NaN, ±inf or ±10**400) goes
+    into the block at a drawn row and feature; now and then a feedback
+    is ±10**400.
+    """
+    family = draw(st.sampled_from(sorted(LIBRARY_ROWS)))
+    params, feedbacks = LIBRARY_ROWS[family]
+    n = draw(st.integers(1, 3))
+    if family == "nb":  # each position its own symbols
+        values = [st.sampled_from([f"{v}{j}" for v in "abc"]) for j in range(n)]
+        wrong = 1
+    else:
+        values, wrong = [st.integers(0, 4)] * n, "a"
+    points = draw(st.lists(st.tuples(*values), min_size=2, max_size=8, unique=True))
+    ys = [draw(st.sampled_from(feedbacks)) for _ in points]
+    if draw(st.integers(0, 4)) == 0:
+        ys[draw(st.integers(0, len(ys) - 1))] = draw(st.sampled_from([10 ** 400, -(10 ** 400)]))
+    rows = draw(st.lists(st.tuples(*values), min_size=1, max_size=5))
+    row, feature = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+    bad = draw(st.sampled_from([wrong, *BAD_VALUES]))
+    return family, params, list(zip(points, ys)), rows, row, feature, bad
+
+
+def _answered(spec, params, fitted, training, rows):
+    """The row's answers to ``rows``, up to the first query that raises a MinconsistError."""
+    answers = []
+    with contextlib.suppress(MinconsistError):
+        for answer in spec.answers(params, fitted, training, FeatureColumns(tuple(zip(*rows)))):
+            answers.append(answer)
+    return answers
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(problem=bad_value_problem())
+def test_a_bad_value_in_a_library_call_is_a_data_error(problem):
+    family, params, pairs, rows, row, feature, bad = problem
+    spec = family_spec(family)
+    params = spec.complete(params)
+    try:
+        training = training_set(pairs)
+        fitted, _ = select_hypothesis(family, params, training)
+        spec.audit(params, fitted, training)
+    except MinconsistError:
+        return
+    bad_rows = [list(values) for values in rows]
+    bad_rows[row][feature] = bad
+    clean = _answered(spec, params, fitted, training, rows)
+    answers = _answered(spec, params, fitted, training, bad_rows)
+    if spec.pointwise:  # the answers before the bad query come out, as the clean block's
+        assert answers[:row] == clean[:row]
