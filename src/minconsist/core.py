@@ -236,9 +236,33 @@ def _unfit(values: Sequence[object], kinds: tuple[type, ...]) -> int | None:
 
     The one value rule: a row's check runs it over the row, a training
     set's over each of its columns, with the column's kind (:func:`_kind_of`).
+    A :func:`_clean` column is passed whole; any other is walked value by
+    value (:func:`_unfit_walk`).
     """
+    return None if _clean(values, kinds) else _unfit_walk(values, kinds)
+
+
+def _unfit_walk(values: Sequence[object], kinds: tuple[type, ...]) -> int | None:
+    """:func:`_unfit` a value at a time, which admits a subclass of ``kinds`` (not a bool)
+    and any int."""
     return next((i for i, v in enumerate(values) if isinstance(v, bool) or not isinstance(v, kinds)
                  or isinstance(v, float) and not math.isfinite(v)), None)
+
+
+def _clean(values: Sequence[object], kinds: tuple[type, ...]) -> bool:
+    """Whether every value's exact type is one of ``kinds`` and every float is finite.
+
+    The value rule's fast path, decided over the whole column in C.  False
+    is no verdict: a bool, a subclass, a non-finite float or an int beyond
+    the float range beside a float all make it False, and the caller walks.
+    """
+    types = set(map(type, values))
+    if not types.issubset(kinds):
+        return False
+    try:
+        return float not in types or all(map(math.isfinite, values))
+    except (OverflowError, TypeError):  # an int beyond the float range, a symbol
+        return False
 
 
 _FLOAT_BOUND = 2 ** 1024 - 2 ** 970  # the least int that float() rounds beyond the range
@@ -271,11 +295,32 @@ def _number_fault(value: object) -> str | None:
     return f"value {Decimal(value):.3E} is beyond the float range"
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` of a value or a tuple of them, with an int too long for ``repr``
+    written in the ``Decimal`` form of :func:`_number_fault`."""
+    try:
+        return repr(value)
+    except ValueError:  # an int of more digits than int-to-str conversion allows
+        if isinstance(value, tuple):
+            return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
+        from decimal import Decimal
+        return f"{Decimal(value):.3E}"
+
+
 def _number_fault_at(values: Sequence[object], feature: int | None = None) -> SchemaMismatch:
     """The first fault :func:`_number_fault` finds in ``values``, placed as by :func:`_floats`."""
     i, fault = next((i, fault) for i, fault in enumerate(map(_number_fault, values)) if fault)
     place = f"feature {i + 1}" if feature is None else f"case {i + 1}, feature {feature + 1}"
     return SchemaMismatch(f"{place}: {fault}")
+
+
+def _row_fault(x: "FeatureColumns") -> SchemaMismatch | None:
+    """The first row of ``x`` holding a value :func:`_number_fault` rejects, named with that
+    value's feature; None if no row holds one."""
+    for i, row in enumerate(x.rows(), 1):
+        if any(map(_number_fault, row)):
+            return SchemaMismatch(f"row {i}, {_number_fault_at(row)}")
+    return None
 
 
 def _kind_of(value: object) -> tuple[type, ...]:
@@ -445,7 +490,7 @@ def _name_fault(cases: Sequence[Case]) -> NoReturn:
             raise SchemaMismatch(f"case {i}, feature {mixed}: mixed value kinds in one column")
         if case_of.setdefault(values, i) != i:
             raise DuplicateFeatureVector(f"cases {case_of[values]} and {i} share "
-                                         f"feature vector {values!r}")
+                                         f"feature vector {_shown(values)}")
     raise AssertionError("no fault to name")
 
 
@@ -521,10 +566,14 @@ class LinearHypothesis:
 
         Each row's sum starts at 0.0, adds ``b_j * x_j`` in position order
         and then ``a``; the fixed order keeps evaluations reproducible bit
-        for bit.  The block runs it column by column, and checks no value
-        on the way: a NaN or inf gives its row NaN or inf, and a value no
-        float holds raises :class:`SchemaMismatch`, which names the first
-        row holding a value that is not a finite number, and its feature.
+        for bit.  The block runs it column by column and checks no value on
+        the way.  A value that is not a finite number a float holds (None, a
+        symbol, a NaN or inf, an int beyond the range) raises
+        :class:`SchemaMismatch`, which names the first row holding such a
+        value, and its feature (:func:`_row_fault`).  The search runs only
+        when the block fails or the total of its rows is not a finite real,
+        as a NaN or inf value always makes it; finite values whose sums are
+        beyond the range are no fault.
         """
         if x.n != self.n:
             raise DimensionMismatch(f"{self.n}-dim hypothesis applied to {x.n}-dim vector")
@@ -532,12 +581,16 @@ class LinearHypothesis:
         try:
             for bj, column in zip(self.b, x.columns):
                 s = [si + bj * xj for si, xj in zip(s, column)]
-        except (TypeError, OverflowError):  # no number, or an int beyond the float range
-            i, row = next((i, row) for i, row in enumerate(x.rows(), 1)
-                          if any(map(_number_fault, row)))
-            raise SchemaMismatch(f"row {i}, {_number_fault_at(row)}") from None
-        a = self.a
-        return [si + a for si in s]
+            a = self.a
+            s = [si + a for si in s]
+            if math.isfinite(sum(s)):
+                return s
+        except (TypeError, OverflowError):  # no real number, or an int beyond the float range
+            pass
+        fault = _row_fault(x)
+        if fault is None:  # finite values whose sums are beyond the range
+            return s
+        raise fault
 
 
 # ---------------------------------------------------------------------------

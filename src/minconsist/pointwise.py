@@ -45,6 +45,7 @@ from .core import (
     _number_fault,
     _number_fault_at,
     _require_disjoint,
+    _shown,
     _unfit,
     aggregate_mus,
     least_inconsistent,
@@ -652,7 +653,7 @@ def _require_query_width(n: int, training: TrainingSet) -> None:
 def _nominal_values(values: Sequence[FeatureValue]) -> Sequence[str]:
     for pos, v in enumerate(values):
         if not isinstance(v, str):
-            raise SchemaMismatch(f"feature {pos + 1} must be nominal, got {v!r}")
+            raise SchemaMismatch(f"feature {pos + 1} must be nominal, got {_shown(v)}")
     return values
 
 
@@ -760,29 +761,39 @@ def _leaves(
 ) -> tuple[list[TreeLeaf], SchemaMismatch | None]:
     """The leaf each query reaches, in row order, up to the first that cannot be routed, and why.
 
-    The block's row indices go down the tree as lists (:func:`_routed`).
-    Where a value no threshold compares with (a symbol, None) fails a
-    node's test, the queries are walked down one by one instead, up to
-    the first whose path meets such a value; the fault names it.  The
-    fault is None when every query is routed.
+    A block whose every column has a finite sum goes down the tree as
+    lists of row indices (:func:`_routed`): a sum is NaN or inf where a
+    value is, and fails on a value that is no number.  Any other block is
+    walked down one query at a time, up to the first whose path meets a
+    value no threshold orders (a symbol, None, a NaN or inf); the fault
+    names it.  The fault is None when every query is routed.
     """
-    leaf_of: list = [None] * len(queries)
+    if queries.n != tree.n_features:
+        raise SchemaMismatch(f"tree splits {tree.n_features} features, vector has {queries.n}")
     try:
+        finite = all(math.isfinite(sum(column)) for column in queries.columns)
+    except (TypeError, OverflowError):  # no number, or an int beyond the float range
+        finite = False
+    if finite:
+        leaf_of: list = [None] * len(queries)
         for leaf, indices in _routed(tree, queries):
             for i in indices:
                 leaf_of[i] = leaf
-    except TypeError:
-        leaf_of = []
-        for i, values in enumerate(queries.rows(), 1):
-            node = tree.root
-            while isinstance(node, TreeNode):
-                value = values[node.feature]
-                try:
-                    node = node.left if value <= node.threshold else node.right
-                except TypeError:
-                    return leaf_of, SchemaMismatch(
-                        f"row {i}, feature {node.feature + 1}: {_number_fault(value)}")
-            leaf_of.append(node)
+        return leaf_of, None
+    leaf_of = []
+    for i, values in enumerate(queries.rows(), 1):
+        node = tree.root
+        while isinstance(node, TreeNode):
+            value = values[node.feature]
+            try:
+                left = value <= node.threshold
+            except TypeError:
+                left = None
+            if left is None or isinstance(value, float) and not math.isfinite(value):
+                return leaf_of, SchemaMismatch(
+                    f"row {i}, feature {node.feature + 1}: {_number_fault(value)}")
+            node = node.left if left else node.right
+        leaf_of.append(node)
     return leaf_of, None
 
 
@@ -790,8 +801,6 @@ def _routed(
     tree: TreePartition, queries: FeatureColumns
 ) -> Iterator[tuple[TreeLeaf, list[int]]]:
     """Each leaf that some query reaches, with those queries' row indices in order."""
-    if queries.n != tree.n_features:
-        raise SchemaMismatch(f"tree splits {tree.n_features} features, vector has {queries.n}")
     columns = queries.columns
     stack = [(tree.root, list(range(len(queries))))]
     while stack:

@@ -907,6 +907,45 @@ class TestAudit:
         assert doc["aggregation"] == "sum-over-queries"
 
 
+class TestColumnsWrittenWhole:
+    """A numeric audit is checked and written a column at a time: no value goes through
+    ``cli._json_value`` or the value-by-value walk of ``core._unfit``."""
+
+    ROWS = 2_000
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of each value-by-value path, by function name."""
+        from minconsist import cli, core
+
+        calls = {}
+        for module, name in ((cli, "_json_value"), (core, "_unfit_walk")):
+            def counted(*args, _call=getattr(module, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _call(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        list(cli._json_column([None]))
+        core._unfit((True,), (int,))
+        assert calls == {"_json_value": 1, "_unfit_walk": 1}  # the counters are live
+        calls.clear()
+        return calls
+
+    def test_a_numeric_audit_walks_no_value(self, write, tmp_path, capsys, calls):
+        # Columns of ints, of ints beside floats, and of floats, as the loader reads them.
+        rows = "".join(f"{i},{i * 0.25},{i % 7 - 3.5}\n" for i in range(self.ROWS))
+        data = write("d.csv", "x1,x2,y\n" + rows)
+        model = tmp_path / "m.json"
+        sample = write("s.csv", "x1,x2,y\n0,0,1\n1,1,2\n5,2,9\n")
+        assert run(["train", "--learner", "erm", "--data", sample, "--out", model]) == 0
+        capsys.readouterr()
+        calls.clear()
+        assert run(["audit", "--model", model, "--data", data]) == 0
+        out = capsys.readouterr().out
+        assert calls == {}
+        assert len(json.loads(out)["rows"]) == self.ROWS
+
+
 # One training file per family, by the feedback and feature kinds it takes.  The
 # nominal file's symbols hold a quote, a backslash, non-ASCII and astral text
 # and U+2028, which the audit must escape as json does.

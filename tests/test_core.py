@@ -152,6 +152,16 @@ class TestTrainingSet:
         with pytest.raises(DuplicateFeatureVector):
             training_set([((5,), 0), ((5,), 1)])
 
+    def test_a_vector_too_long_for_repr_is_named(self):
+        # repr refuses an int of more than 4,300 digits; the message writes it as Decimal does.
+        for big, named in ((10 ** 5000, "(1.000E+5000,)"), (-(10 ** 5000), "(-1.000E+5000,)")):
+            with pytest.raises(DuplicateFeatureVector) as caught:
+                training_set([((big,), 0), ((big,), 1)])
+            assert str(caught.value) == f"cases 1 and 2 share feature vector {named}"
+        with pytest.raises(DuplicateFeatureVector) as caught:
+            training_set([((1, 10 ** 5000), 0), ((1, 10 ** 5000), 1)])
+        assert str(caught.value) == "cases 1 and 2 share feature vector (1, 1.000E+5000)"
+
     def test_dimension_homogeneity(self):
         with pytest.raises(SchemaMismatch):
             training_set([((1,), 0), ((1, 2), 1)])

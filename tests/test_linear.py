@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 import random
 import re
 import time
@@ -513,6 +514,25 @@ class TestLearnerAdapters:
                       lambda: erm_total_inconsistency(UNIT, T)):
             with pytest.raises(SchemaMismatch, match=message):
                 score()
+
+    def test_a_block_value_that_is_not_finite_is_named(self):
+        # A NaN or inf makes its row's sum NaN or inf, also where its coefficient is 0,
+        # and only a total that is not a finite real starts the search for a fault.
+        for f in (LinearHypothesis((1.0, 2.0), 0.5), LinearHypothesis((1.0, 0.0), 0.5)):
+            for bad, fault in ((math.nan, "value nan is not finite"),
+                               (math.inf, "value inf is not finite"),
+                               (-math.inf, "value -inf is not finite"),
+                               (1j, "unsupported feature value 1j")):
+                message = f"row 2, feature 2: {fault}"
+                queries = FeatureColumns(((1.0, 2.0, 3.0), (0.0, bad, 1.0)))
+                with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+                    f.block(queries)
+                for family in ("svm", "svr", "erm"):
+                    with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+                        list(family_spec(family).answers({}, f, None, queries))
+        # Finite values whose sum is beyond the range are no fault of the block's.
+        block = LinearHypothesis((1e308,), 0.0).block(FeatureColumns(((10.0, 1.0),)))
+        assert block == [math.inf, 1e308]
 
     def test_plain_fit_reuses_the_tube_solver(self):
         T = training_set([((0.0,), 1.0), ((1.0,), 3.0), ((2.0,), 5.0)])

@@ -328,6 +328,22 @@ class TestTreeQueries:
                     answers.append(answer)
             assert answers == [0, 1]
 
+    def test_a_query_value_that_is_not_finite_is_named(self):
+        # No threshold orders a NaN, and an inf is no rank; the answers before it come out.
+        part = dtree_build(self.T)
+        for bad in (math.nan, math.inf, -math.inf):
+            answers = []
+            message = f"^row 3, feature 1: value {re.escape(repr(bad))} is not finite$"
+            with pytest.raises(SchemaMismatch, match=message):
+                for answer in family_spec("dtree").answers({}, part, self.T,
+                                                            FeatureColumns(((1, 4, bad, 2),))):
+                    answers.append(answer)
+            assert answers == [0, 1]
+        # Values whose column sum is beyond the range are walked down, and routed.
+        for column, labels in (((1e308, 1e308, 1), [1, 1, 0]), ((10 ** 400, 1.5, 1), [1, 0, 0])):
+            answers = family_spec("dtree").answers({}, part, self.T, FeatureColumns((column,)))
+            assert list(answers) == labels
+
     def test_learner_adapter(self):
         # The learner as the CLI runs it: fit the tree once, then answer.
         params = {"max_depth": 8, "min_leaf_size": 1, "purity_threshold": 0.0}
@@ -384,6 +400,13 @@ class TestNbScoring:
         T = training_set([((1,), 0), ((2,), 1)])
         with pytest.raises(SchemaMismatch, match="feature 1 must be nominal, got 1"):
             nb_predict(vec("a", "b"), T)  # the query's width is wrong as well
+
+    def test_a_query_int_too_long_for_repr_is_named(self):
+        # repr refuses an int of more than 4,300 digits; the message writes it as Decimal does.
+        T = training_set([(("a",), 1), (("b",), 0)])
+        message = r"^feature 1 must be nominal, got 1\.000E\+5000$"
+        with pytest.raises(SchemaMismatch, match=message):
+            list(family_spec("nb").answers({}, None, T, FeatureColumns(((10 ** 5000,),))))
 
     def test_predict_multiplies_per_feature_scores(self):
         T = training_set(

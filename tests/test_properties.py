@@ -12,7 +12,9 @@ its one ``fitted`` slot byte for byte.
 
 The loader's rows, built without the constructors' checks, must be rows
 the constructors accept, and the audit's template must write the text
-``json.dumps(..., indent=2)`` writes.  A block of queries must get the
+``json.dumps(..., indent=2)`` writes, for columns written whole and value by
+value.  The value rule decided over a whole column must find the fault a
+walk over its values finds.  A block of queries must get the
 answers its rows get one at a time: a linear hypothesis the same bits,
 and a tree the same leaves.  Pairs of one width and their columns must
 build the same training set or name the same fault.  The neighbor
@@ -25,6 +27,7 @@ answers before the bad query.
 
 import contextlib
 import copy
+import enum
 import io
 import itertools
 import json
@@ -49,6 +52,8 @@ from minconsist.core import (  # noqa: E402
     MinconsistError,
     TrainingSet,
     YKind,
+    _clean,
+    _unfit,
     family_spec,
     select_hypothesis,
     training_set,
@@ -257,19 +262,44 @@ SYMBOL = st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\
 MU = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e22]) | NUMBER  # often tied
 
 
+class Level(enum.IntEnum):
+    """An int subclass whose ``repr`` is not its json text."""
+
+    LOW = 1
+    HIGH = 2 ** 53
+
+
+# Values that take a column off the whole-column path: an int subclass, an
+# int beyond the float range beside floats (feature values only, as a feedback
+# must be a float's), mus that are not finite, and None counts.
+ODD_X = st.sampled_from([Level.LOW, Level.HIGH, 10 ** 400, -(10 ** 400)])
+ODD_Y = st.sampled_from([Level.LOW, Level.HIGH])
+ODD_MU = st.sampled_from([math.inf, -math.inf, Level.HIGH])
+
+
 @st.composite
 def scored_rows(draw):
     """An audit's ``(x, y, mu, counterparts)`` rows: one kind per column and distinct
-    vectors, as loaded."""
-    columns = draw(st.lists(st.sampled_from([NUMBER, SYMBOL]), min_size=1, max_size=3))
-    return draw(st.lists(st.tuples(st.tuples(*columns), NUMBER, MU,
-                                   st.none() | st.integers(0, 10**6)),
+    vectors, as loaded.
+
+    Each column is drawn whole: numbers only (ints and floats mixed), which
+    are written a column at a time, or with odd values among them, written
+    value by value.
+    """
+    columns = draw(st.lists(st.sampled_from([NUMBER, SYMBOL, NUMBER | ODD_X]),
+                            min_size=1, max_size=3))
+    y, mu, count = (draw(st.sampled_from([plain, plain | odd])) for plain, odd in (
+        (NUMBER, ODD_Y), (MU, ODD_MU), (st.integers(0, 10**6), st.none() | ODD_Y)))
+    return draw(st.lists(st.tuples(st.tuples(*columns), y, mu, count),
                          min_size=1, max_size=8, unique_by=lambda row: row[0]))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(scored=scored_rows(), family=st.sampled_from(sorted(FAMILY_FLAGS)),
        regularizer=NUMBER, total=NUMBER)
+@example(scored=[((1, 2.5), 1, 0.5, 1), ((10 ** 400, -0.0), 2.5, math.inf, None),
+                 ((Level.HIGH, 1e16), Level.LOW, -math.inf, Level.LOW)],
+         family="erm", regularizer=0.0, total=1.0)
 def test_audit_template_writes_what_json_writes(scored, family, regularizer, total):
     xs, ys, mus, counts = zip(*scored)
     report = InconsistencyReport(mus, counts, Aggregation.SUM, regularizer, total)
@@ -287,6 +317,35 @@ def test_audit_template_writes_what_json_writes(scored, family, regularizer, tot
                                                 True, False, None]))
 def test_scalars_are_written_as_json_writes_them(value):
     assert _json_value(value) == json.dumps(value)
+
+
+# -- the whole-column value rule against the walk ----------------------------
+
+class Real(float):
+    """A float subclass, which the walk admits as a float."""
+
+
+ODD_VALUES = st.sampled_from([True, False, Level.LOW, Real(1.5), Real("nan"), math.nan,
+                              math.inf, -math.inf, 10 ** 400, -(10 ** 400), "a", None])
+
+
+def _walked(values, kinds):
+    """The value rule's first fault, a value at a time: the reference for ``core._unfit``."""
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            return i
+        if isinstance(v, float) and not math.isfinite(v):
+            return i
+    return None
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(values=st.lists(NUMBER, max_size=6) | st.lists(SYMBOL, max_size=6)
+       | st.lists(NUMBER | SYMBOL | ODD_VALUES, max_size=6),
+       kinds=st.sampled_from([(int, float, str), (int, float), (str,), (int,)]))
+def test_the_column_rule_finds_what_the_walk_finds(values, kinds):
+    assert _unfit(values, kinds) == _walked(values, kinds)
+    assert not _clean(values, kinds) or _walked(values, kinds) is None
 
 
 # -- the loader's rows against the constructors ------------------------------
