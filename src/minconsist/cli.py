@@ -271,6 +271,8 @@ def _json_value(v) -> str:
         return float.__repr__(v)
     if type(v) is int:
         return int.__repr__(v)
+    if v is None:  # an svm report's counts
+        return "null"
     return json.dumps(v)
 
 
@@ -311,11 +313,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     try:
+        if sys.stdout is None:  # started with stdout closed: opening it names the fault
+            sys.stdout = open(1, "w")
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader left early, as ``| head`` does
+    except OSError as exc:  # dataio turns each file fault into its own error: this is stdout's
         # Point stdout at devnull, so that the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if not isinstance(exc, BrokenPipeError):  # the reader left early, as ``| head`` does
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         sys.exit(1)
     sys.exit(code)
 

@@ -199,10 +199,11 @@ def _read(path: str | Path, error: type[MinconsistError], json_name: str | None 
 
     Every file this module reads comes through here: each way the read
     can fail (a missing file, bytes that are not UTF-8, malformed or
-    too deeply nested JSON) becomes ``error``, naming the file.
+    too deeply nested JSON) becomes ``error``, naming the file.  A UTF-8
+    byte-order mark at its head, as spreadsheets write, is no part of the text.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         return text if json_name is None else json.loads(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc

@@ -5,9 +5,10 @@ constants anchored at the query, the baseline case is the hypothetical
 case the hypothesis generates there (or, for naive Bayes, one per
 feature), and the counterparts are observed cases selected around the
 query: by distance, by tree subdomain, or by shared feature value.
-Each family's registry row answers and audits through one engine,
-:func:`pointwise_answers`; the total of a fit is its audit, which scores
-every training case as a query.
+Each family is one rule, which yields (answer, inconsistency, counterpart
+count) at each query of a block; its registry row answers and audits
+through it, and the total of a fit is its audit, which scores every
+training case as a query.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ MIN_LEAF = Param("min_leaf_size", "--min-leaf", int, default=1, low=1,
 PURITY = Param("purity_threshold", "--purity", float, default=0.0, low=0.0, high=0.5,
                help="purity stopping threshold")
 TREE_PARAMS = (MAX_DEPTH, MIN_LEAF, PURITY)
+
+Answers = Iterator[tuple[float, float, int]]  # a rule's (answer, inconsistency, count) per query
 
 
 def distance(x1: FeatureVector, x2: FeatureVector, metric: str = METRIC.default) -> float:
@@ -397,28 +400,32 @@ def smoothing_case_inconsistency(h_value: float, counterparts: CounterpartSet) -
     """Absolute gap between the answer and the neighborhood's mean feedback."""
     if len(counterparts) == 0:
         raise EmptyNeighborhood("inconsistency against an empty neighborhood")
-    return _gap(h_value, counterparts.feedbacks)
-
-
-def _gap(value: float, feedbacks: Sequence[float]) -> float:
-    return abs(value - _mean(feedbacks))
+    return abs(h_value - _mean(counterparts.feedbacks))
 
 
 def smoothing_fit(
     x0: FeatureVector, training: TrainingSet, spec: NeighborhoodSpec
 ) -> PointwiseHypothesis:
     """The inconsistency-minimal constant at the query: the neighborhood mean."""
-    value, _, _ = next(_neighborhood_answers(False, spec, training, FeatureColumns.of((x0,))))
+    value, _, _ = next(_smoothing(spec, training, FeatureColumns.of((x0,))))
     return PointwiseHypothesis(x0, value)
 
 
-def _vote(feedbacks: Sequence[float]) -> tuple[int, float]:
+def _smoothing(spec: NeighborhoodSpec, training: TrainingSet, queries: FeatureColumns) -> Answers:
+    """Each query's neighborhood mean, at gap 0: the mean is the gap's argmin."""
+    feedbacks = training.feedbacks
+    for chosen in _selections(spec, training, queries):
+        ys = [feedbacks[i] for i in chosen]
+        yield _mean(ys), 0.0, len(ys)
+
+
+def _vote(mean: float) -> tuple[int, float]:
     """The 0/1 answer closer to the mean label, with its gap; ties give 0."""
-    return least_inconsistent(LABELS, lambda label: _gap(label, feedbacks))
+    return least_inconsistent(LABELS, lambda label: abs(label - mean))
 
 
-def _reported(answers: Iterator[tuple[float, float, int]]) -> tuple[int, InconsistencyReport]:
-    """The engine's one answer, with the report of its one query."""
+def _reported(answers: Answers) -> tuple[int, InconsistencyReport]:
+    """A rule's one answer, with the report of its one query."""
     label, mu, count = next(answers)
     return label, InconsistencyReport.build([mu], [count], Aggregation.SUM)
 
@@ -435,8 +442,17 @@ def knn_predict(
     The candidate answering 0 is tried first, so an exact tie (neighbor
     labels averaging one half) resolves to 0.
     """
-    params = {K.key: k, METRIC.key: metric}
-    return _reported(pointwise_answers("knn", params, None, training, FeatureColumns.of((x0,))))
+    spec = NeighborhoodSpec(KNearest(k), metric)
+    return _reported(_knn(spec, training, FeatureColumns.of((x0,))))
+
+
+def _knn(spec: NeighborhoodSpec, training: TrainingSet, queries: FeatureColumns) -> Answers:
+    """Each query's vote on the mean label of its neighborhood."""
+    require_labels(training, YKind.BINARY01)
+    feedbacks = training.feedbacks
+    for chosen in _selections(spec, training, queries):
+        ys = [feedbacks[i] for i in chosen]
+        yield (*_vote(_mean(ys)), len(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +619,87 @@ def dtree_predict(
     x0: FeatureVector, partition: TreePartition, training: TrainingSet
 ) -> tuple[int, InconsistencyReport]:
     """Binary answer at the query from its subdomain's cases; ties give 0."""
-    return _reported(pointwise_answers("dtree", {}, partition, training,
-                                       FeatureColumns.of((x0,))))
+    return _reported(_leaf_answers(partition, training, FeatureColumns.of((x0,))))
+
+
+def _leaf_answers(tree: TreePartition, training: TrainingSet, queries: FeatureColumns) -> Answers:
+    """Each query's leaf vote, in row order (:func:`_leaves`).
+
+    Each leaf's vote is taken when a query first reaches it, so a query
+    at an empty leaf, or one that cannot be routed, stops the answers there.
+    """
+    require_labels(training, YKind.BINARY01)
+    feedbacks = training.feedbacks
+    leaf_of, fault = _leaves(tree, queries)
+    votes: dict[int, tuple[int, float, int]] = {}  # id of a reached leaf -> its answer
+    for leaf in leaf_of:
+        answer = votes.get(id(leaf))
+        if answer is None:
+            ys = [feedbacks[i] for i in _leaf_indices(leaf)]
+            answer = votes[id(leaf)] = (*_vote(_mean(ys)), len(ys))
+        yield answer
+    if fault is not None:
+        raise fault
+
+
+def _leaves(
+    tree: TreePartition, queries: FeatureColumns
+) -> tuple[list[TreeLeaf], SchemaMismatch | None]:
+    """The leaf each query reaches, in row order, up to the first that cannot be routed, and why.
+
+    A block whose every column has a finite sum goes down the tree as
+    lists of row indices (:func:`_routed`): a sum is NaN or inf where a
+    value is, and fails on a value that is no number.  Any other block is
+    walked down one query at a time, up to the first whose path meets a
+    value no threshold orders (a symbol, None, a NaN or inf); the fault
+    names it.  The fault is None when every query is routed.
+    """
+    if queries.n != tree.n_features:
+        raise SchemaMismatch(f"tree splits {tree.n_features} features, vector has {queries.n}")
+    try:
+        finite = all(math.isfinite(sum(column)) for column in queries.columns)
+    except (TypeError, OverflowError):  # no number, or an int beyond the float range
+        finite = False
+    if finite:
+        leaf_of: list = [None] * len(queries)
+        for leaf, indices in _routed(tree, queries):
+            for i in indices:
+                leaf_of[i] = leaf
+        return leaf_of, None
+    leaf_of = []
+    for i, values in enumerate(queries.rows(), 1):
+        node = tree.root
+        while isinstance(node, TreeNode):
+            value = values[node.feature]
+            try:
+                left = value <= node.threshold
+            except TypeError:
+                left = None
+            if left is None or isinstance(value, float) and not math.isfinite(value):
+                return leaf_of, SchemaMismatch(
+                    f"row {i}, feature {node.feature + 1}: {_number_fault(value)}")
+            node = node.left if left else node.right
+        leaf_of.append(node)
+    return leaf_of, None
+
+
+def _routed(
+    tree: TreePartition, queries: FeatureColumns
+) -> Iterator[tuple[TreeLeaf, list[int]]]:
+    """Each leaf that some query reaches, with those queries' row indices in order."""
+    columns = queries.columns
+    stack = [(tree.root, list(range(len(queries))))]
+    while stack:
+        node, indices = stack.pop()
+        if isinstance(node, TreeLeaf):
+            yield node, indices
+            continue
+        column, threshold = columns[node.feature], node.threshold
+        left = [i for i in indices if column[i] <= threshold]
+        right = [i for i in indices if not column[i] <= threshold]
+        for side, part in ((node.right, right), (node.left, left)):
+            if part:
+                stack.append((side, part))
 
 
 # ---------------------------------------------------------------------------
@@ -678,144 +773,6 @@ def nb_predict(
     )
 
 
-# ---------------------------------------------------------------------------
-# The engine: every pointwise answer, from a complete parameter set
-
-
-def pointwise_answers(
-    family: str,
-    params: Mapping[str, object],
-    tree: TreePartition | None,
-    training: TrainingSet,
-    queries: FeatureColumns,
-) -> Iterator[tuple[float, float, int]]:
-    """(answer, query inconsistency, counterpart count) at each row of ``queries``, in order.
-
-    ``tree`` is the grown tree of ``dtree``; the other families ignore
-    it.  This is the one implementation of each pointwise rule: the
-    family rows run it over every query or training case, and the
-    per-query functions (:func:`smoothing_fit`, :func:`knn_predict`,
-    :func:`dtree_predict`, :func:`nb_predict`) on one query.  The work that
-    depends on the training set alone is done once per call: the label
-    check, the float columns of ``smoothing`` and ``knn`` and their cell
-    grid (:class:`_CellGrid`, which keeps the blocks of cells measured),
-    the value table of ``nb`` (with its check that every training value is
-    nominal), and each reached ``dtree`` leaf's vote.  ``dtree`` routes
-    the whole block down the tree at once; the other families answer
-    query by query.  A query that fails ends the iteration after the
-    answers before it.
-    """
-    if family == "dtree":
-        yield from _leaf_answers(tree, training, queries)
-    elif family == "nb":
-        for tallies in _nb_tallies(training, queries):
-            label, mu = _nb_vote(tallies)
-            yield label, mu, sum(n0 + n1 for n0, n1 in tallies)
-    else:
-        yield from _neighborhood_answers(family == "knn", _neighborhood(params), training, queries)
-
-
-def _neighborhood_answers(
-    vote: bool,
-    spec: NeighborhoodSpec,
-    training: TrainingSet,
-    queries: FeatureColumns,
-) -> Iterator[tuple[float, float, int]]:
-    if vote:
-        require_labels(training, YKind.BINARY01)
-    feedbacks = training.feedbacks
-    for chosen in _selections(spec, training, queries):
-        ys = [feedbacks[i] for i in chosen]
-        if vote:
-            label, mu = _vote(ys)
-            yield label, mu, len(ys)
-        else:
-            value = _mean(ys)
-            yield value, _gap(value, ys), len(ys)
-
-
-def _leaf_answers(
-    tree: TreePartition, training: TrainingSet, queries: FeatureColumns
-) -> Iterator[tuple[float, float, int]]:
-    """Each query's leaf vote, in row order (:func:`_leaves`).
-
-    Each leaf's vote is taken when a query first reaches it, so a query
-    at an empty leaf, or one that cannot be routed, stops the answers there.
-    """
-    require_labels(training, YKind.BINARY01)
-    feedbacks = training.feedbacks
-    leaf_of, fault = _leaves(tree, queries)
-    votes: dict[int, tuple[int, float, int]] = {}  # id of a reached leaf -> its answer
-    for leaf in leaf_of:
-        answer = votes.get(id(leaf))
-        if answer is None:
-            ys = [feedbacks[i] for i in _leaf_indices(leaf)]
-            answer = votes[id(leaf)] = (*_vote(ys), len(ys))
-        yield answer
-    if fault is not None:
-        raise fault
-
-
-def _leaves(
-    tree: TreePartition, queries: FeatureColumns
-) -> tuple[list[TreeLeaf], SchemaMismatch | None]:
-    """The leaf each query reaches, in row order, up to the first that cannot be routed, and why.
-
-    A block whose every column has a finite sum goes down the tree as
-    lists of row indices (:func:`_routed`): a sum is NaN or inf where a
-    value is, and fails on a value that is no number.  Any other block is
-    walked down one query at a time, up to the first whose path meets a
-    value no threshold orders (a symbol, None, a NaN or inf); the fault
-    names it.  The fault is None when every query is routed.
-    """
-    if queries.n != tree.n_features:
-        raise SchemaMismatch(f"tree splits {tree.n_features} features, vector has {queries.n}")
-    try:
-        finite = all(math.isfinite(sum(column)) for column in queries.columns)
-    except (TypeError, OverflowError):  # no number, or an int beyond the float range
-        finite = False
-    if finite:
-        leaf_of: list = [None] * len(queries)
-        for leaf, indices in _routed(tree, queries):
-            for i in indices:
-                leaf_of[i] = leaf
-        return leaf_of, None
-    leaf_of = []
-    for i, values in enumerate(queries.rows(), 1):
-        node = tree.root
-        while isinstance(node, TreeNode):
-            value = values[node.feature]
-            try:
-                left = value <= node.threshold
-            except TypeError:
-                left = None
-            if left is None or isinstance(value, float) and not math.isfinite(value):
-                return leaf_of, SchemaMismatch(
-                    f"row {i}, feature {node.feature + 1}: {_number_fault(value)}")
-            node = node.left if left else node.right
-        leaf_of.append(node)
-    return leaf_of, None
-
-
-def _routed(
-    tree: TreePartition, queries: FeatureColumns
-) -> Iterator[tuple[TreeLeaf, list[int]]]:
-    """Each leaf that some query reaches, with those queries' row indices in order."""
-    columns = queries.columns
-    stack = [(tree.root, list(range(len(queries))))]
-    while stack:
-        node, indices = stack.pop()
-        if isinstance(node, TreeLeaf):
-            yield node, indices
-            continue
-        column, threshold = columns[node.feature], node.threshold
-        left = [i for i in indices if column[i] <= threshold]
-        right = [i for i in indices if not column[i] <= threshold]
-        for side, part in ((node.right, right), (node.left, left)):
-            if part:
-                stack.append((side, part))
-
-
 def _nb_tallies(
     training: TrainingSet, queries: FeatureColumns
 ) -> Iterator[list[tuple[int, int]]]:
@@ -845,6 +802,13 @@ def _nb_tallies(
         yield [(cases[v] - ones[v], ones[v]) for v in values]
 
 
+def _nb(training: TrainingSet, queries: FeatureColumns) -> Answers:
+    """Each query's answer of the smaller product of fractions (:func:`_nb_vote`)."""
+    for tallies in _nb_tallies(training, queries):
+        label, mu = _nb_vote(tallies)
+        yield label, mu, sum(n0 + n1 for n0, n1 in tallies)
+
+
 def _nb_vote(tallies: Sequence[tuple[int, int]]) -> tuple[int, float]:
     """The 0/1 answer with the smaller product of fractions, with that product; ties give 0."""
     return least_inconsistent(
@@ -862,27 +826,44 @@ def _nb_fractions(tallies: Sequence[tuple[int, int]], label: int) -> list[float]
 
 
 # ---------------------------------------------------------------------------
-# The family rows: fit, answer and audit through the engine
+# The family rows: fit, answer and audit through the family's rule
 
 
-def _answers(family, params, tree, training, queries) -> Iterator[float]:
-    return map(itemgetter(0), pointwise_answers(family, params, tree, training, queries))
+def _register(name: str, params: tuple[Param, ...], y_kinds: frozenset[YKind], rule, **kw) -> None:
+    """Register a family that answers and audits through its rule.
+
+    ``rule(params, fitted, training, queries)`` yields (answer, query
+    inconsistency, counterpart count) at each row of ``queries``, in
+    order; a query that fails ends it after the answers before it.  It
+    is the family's one implementation: the row answers and audits with
+    it, and the one-query functions run it on one query (``nb_predict``
+    runs its tallies and vote, to report each feature's fraction).  It
+    does the work that depends on the training set alone once a call:
+    the label check, the float columns and cell grid (:class:`_CellGrid`)
+    of ``smoothing`` and ``knn``, the value table of ``nb``, and each
+    reached ``dtree`` leaf's vote.
+    """
+
+    def answers(params, fitted, training, queries) -> Iterator[float]:
+        return map(itemgetter(0), rule(params, fitted, training, queries))
+
+    def audit(params, fitted, training) -> InconsistencyReport:
+        _, mus, counts = zip(*rule(params, fitted, training, training.columns))
+        return InconsistencyReport.build(mus, counts, Aggregation.SUM_OVER_QUERIES)
+
+    register_family(FamilySpec(name, params, y_kinds, answers, audit, **kw))
 
 
-def _audit(family, params, tree, training) -> InconsistencyReport:
-    answers = pointwise_answers(family, params, tree, training, training.columns)
-    _, mus, counts = zip(*answers)
-    return InconsistencyReport.build(mus, counts, Aggregation.SUM_OVER_QUERIES)
-
-
-def _register(name: str, params: tuple[Param, ...], y_kinds: frozenset[YKind], **kw) -> None:
-    register_family(FamilySpec(
-        name, params, y_kinds, partial(_answers, name), partial(_audit, name), **kw,
-    ))
-
-
-_register("smoothing", (K, RADIUS, METRIC), frozenset(YKind), one_of=(K.key, RADIUS.key))
-_register("knn", (K, METRIC), frozenset({YKind.BINARY01}))
-_register("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}), keeps=TreePartition,
+# The rows look their rule up when called, so a rule patched on the module (as a
+# tracer does) is the one they run.
+_register("smoothing", (K, RADIUS, METRIC), frozenset(YKind),
+          lambda params, _, training, block: _smoothing(_neighborhood(params), training, block),
+          one_of=(K.key, RADIUS.key))
+_register("knn", (K, METRIC), frozenset({YKind.BINARY01}),
+          lambda params, _, training, block: _knn(_neighborhood(params), training, block))
+_register("dtree", TREE_PARAMS, frozenset({YKind.BINARY01}),
+          lambda _, tree, training, block: _leaf_answers(tree, training, block),
+          keeps=TreePartition,
           fit=lambda params, training: dtree_build(training, _tree_config(params)))
-_register("nb", (), frozenset({YKind.BINARY01}), symbols=True)
+_register("nb", (), frozenset({YKind.BINARY01}),
+          lambda _, __, training, block: _nb(training, block), symbols=True)

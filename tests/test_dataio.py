@@ -257,6 +257,34 @@ class TestContentHash:
         assert a.content_hash == b.content_hash
 
 
+class TestByteOrderMark:
+    # Spreadsheets write a UTF-8 byte-order mark at the head of a file; it
+    # names no part of the first column.
+    BOM = "\ufeff"
+
+    def test_a_marked_csv_reads_as_the_unmarked_one(self, write):
+        plain = load_dataset(write("a.csv", "x,y\n0,0\n1,1\n"), target="x")
+        marked = load_dataset(write("b.csv", self.BOM + "x,y\n0,0\n1,1\n"), target="x")
+        assert (marked.feature_names, marked.target_name) == (("y",), "x")
+        assert marked.content_hash == plain.content_hash
+
+    def test_unmarked_queries_match_a_model_of_marked_data(self, write):
+        marked = load_dataset(write("b.csv", self.BOM + "x,y\n0,0\n1,1\n"))
+        queries = load_queries(write("q.csv", "x\n2\n"), marked.feature_names, marked.schema)
+        assert marked.feature_names == ("x",) and queries.columns == ((2,),)
+
+    def test_a_marked_sidecar_and_model_file(self, write, tmp_path):
+        data = write("d.csv", "size,y\nsmall,0\nlarge,1\n")
+        schema = write("d.schema.json", self.BOM + json.dumps({
+            "columns": {"size": {"kind": "ordinal", "levels": ["small", "large"]}}
+        }))
+        assert isinstance(load_dataset(data, schema_path=schema).schema.columns[0], OrdinalKind)
+        path = tmp_path / "m.json"
+        save_model(_linear_model(), path)
+        path.write_text(self.BOM + path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert load_model(path).fitted == _linear_model().fitted
+
+
 def _linear_model() -> Model:
     from minconsist import FeatureSchema
 

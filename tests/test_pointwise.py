@@ -34,7 +34,8 @@ from minconsist import (
     training_set,
 )
 from minconsist.core import family_spec
-from minconsist.pointwise import LABELS, pointwise_answers
+from minconsist import pointwise
+from minconsist.pointwise import LABELS
 
 
 def vec(*values):
@@ -42,7 +43,7 @@ def vec(*values):
 
 
 def block(*vectors):
-    """The engine's queries: the vectors as one block of columns."""
+    """A rule's queries: the vectors as one block of columns."""
     return FeatureColumns.of(vectors)
 
 
@@ -182,10 +183,8 @@ class TestSmoothing:
 
     def test_fit_scores_zero_on_its_own_report(self):
         T = training_set([((0,), 2.0), ((1,), 4.0)])
-        params = {"k": 2, "metric": "euclidean"}
-        assert list(pointwise_answers("smoothing", params, None, T, block(vec(0.5)))) == [
-            (3.0, 0.0, 2)
-        ]
+        spec = NeighborhoodSpec(KNearest(2))
+        assert list(pointwise._smoothing(spec, T, block(vec(0.5)))) == [(3.0, 0.0, 2)]
 
 
 class TestKnn:
@@ -215,8 +214,8 @@ class TestKnn:
     def test_candidate_order_fixes_ties(self):
         T = training_set([((0,), 0), ((1,), 1)])
         assert LABELS == (0, 1)
-        params = {"k": 2, "metric": "euclidean"}
-        assert list(pointwise_answers("knn", params, None, T, block(vec(0.5)))) == [(0, 0.5, 2)]
+        spec = NeighborhoodSpec(KNearest(2))
+        assert list(pointwise._knn(spec, T, block(vec(0.5)))) == [(0, 0.5, 2)]
 
 
 class TestTreeBuild:
@@ -346,10 +345,9 @@ class TestTreeQueries:
 
     def test_learner_adapter(self):
         # The learner as the CLI runs it: fit the tree once, then answer.
-        params = {"max_depth": 8, "min_leaf_size": 1, "purity_threshold": 0.0}
         tree, total = select_hypothesis("dtree", {}, self.T)
         assert total == 0.0
-        assert list(pointwise_answers("dtree", params, tree, self.T, block(vec(1), vec(4)))) == [
+        assert list(pointwise._leaf_answers(tree, self.T, block(vec(1), vec(4)))) == [
             (0, 0.0, 2), (1, 0.0, 2)
         ]
 
@@ -435,7 +433,7 @@ class TestNbScoring:
     def test_learner_adapter_tie_rule(self):
         # The learner as the CLI runs it: an unseen value ties, and the tie gives 0.
         T = training_set([(("a",), 0), (("b",), 1)])
-        assert list(pointwise_answers("nb", {}, None, T, block(vec("z")))) == [(0, 0.5, 0)]
+        assert list(pointwise._nb(T, block(vec("z")))) == [(0, 0.5, 0)]
 
 
 class TestDeterminism:

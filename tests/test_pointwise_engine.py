@@ -1,12 +1,15 @@
-"""The batch engine against brute force, query by query.
+"""The pointwise rules against brute force, query by query.
 
-``pointwise_answers`` is the one implementation of each pointwise rule.
-Each test runs it over seeded samples and compares, at every query, the
-answer, the inconsistency (as ``repr``, so every bit counts) and the
-counterpart count with a reference computed apart from the library:
-the oracle's majority vote and naive-Bayes product, and plain code for
-the neighborhood mean and the leaf vote.  Where a query fails, the
-error class, its message and the query it happens at are written out.
+Each pointwise family is one rule (``_smoothing``, ``_knn``,
+``_leaf_answers``, ``_nb``) over a block of queries.  Each test runs the
+rules over seeded samples and compares, at every query, the answer, the
+inconsistency (as ``repr``, so every bit counts) and the counterpart
+count with a reference computed apart from the library: the oracle's
+majority vote and naive-Bayes product, and plain code for the
+neighborhood mean and the leaf vote.  Where a query fails, the error
+class, its message and the query it happens at are written out.  The
+family's one-query function (``smoothing_fit``, ``knn_predict``,
+``dtree_predict``, ``nb_predict``) must agree with its rule at every query.
 """
 
 import itertools
@@ -28,11 +31,15 @@ from minconsist import (
     TreeConfig,
     TreeLeaf,
     TreeNode,
+    dtree_predict,
+    knn_predict,
+    nb_predict,
+    pointwise,
+    smoothing_fit,
     training_set,
 )
-from minconsist import pointwise
 from minconsist.oracle import brute_knn_majority, brute_nb_total
-from minconsist.pointwise import TreePartition, dtree_build, pointwise_answers
+from minconsist.pointwise import KNearest, NeighborhoodSpec, TreePartition, dtree_build
 
 TREE_DEFAULTS = {"max_depth": 8, "min_leaf_size": 1, "purity_threshold": 0.0}
 
@@ -110,24 +117,65 @@ def outcomes(answers):
 
 
 def grown(family, params, training):
-    """The tree the engine answers ``dtree`` queries from; the other families use none."""
+    """The tree the rule answers ``dtree`` queries from; the other families use none."""
     return dtree_build(training, TreeConfig(**params)) if family == "dtree" else None
 
 
 def engine(family, params, training, queries, tree=None):
+    """The outcomes of the family's rule at ``queries``, which its one-query function matches."""
     if tree is None:
         tree = grown(family, params, training)
-    return outcomes(blocks(family, params, tree, training, queries))
+    out = outcomes(blocks(family, params, tree, training, queries))
+    assert one_query_outcomes(family, params, tree, training, queries) == [
+        shown[:1] if family == "smoothing" and len(shown) == 3 else shown for shown in out
+    ]
+    return out
+
+
+def rule(family, params, tree, training, queries):
+    """The answers of the family's rule at the block ``queries``."""
+    if family == "dtree":
+        return pointwise._leaf_answers(tree, training, queries)
+    if family == "nb":
+        return pointwise._nb(training, queries)
+    neighborhood = pointwise._knn if family == "knn" else pointwise._smoothing
+    return neighborhood(pointwise._neighborhood(params), training, queries)
 
 
 def blocks(family, params, tree, training, queries):
-    """The engine's answers at the vectors ``queries``, in order.
+    """The rule's answers at the vectors ``queries``, in order.
 
-    The engine takes a block of columns, all of one width, so each run
-    of vectors of one width goes in as a block of its own.
+    A rule takes a block of columns, all of one width, so each run of
+    vectors of one width goes in as a block of its own.
     """
     for _, run in itertools.groupby(queries, key=lambda x: x.n):
-        yield from pointwise_answers(family, params, tree, training, FeatureColumns.of(list(run)))
+        yield from rule(family, params, tree, training, FeatureColumns.of(list(run)))
+
+
+def one_query_outcomes(family, params, tree, training, queries):
+    """What the family's one-query function reports at each query, as ``outcomes`` shows it.
+
+    ``smoothing_fit`` reports the answer alone; the others report the
+    whole triple.  The outcomes stop at the first error, as a rule's do.
+    """
+    out = []
+    for x0 in queries:
+        try:
+            if family == "smoothing":
+                h = smoothing_fit(x0, training, pointwise._neighborhood(params))
+                out.append((repr(h.value),))
+                continue
+            if family == "knn":
+                label, report = knn_predict(x0, training, params["k"], params["metric"])
+            elif family == "dtree":
+                label, report = dtree_predict(x0, tree, training)
+            else:
+                label, report = nb_predict(x0, training)
+            out.append((repr(label), repr(report.total), sum(report.counts)))
+        except MinconsistError as exc:
+            out.append((type(exc), str(exc)))
+            break
+    return out
 
 
 def assert_brute(family, params, training, queries):
@@ -327,7 +375,7 @@ def test_a_query_measures_at_most_two_blocks(measured, case):
     family = "smoothing" if "radius" in params else "knn"
     for x0 in [case.x for case in labels.cases][:60]:  # each query on a grid of its own
         measured[:] = [0, 0]
-        assert engine(family, params, labels, [x0]) == outcomes(
+        assert outcomes(blocks(family, params, None, labels, [x0])) == outcomes(
             [reference(family, params, None, labels, x0)])
         passes, rows = measured
         assert passes <= 2 and rows <= 2 * m
@@ -359,8 +407,8 @@ def test_a_search_of_the_whole_set_holds_little_memory():
     for params in ({"radius": 1e7, "metric": "manhattan"}, {"k": 600, "metric": "euclidean"}):
         tracemalloc.start()
         try:
-            assert len(list(pointwise_answers("smoothing", params, None, reals,
-                                              reals.columns))) == 600
+            spec = pointwise._neighborhood(params)
+            assert len(list(pointwise._smoothing(spec, reals, reals.columns))) == 600
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -389,8 +437,8 @@ def test_near_cases_keep_their_unscaled_distances():
     training = training_set([((0.0,), 1), ((1e-120,), 0), ((1e200,), 0)])
     queries = FeatureColumns.of([vec(0.0)])
     for k, answer in ((1, (1, 0.0, 1)), (2, (0, 0.5, 2)), (3, (0, 1 / 3, 3))):
-        params = {"k": k, "metric": "euclidean"}
-        assert list(pointwise_answers("knn", params, None, training, queries)) == [answer]
+        spec = NeighborhoodSpec(KNearest(k))
+        assert list(pointwise._knn(spec, training, queries)) == [answer]
 
 
 @pytest.mark.parametrize("tiny", [1e-160, 1e-270, 1e-300, 5e-324])
@@ -403,8 +451,7 @@ def test_a_difference_lost_to_scaling_ties_as_it_does_unscaled(scale, tiny):
     # they tie there too, and k=1 keeps both.
     training = training_set([((scale, tiny), 1), ((scale, 0), 0)])
     queries = FeatureColumns.of([vec(3 * scale, 0)])
-    assert list(pointwise_answers("knn", {"k": 1, "metric": "euclidean"}, None, training,
-                                  queries)) == [(0, 0.5, 2)]
+    assert list(pointwise._knn(NeighborhoodSpec(KNearest(1)), training, queries)) == [(0, 0.5, 2)]
     assert brute_knn_majority(vec(3 * scale, 0), training, 1) == 0
 
 
