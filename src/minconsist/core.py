@@ -23,7 +23,6 @@ family's parameters and cases to its row.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -232,95 +231,69 @@ _NUMBER_KINDS = (int, float)
 
 
 def _unfit(values: Sequence[object], kinds: tuple[type, ...]) -> int | None:
-    """The index of the first value that is not of ``kinds`` or is a float that is not finite.
+    """The index of the first value that breaks the value rule for ``kinds``, or None.
 
-    The one value rule: a row's check runs it over the row, a training
-    set's over each of its columns, with the column's kind (:func:`_kind_of`).
-    A :func:`_clean` column is passed whole; any other is walked value by
-    value (:func:`_unfit_walk`).
+    The one value rule: a value is of ``kinds`` and not a bool, and a
+    number is one that ``float()`` holds finitely.  A feature block runs
+    it over each of its columns, with the column's kind (:func:`_kind_of`);
+    a vector, a feedback, a coefficient and a float parameter over
+    themselves.  A :func:`_clean` sequence passes whole; any other is
+    walked value by value (:func:`_unfit_walk`).
     """
     return None if _clean(values, kinds) else _unfit_walk(values, kinds)
 
 
 def _unfit_walk(values: Sequence[object], kinds: tuple[type, ...]) -> int | None:
-    """:func:`_unfit` a value at a time, which admits a subclass of ``kinds`` (not a bool)
-    and any int."""
-    return next((i for i, v in enumerate(values) if isinstance(v, bool) or not isinstance(v, kinds)
-                 or isinstance(v, float) and not math.isfinite(v)), None)
+    """:func:`_unfit` a value at a time, which admits a subclass of ``kinds`` (not a bool)."""
+    return next((i for i, v in enumerate(values) if not _fits(v, kinds)), None)
+
+
+def _fits(value: object, kinds: tuple[type, ...]) -> bool:
+    """Whether ``value`` keeps the value rule for ``kinds``."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return False
+    try:
+        return isinstance(value, str) or math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _clean(values: Sequence[object], kinds: tuple[type, ...]) -> bool:
-    """Whether every value's exact type is one of ``kinds`` and every float is finite.
+    """Whether every value's exact type is one of ``kinds`` and every number is finite in a float.
 
-    The value rule's fast path, decided over the whole column in C.  False
-    is no verdict: a bool, a subclass, a non-finite float or an int beyond
-    the float range beside a float all make it False, and the caller walks.
+    The value rule's fast path, decided over the whole sequence in C.
+    False is no verdict: a bool, a subclass, a symbol beside a number, a
+    non-finite float or an int beyond the float range all make it False,
+    and the caller walks.
     """
     types = set(map(type, values))
-    if not types.issubset(kinds):
-        return False
     try:
-        return float not in types or all(map(math.isfinite, values))
+        return types.issubset(kinds) and (types == {str} or all(map(math.isfinite, values)))
     except (OverflowError, TypeError):  # an int beyond the float range, a symbol
         return False
 
 
-_FLOAT_BOUND = 2 ** 1024 - 2 ** 970  # the least int that float() rounds beyond the range
+def _why(value: object) -> str:
+    """Why the value rule refuses ``value`` as a feature value in its column.
 
-
-def _floats(values: Sequence[int | float], feature: int | None = None) -> tuple[float, ...]:
-    """Numeric feature values as floats; an int beyond the float range is rejected by place.
-
-    ``values`` is one vector, or, given ``feature`` (from 0), that
-    feature's column over the cases.  The value rule admits any int, and
-    families that only compare values (``dtree``) keep them; the families
-    that compute with features convert them here.  A query is not checked
-    before, so a value that is no number (None) is named here too.
+    A value of no kind is unsupported, and a number must be finite in a
+    float; a symbol or a number that keeps the rule is refused for being
+    of the other kind than its column's.
     """
-    try:
-        return tuple(map(float, values))
-    except (OverflowError, TypeError):
-        raise _number_fault_at(values, feature) from None
-
-
-def _number_fault(value: object) -> str | None:
-    """Why ``value`` is not a finite number that a float holds, or None if it is one."""
-    if isinstance(value, bool) or not isinstance(value, _NUMBER_KINDS):
+    if isinstance(value, bool) or not isinstance(value, _VALUE_KINDS):
         return f"unsupported feature value {value!r}"
-    if isinstance(value, float):
-        return None if math.isfinite(value) else f"value {value!r} is not finite"
-    if abs(value) < _FLOAT_BOUND:
-        return None
-    from decimal import Decimal  # writes an int of any length, where repr may refuse
-    return f"value {Decimal(value):.3E} is beyond the float range"
-
-
-def _shown(value: object) -> str:
-    """``repr(value)`` of a value or a tuple of them, with an int too long for ``repr``
-    written in the ``Decimal`` form of :func:`_number_fault`."""
     try:
-        return repr(value)
-    except ValueError:  # an int of more digits than int-to-str conversion allows
-        if isinstance(value, tuple):
-            return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
-        from decimal import Decimal
-        return f"{Decimal(value):.3E}"
+        if isinstance(value, str) or math.isfinite(value):
+            return "mixed value kinds in one column"
+    except OverflowError:
+        return f"value {_decimal(value)} is beyond the float range"
+    return f"value {value!r} is not finite"
 
 
-def _number_fault_at(values: Sequence[object], feature: int | None = None) -> SchemaMismatch:
-    """The first fault :func:`_number_fault` finds in ``values``, placed as by :func:`_floats`."""
-    i, fault = next((i, fault) for i, fault in enumerate(map(_number_fault, values)) if fault)
-    place = f"feature {i + 1}" if feature is None else f"case {i + 1}, feature {feature + 1}"
-    return SchemaMismatch(f"{place}: {fault}")
-
-
-def _row_fault(x: "FeatureColumns") -> SchemaMismatch | None:
-    """The first row of ``x`` holding a value :func:`_number_fault` rejects, named with that
-    value's feature; None if no row holds one."""
-    for i, row in enumerate(x.rows(), 1):
-        if any(map(_number_fault, row)):
-            return SchemaMismatch(f"row {i}, {_number_fault_at(row)}")
-    return None
+def _decimal(value: int) -> str:
+    """``value`` to four digits, as ``Decimal`` writes an int of any length (repr may refuse)."""
+    from decimal import Decimal
+    return f"{Decimal(value):.3E}"
 
 
 def _kind_of(value: object) -> tuple[type, ...]:
@@ -328,26 +301,16 @@ def _kind_of(value: object) -> tuple[type, ...]:
     return (str,) if isinstance(value, str) else _NUMBER_KINDS
 
 
-def _unfit_feedback(ys: Sequence[object]) -> bool:
-    """Whether a feedback breaks the value rule, or is an int beyond the float range."""
-    if _unfit(ys, _NUMBER_KINDS) is not None:
-        return True
-    try:
-        tuple(map(float, ys))
-    except OverflowError:
-        return True
-    return False
+def _first_in_row_order(faults: Iterable[int | None]) -> tuple[int, int] | None:
+    """(row, position) of the first fault in row order, given each position's first fault."""
+    return min(((i, pos) for pos, i in enumerate(faults) if i is not None), default=None)
 
 
-def _fault(value: object, feedback: bool = False) -> SchemaMismatch:
-    """Why the value rule rejects ``value``, a feature value or a ``feedback``."""
-    if isinstance(value, float):  # a float the rule rejects is not finite
-        return SchemaMismatch(f"{'feedback' if feedback else 'feature values'} must be finite")
-    if not feedback:
-        return SchemaMismatch(f"unsupported feature value {value!r}")
-    if isinstance(value, int) and not isinstance(value, bool):
-        return SchemaMismatch(f"feedback {_number_fault(value)}")
-    return SchemaMismatch(f"feedback must be a real number, got {value!r}")
+def _feedback_fault(y: object) -> SchemaMismatch:
+    """Why the value rule refuses ``y`` as a feedback."""
+    if isinstance(y, bool) or not isinstance(y, _NUMBER_KINDS):
+        return SchemaMismatch(f"feedback must be a real number, got {y!r}")
+    return SchemaMismatch(f"feedback {_why(y)}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +325,9 @@ class FeatureVector:
     """An ordered tuple of feature values.
 
     Values are raw scalars: floats for numeric positions, rank integers
-    for ordinal positions, symbols for nominal positions.  Equality is
-    exact, which is what duplicate detection is defined over.
+    for ordinal positions, symbols for nominal positions.  Each keeps the
+    value rule (:func:`_unfit`).  Equality is exact, which is what
+    duplicate detection is defined over.
     """
 
     values: tuple[FeatureValue, ...]
@@ -374,7 +338,7 @@ class FeatureVector:
             raise SchemaMismatch("a feature vector needs at least one value")
         i = _unfit(self.values, _VALUE_KINDS)
         if i is not None:
-            raise _fault(self.values[i])
+            raise SchemaMismatch(f"feature {i + 1}: {_why(self.values[i])}")
 
     @property
     def n(self) -> int:
@@ -392,15 +356,25 @@ class FeatureColumns:
     The loader returns its query rows this way, a training set keeps its
     features this way, and the families answer them a block at a time.
     There is at least one position, and every column has one length, the
-    row count, which ``len`` gives.  The columns are kept as tuples.
+    row count, which ``len`` gives.  Each column keeps the value rule
+    (:func:`_unfit`) and one kind, row 1's: symbols, or numbers.  The
+    first value that does not, in row order, raises
+    :class:`SchemaMismatch` naming its row and feature.  The columns are
+    kept as tuples.
     """
 
     columns: tuple[tuple[FeatureValue, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
-        if len(set(map(len, self.columns))) != 1:
+        columns = tuple(map(tuple, self.columns))
+        object.__setattr__(self, "columns", columns)
+        if len(set(map(len, columns))) != 1:
             raise DimensionMismatch("feature columns need at least one column, all of one length")
+        fault = len(self) and _first_in_row_order(
+            _unfit(column, _kind_of(column[0])) for column in columns)
+        if fault:
+            i, j = fault
+            raise SchemaMismatch(f"row {i + 1}, feature {j + 1}: {_why(columns[j][i])}")
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -429,8 +403,8 @@ class Case:
     y: float
 
     def __post_init__(self) -> None:
-        if _unfit_feedback((self.y,)):
-            raise _fault(self.y, feedback=True)
+        if not _fits(self.y, _NUMBER_KINDS):
+            raise _feedback_fault(self.y)
 
 
 @dataclass(frozen=True)
@@ -439,12 +413,10 @@ class TrainingSet:
 
     Case i is row i of ``columns`` with feedback ``feedbacks[i]``.  Order
     is preserved and meaningful: totals are accumulated in this order,
-    which keeps reported values bit-for-bit reproducible.  Construction
-    checks one feedback per case, one kind per column (numbers or symbols,
-    which keeps the value rule of :class:`FeatureVector` and :class:`Case`),
-    feedbacks that are finite floats or ints within the float range, and
-    distinct vectors.  Only a failed check builds the
-    cases, naming the first fault a case-by-case build meets (:func:`_name_fault`).
+    which keeps reported values bit-for-bit reproducible.  The columns
+    checked their values when they were built; construction checks one
+    feedback per case, then feedbacks that keep the value rule of
+    :class:`Case`, then distinct vectors.
     """
 
     columns: FeatureColumns
@@ -452,14 +424,16 @@ class TrainingSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "feedbacks", tuple(self.feedbacks))
-        columns, ys, m = self.columns.columns, self.feedbacks, len(self.columns)
+        ys, m = self.feedbacks, len(self.columns)
         if not m:
             raise EmptySet("a training set needs at least one case")
         if len(ys) != m:
             raise DimensionMismatch(f"{m} cases but {len(ys)} feedbacks")
-        if (any(_unfit(column, _kind_of(column[0])) is not None for column in columns)
-                or _unfit_feedback(ys) or len(set(self.columns.rows())) < m):
-            _name_fault(self.cases)
+        i = _unfit(ys, _NUMBER_KINDS)
+        if i is not None:
+            raise _feedback_fault(ys[i])
+        if len(set(self.columns.rows())) < m:
+            _name_duplicate(self.columns.rows())
 
     @property
     def m(self) -> int:
@@ -475,36 +449,32 @@ class TrainingSet:
         return tuple(map(Case, map(FeatureVector, self.columns.rows()), self.feedbacks))
 
 
-def _name_fault(cases: Sequence[Case]) -> NoReturn:
-    """Raise the first fault a case-by-case build of the checked ``cases`` meets.
-
-    Case by case: a width or, lowest position first, a value kind unlike
-    case 1's, then a vector an earlier case holds.
-    """
-    kinds, case_of = list(map(_kind_of, cases[0].x.values)), {}
-    for i, values in enumerate((case.x.values for case in cases), 1):
-        if len(values) != len(kinds):
-            raise SchemaMismatch(f"case {i} has {len(values)} features, case 1 has {len(kinds)}")
-        mixed = next((j for j, v in enumerate(values, 1) if _kind_of(v) != kinds[j - 1]), 0)
-        if mixed:
-            raise SchemaMismatch(f"case {i}, feature {mixed}: mixed value kinds in one column")
+def _name_duplicate(rows: Iterable[tuple[FeatureValue, ...]]) -> NoReturn:
+    """Raise :class:`DuplicateFeatureVector` at the first row an earlier row repeats."""
+    case_of: dict[tuple, int] = {}
+    for i, values in enumerate(rows, 1):
         if case_of.setdefault(values, i) != i:
             raise DuplicateFeatureVector(f"cases {case_of[values]} and {i} share "
-                                         f"feature vector {_shown(values)}")
-    raise AssertionError("no fault to name")
+                                         f"feature vector {values!r}")
+    raise AssertionError("no duplicate to name")
 
 
 def training_set(pairs: Iterable[tuple[Sequence[FeatureValue], float]]) -> TrainingSet:
     """Build a training set from ``(feature values, feedback)`` pairs.
 
-    Pairs of one width become the constructor's columns, and no pairs one
-    column of no rows, which it finds empty.  Other pairs are checked as
-    cases, and :func:`_name_fault` names their fault.
+    Widths are checked first: the first pair with no values, or of a
+    width other than pair 1's, is named.  The pairs then become the
+    constructor's columns, and no pairs one column of no rows, which it
+    finds empty.
     """
     pairs = list(pairs)
     rows, ys = [tuple(xs) for xs, _ in pairs], [y for _, y in pairs]
-    if len(set(map(len, rows))) > 1 or () in rows:
-        _name_fault([Case(FeatureVector(xs), y) for xs, y in zip(rows, ys)])
+    widths = list(map(len, rows))
+    i = next((i for i, n in enumerate(widths) if n != widths[0] or not n), None)
+    if i is not None:
+        if not widths[i]:
+            raise SchemaMismatch(f"case {i + 1}: a feature vector needs at least one value")
+        raise SchemaMismatch(f"case {i + 1} has {widths[i]} features, case 1 has {widths[0]}")
     return TrainingSet(FeatureColumns(tuple(zip(*rows)) or ((),)), ys)
 
 
@@ -544,15 +514,17 @@ class LinearHypothesis:
     a: float
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-            object.__setattr__(self, "a", float(self.a))
-        except OverflowError:  # an int beyond the float range
-            raise InvalidParameter("linear coefficients must be finite") from None
+        coefficients = (*self.b, self.a)
+        i = _unfit(coefficients, _NUMBER_KINDS)
+        if i is not None:
+            bad = coefficients[i]
+            if isinstance(bad, bool) or not isinstance(bad, _NUMBER_KINDS):
+                raise InvalidParameter(f"linear coefficients must be numbers, got {bad!r}")
+            raise InvalidParameter("linear coefficients must be finite")
+        object.__setattr__(self, "b", tuple(map(float, coefficients[:-1])))
+        object.__setattr__(self, "a", float(self.a))
         if not self.b:
             raise InvalidParameter("a linear hypothesis needs at least one coefficient")
-        if not all(math.isfinite(v) for v in (*self.b, self.a)):
-            raise InvalidParameter("linear coefficients must be finite")
 
     @property
     def n(self) -> int:
@@ -566,31 +538,28 @@ class LinearHypothesis:
 
         Each row's sum starts at 0.0, adds ``b_j * x_j`` in position order
         and then ``a``; the fixed order keeps evaluations reproducible bit
-        for bit.  The block runs it column by column and checks no value on
-        the way.  A value that is not a finite number a float holds (None, a
-        symbol, a NaN or inf, an int beyond the range) raises
-        :class:`SchemaMismatch`, which names the first row holding such a
-        value, and its feature (:func:`_row_fault`).  The search runs only
-        when the block fails or the total of its rows is not a finite real,
-        as a NaN or inf value always makes it; finite values whose sums are
-        beyond the range are no fault.
+        for bit.  The block runs it column by column; its values keep the
+        value rule, so only a column of symbols is refused
+        (:func:`_require_numbers`).
         """
         if x.n != self.n:
             raise DimensionMismatch(f"{self.n}-dim hypothesis applied to {x.n}-dim vector")
+        _require_numbers(x)
         s = [0.0] * len(x)
-        try:
-            for bj, column in zip(self.b, x.columns):
-                s = [si + bj * xj for si, xj in zip(s, column)]
-            a = self.a
-            s = [si + a for si in s]
-            if math.isfinite(sum(s)):
-                return s
-        except (TypeError, OverflowError):  # no real number, or an int beyond the float range
-            pass
-        fault = _row_fault(x)
-        if fault is None:  # finite values whose sums are beyond the range
-            return s
-        raise fault
+        for bj, column in zip(self.b, x.columns):
+            s = [si + bj * xj for si, xj in zip(s, column)]
+        a = self.a
+        return [si + a for si in s]
+
+
+def _require_numbers(x: FeatureColumns) -> None:
+    """Raise :class:`SchemaMismatch` at the first column of ``x`` that holds symbols.
+
+    A column holds one kind, so row 1 speaks for every row.
+    """
+    for j, value in enumerate(next(x.rows(), ())):
+        if isinstance(value, str):
+            raise SchemaMismatch(f"row 1, feature {j + 1}: unsupported feature value {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +679,8 @@ class Param:
     ``key`` names it in problem statements and model files; ``flag`` is
     the ``train`` option that sets it.  The range rule is
     ``low <= value`` (``low < value`` when ``strict``), ``value <= high``
-    and ``value in choices``.  A ``float`` parameter is finite, so no model
-    file or echo holds NaN or Infinity.
+    and ``value in choices``.  A ``float`` parameter keeps the value rule
+    (:func:`_fits`), so no model file or echo holds NaN or Infinity.
     """
 
     key: str
@@ -742,10 +711,10 @@ class Param:
 
     def check(self, value: object, name: str | None = None) -> None:
         """Raise :class:`InvalidParameter` unless ``value`` meets the rule."""
-        fits = isinstance(value, (int, float) if self.type is float else self.type)
-        fits = fits and not isinstance(value, bool)
-        if fits and self.type is float:  # a finite float, or an int that converts to one
-            fits = abs(value) <= sys.float_info.max
+        if self.type is float:
+            fits = _fits(value, _NUMBER_KINDS)
+        else:
+            fits = isinstance(value, self.type) and not isinstance(value, bool)
         if fits and self.choices:
             fits = value in self.choices
         if fits and self.low is not None:
@@ -753,7 +722,11 @@ class Param:
         if fits and self.high is not None:
             fits = value <= self.high
         if not fits:
-            raise InvalidParameter(f"{name or self.key} must be {self.rule}, got {value!r}")
+            try:
+                got = repr(value)
+            except ValueError:  # an int of more digits than int-to-str conversion allows
+                got = _decimal(value)
+            raise InvalidParameter(f"{name or self.key} must be {self.rule}, got {got}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, NoReturn, Sequence
@@ -39,6 +38,8 @@ from .core import (
     TrainingSet,
     UnknownColumnKind,
     YKind,
+    _NUMBER_KINDS,
+    _fits,
     family_spec,
 )
 from .pointwise import TreeLeaf, TreeNode, TreePartition
@@ -199,15 +200,16 @@ def _read(path: str | Path, error: type[MinconsistError], json_name: str | None 
 
     Every file this module reads comes through here: each way the read
     can fail (a missing file, bytes that are not UTF-8, malformed or
-    too deeply nested JSON) becomes ``error``, naming the file.  A UTF-8
-    byte-order mark at its head, as spreadsheets write, is no part of the text.
+    too deeply nested JSON, an int of more digits than ``int()`` reads)
+    becomes ``error``, naming the file.  A UTF-8 byte-order mark at its
+    head, as spreadsheets write, is no part of the text.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
         return text if json_name is None else json.loads(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an int too long to read
         raise error(f"{json_name} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise error(f"{path} nests too deeply to read") from None
@@ -452,7 +454,7 @@ def load_model(path: str | Path) -> Model:
         elif doc.get("training_hash") is not None:
             raise ModelFormatError(f"a {family} model keeps no training_hash")
         total = _field(doc, "total_inconsistency",
-                       lambda v: v is None or _is_number(v) and 0 <= v <= sys.float_info.max,
+                       lambda v: v is None or _fits(v, _NUMBER_KINDS) and v >= 0,
                        "a finite number >= 0, or null")
         fitted = hypothesis if tree_doc is None else TreePartition(
             _tree_from_json(tree_doc, schema.n), schema.n

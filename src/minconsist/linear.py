@@ -37,7 +37,6 @@ from .core import (
     SolverDiverged,
     TrainingSet,
     YKind,
-    _floats,
     aggregate_mus,
     register_family,
     require_labels,
@@ -516,9 +515,9 @@ def _require_numeric_features(training: TrainingSet) -> None:
 
 
 def _feature_rows(training: TrainingSet) -> Iterator[tuple[float, ...]]:
-    """Each case's features as floats (:func:`_floats`), once they are checked to be numbers."""
+    """Each case's features as floats, once they are checked to be numbers."""
     _require_numeric_features(training)
-    return zip(*(_floats(column, j) for j, column in enumerate(training.columns.columns)))
+    return zip(*(map(float, column) for column in training.columns.columns))
 
 
 def _svr_params(params: Mapping[str, object]) -> SvrParams:

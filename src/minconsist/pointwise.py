@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     Aggregation,
@@ -41,12 +41,10 @@ from .core import (
     SchemaMismatch,
     TrainingSet,
     YKind,
-    _floats,
+    _first_in_row_order,
     _mean,
-    _number_fault,
-    _number_fault_at,
     _require_disjoint,
-    _shown,
+    _require_numbers,
     _unfit,
     aggregate_mus,
     least_inconsistent,
@@ -80,7 +78,7 @@ def distance(x1: FeatureVector, x2: FeatureVector, metric: str = METRIC.default)
     """
     b = _query([(v,) for v in x1.values], x2.values)
     METRIC.check(metric)
-    columns = [(a,) for a in _floats(x1.values)]
+    columns = [(a,) for a in map(float, x1.values)]
     d = _column_distances(columns, b, metric)[0]
     if d == math.inf:  # a term overflowed: measure again scaled, then scale back
         (d,), shift = _scaled_distances(columns, b, metric)
@@ -94,18 +92,15 @@ def _query(
     """The values ``x0`` as floats, once they can be measured against the transposed ``columns``.
 
     A width mismatch is named first, then the first nominal position, in
-    the columns or in ``x0``, then the first value that is not a finite
-    number a float holds.
+    the columns or in ``x0``.  The values keep the value rule, so each
+    number is finite in a float.
     """
     if len(x0) != len(columns):
         raise _dimensions(len(columns), len(x0))
     for pos, (column, b) in enumerate(zip(columns, x0)):
         if isinstance(column[0], str) or isinstance(b, str):  # columns hold one kind
             raise _nominal(pos)
-    b = _floats(x0)
-    if not all(map(math.isfinite, b)):  # a NaN or inf distance meets no reach
-        raise _number_fault_at(x0)
-    return b
+    return tuple(map(float, x0))
 
 
 def _column_distances(
@@ -209,8 +204,8 @@ def _selections(
     spec: NeighborhoodSpec, training: TrainingSet, queries: FeatureColumns
 ) -> Iterator[list[int]]:
     """Indices, in training order, of the cases the rule selects at each row of ``queries``."""
-    grid = _CellGrid(tuple(column if isinstance(column[0], str) else _floats(column, j)
-                           for j, column in enumerate(training.columns.columns)), spec)
+    grid = _CellGrid(tuple(column if isinstance(column[0], str) else tuple(map(float, column))
+                           for column in training.columns.columns), spec)
     for x0 in queries.rows():
         yield grid.selected(x0)
 
@@ -503,10 +498,7 @@ class TreePartition:
 
     def route(self, x: FeatureVector) -> TreeLeaf:
         """The leaf ``x`` reaches: the one-row case of routing a block."""
-        leaves, fault = _leaves(self, FeatureColumns.of((x,)))
-        if fault is not None:
-            raise fault
-        return leaves[0]
+        return _leaves(self, FeatureColumns.of((x,)))[0]
 
     def leaves(self) -> tuple[TreeLeaf, ...]:
         found: list[TreeLeaf] = []
@@ -558,11 +550,6 @@ def _best_split(
     return best
 
 
-def _first_in_case_order(faults: Iterable[int | None]) -> tuple[int, int] | None:
-    """(case, position) of the first fault in case order, given each position's first fault."""
-    return min(((i, pos) for pos, i in enumerate(faults) if i is not None), default=None)
-
-
 def dtree_build(training: TrainingSet, cfg: TreeConfig = TreeConfig()) -> TreePartition:
     """Grow a binary partition of the ordinal feature space.
 
@@ -572,7 +559,7 @@ def dtree_build(training: TrainingSet, cfg: TreeConfig = TreeConfig()) -> TreePa
     split.
     """
     columns, ys = training.columns.columns, training.feedbacks
-    unranked = _first_in_case_order(_unfit(column, (int,)) for column in columns)
+    unranked = _first_in_row_order(_unfit(column, (int,)) for column in columns)
     if unranked is not None:
         i, j = unranked
         raise SchemaMismatch(f"case {i + 1}, feature {j + 1}: tree features must be ordinal ranks")
@@ -626,61 +613,34 @@ def _leaf_answers(tree: TreePartition, training: TrainingSet, queries: FeatureCo
     """Each query's leaf vote, in row order (:func:`_leaves`).
 
     Each leaf's vote is taken when a query first reaches it, so a query
-    at an empty leaf, or one that cannot be routed, stops the answers there.
+    at an empty leaf stops the answers there.
     """
     require_labels(training, YKind.BINARY01)
     feedbacks = training.feedbacks
-    leaf_of, fault = _leaves(tree, queries)
     votes: dict[int, tuple[int, float, int]] = {}  # id of a reached leaf -> its answer
-    for leaf in leaf_of:
+    for leaf in _leaves(tree, queries):
         answer = votes.get(id(leaf))
         if answer is None:
             ys = [feedbacks[i] for i in _leaf_indices(leaf)]
             answer = votes[id(leaf)] = (*_vote(_mean(ys)), len(ys))
         yield answer
-    if fault is not None:
-        raise fault
 
 
-def _leaves(
-    tree: TreePartition, queries: FeatureColumns
-) -> tuple[list[TreeLeaf], SchemaMismatch | None]:
-    """The leaf each query reaches, in row order, up to the first that cannot be routed, and why.
+def _leaves(tree: TreePartition, queries: FeatureColumns) -> list[TreeLeaf]:
+    """The leaf each query reaches, in row order.
 
-    A block whose every column has a finite sum goes down the tree as
-    lists of row indices (:func:`_routed`): a sum is NaN or inf where a
-    value is, and fails on a value that is no number.  Any other block is
-    walked down one query at a time, up to the first whose path meets a
-    value no threshold orders (a symbol, None, a NaN or inf); the fault
-    names it.  The fault is None when every query is routed.
+    The block goes down the tree as lists of row indices (:func:`_routed`);
+    its values keep the value rule, so every number is ordered against a
+    threshold, and only a column of symbols is refused (:func:`_require_numbers`).
     """
     if queries.n != tree.n_features:
         raise SchemaMismatch(f"tree splits {tree.n_features} features, vector has {queries.n}")
-    try:
-        finite = all(math.isfinite(sum(column)) for column in queries.columns)
-    except (TypeError, OverflowError):  # no number, or an int beyond the float range
-        finite = False
-    if finite:
-        leaf_of: list = [None] * len(queries)
-        for leaf, indices in _routed(tree, queries):
-            for i in indices:
-                leaf_of[i] = leaf
-        return leaf_of, None
-    leaf_of = []
-    for i, values in enumerate(queries.rows(), 1):
-        node = tree.root
-        while isinstance(node, TreeNode):
-            value = values[node.feature]
-            try:
-                left = value <= node.threshold
-            except TypeError:
-                left = None
-            if left is None or isinstance(value, float) and not math.isfinite(value):
-                return leaf_of, SchemaMismatch(
-                    f"row {i}, feature {node.feature + 1}: {_number_fault(value)}")
-            node = node.left if left else node.right
-        leaf_of.append(node)
-    return leaf_of, None
+    _require_numbers(queries)
+    leaf_of: list = [None] * len(queries)
+    for leaf, indices in _routed(tree, queries):
+        for i in indices:
+            leaf_of[i] = leaf
+    return leaf_of
 
 
 def _routed(
@@ -748,13 +708,13 @@ def _require_query_width(n: int, training: TrainingSet) -> None:
 def _nominal_values(values: Sequence[FeatureValue]) -> Sequence[str]:
     for pos, v in enumerate(values):
         if not isinstance(v, str):
-            raise SchemaMismatch(f"feature {pos + 1} must be nominal, got {_shown(v)}")
+            raise SchemaMismatch(f"feature {pos + 1} must be nominal, got {v!r}")
     return values
 
 
 def _observed_values(features: FeatureColumns) -> list[set[str]]:
     """The set of values seen at each position; every value must be nominal, as row 1's are."""
-    _nominal_values([column[0] for column in features.columns])
+    _nominal_values(next(features.rows()))
     return [set(column) for column in features.columns]
 
 
@@ -789,8 +749,8 @@ def _nb_tallies(
     cases = Counter(chain(*columns))
     ones = Counter(v for column in columns for v, y in zip(column, ys) if y == 1)
     _require_query_width(queries.n, training)
+    _nominal_values(next(queries.rows(), ()))  # a column holds one kind, as row 1's
     for values in queries.rows():
-        _nominal_values(values)
         # A FeatureSchema keeps nominal symbol sets apart, so data read
         # through one never meets here.  Otherwise value sets meet only
         # where one value sits at two positions; then the pooled check

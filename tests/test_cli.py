@@ -730,10 +730,10 @@ class TestModelChecks:
         self._rejected(model, write("q.csv", "x\n1\n"), write("n.csv", BIN_CSV), capsys,
                        f"{model}: a nb model takes only nominal features")
 
-    @pytest.mark.parametrize("total", [math.inf, -math.inf, math.nan, 2**1024, -1.0, -5e-324,
-                                       "abc", "0.5", True, [0.5]],
-                             ids=["inf", "-inf", "nan", "2**1024", "-1.0", "-5e-324", "abc",
-                                  "text-0.5", "True", "list"])
+    @pytest.mark.parametrize("total", [math.inf, -math.inf, math.nan, 2**1024, 2**1024 - 2**970,
+                                       -1.0, -5e-324, "abc", "0.5", True, [0.5]],
+                             ids=["inf", "-inf", "nan", "2**1024", "2**1024-2**970", "-1.0",
+                                  "-5e-324", "abc", "text-0.5", "True", "list"])
     @pytest.mark.parametrize("family", ["svm", "knn"])
     def test_a_total_that_is_not_a_finite_number_at_least_0_is_a_data_error(
             self, write, tmp_path, capsys, family, total):
@@ -748,7 +748,8 @@ class TestModelChecks:
                        data, capsys, f"{model}: total_inconsistency must be a finite number "
                        f">= 0, or null, got {total!r}")
 
-    @pytest.mark.parametrize("total", [None, 0, 0.0, 3, 1.7976931348623157e308])
+    @pytest.mark.parametrize("total", [None, 0, 0.0, 3, 1.7976931348623157e308,
+                                       pytest.param(2**1024 - 2**970 - 1, id="2**1024-2**970-1")])
     def test_a_total_that_is_null_or_a_finite_number_at_least_0_loads(self, write, tmp_path,
                                                                       total):
         data, model = write("d.csv", PM1_CSV), tmp_path / "m.json"

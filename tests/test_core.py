@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -31,23 +32,28 @@ from minconsist import (
     select_hypothesis,
     training_set,
 )
-from minconsist.core import least_inconsistent
+from minconsist.core import Param, least_inconsistent
 
 
 # Each fault a training set can have, and the message that names it.
 FAULTS = [
     ([((1, 2), 0), ((3,), 1)], SchemaMismatch, "case 2 has 1 features, case 1 has 2"),
-    ([((1, 2), 0), ((3, True), 1)], SchemaMismatch, "unsupported feature value True"),
-    ([((1, 2), 0), ((3, None), 1)], SchemaMismatch, "unsupported feature value None"),
-    ([((1, 2), 0), ((3, math.inf), 1)], SchemaMismatch, "feature values must be finite"),
+    ([((1, 2), 0), ((3, True), 1)], SchemaMismatch,
+     "row 2, feature 2: unsupported feature value True"),
+    ([((1, 2), 0), ((3, None), 1)], SchemaMismatch,
+     "row 2, feature 2: unsupported feature value None"),
+    ([((1, 2), 0), ((3, math.inf), 1)], SchemaMismatch,
+     "row 2, feature 2: value inf is not finite"),
+    ([((1, 2), 0), ((3, 10 ** 400), 1)], SchemaMismatch,
+     "row 2, feature 2: value 1.000E+400 is beyond the float range"),
     ([((1, 2), 0), ((3, 4), False)], SchemaMismatch,
      "feedback must be a real number, got False"),
     ([((1, 2), 0), ((3, 4), "1")], SchemaMismatch, "feedback must be a real number, got '1'"),
-    ([((1, 2), 0), ((3, 4), math.nan)], SchemaMismatch, "feedback must be finite"),
+    ([((1, 2), 0), ((3, 4), math.nan)], SchemaMismatch, "feedback value nan is not finite"),
     ([((1, 2), 0), ((3, 4), -(10 ** 400))], SchemaMismatch,
      "feedback value -1.000E+400 is beyond the float range"),
     ([((1, "a"), 0), ((2, "b"), 1), ((3, 4), 0)], SchemaMismatch,
-     "case 3, feature 2: mixed value kinds in one column"),
+     "row 3, feature 2: mixed value kinds in one column"),
     ([((1, 2), 0), ((3, 4), 1), ((1, 2), 1)], DuplicateFeatureVector,
      "cases 1 and 3 share feature vector (1, 2)"),
     ([((1, 2), 0), ((1.0, 2.0), 1)], DuplicateFeatureVector,
@@ -55,37 +61,38 @@ FAULTS = [
     ([], EmptySet, "a training set needs at least one case"),
 ]
 
-# Of two faults, the one named: first a bad value or feedback in any case,
-# in case order (within a case, the values before the feedback); then, case
-# by case, a width unlike case 1's, mixed kinds (lowest feature first) and a
-# repeated vector.
+# Of two faults, the one named: first a width unlike case 1's; then a bad
+# value or a value of a kind unlike row 1's, in row order (lowest feature
+# first); then a bad feedback; then a repeated vector.
 TWO_FAULTS = [
     ([((1, 2), 0), ((3,), 1), ((True, 4), 0)], SchemaMismatch,
-     "unsupported feature value True"),
+     "case 2 has 1 features, case 1 has 2"),
     ([((1, 2), 0), ((3, 4), math.nan), ((True, 5), 0)], SchemaMismatch,
-     "feedback must be finite"),
-    ([((1, 2), 0), ((3, math.nan), "y")], SchemaMismatch, "feature values must be finite"),
+     "row 3, feature 1: unsupported feature value True"),
+    ([((1, 2), 0), ((3, math.nan), "y")], SchemaMismatch,
+     "row 2, feature 2: value nan is not finite"),
     ([((1, 2), 0), ((3, None), 0), ((math.inf, 5), 0)], SchemaMismatch,
-     "unsupported feature value None"),
+     "row 2, feature 2: unsupported feature value None"),
     ([((1, 2), 0), ((1, 2), 1), ((3, 4), True)], SchemaMismatch,
      "feedback must be a real number, got True"),
-    ([((1, 2), 0), ((3, None), 10 ** 400)], SchemaMismatch, "unsupported feature value None"),
+    ([((1, 2), 0), ((3, None), 10 ** 400)], SchemaMismatch,
+     "row 2, feature 2: unsupported feature value None"),
     ([((1, 2), 10 ** 400), ((1, 2), 1)], SchemaMismatch,
      "feedback value 1.000E+400 is beyond the float range"),
-    ([((1, 2), 0), ((1, 2), 1), (("a", 4), 0)], DuplicateFeatureVector,
-     "cases 1 and 2 share feature vector (1, 2)"),
+    ([((1, 2), 0), ((1, 2), 1), (("a", 4), 0)], SchemaMismatch,
+     "row 3, feature 1: mixed value kinds in one column"),
     ([((1, 2), 0), (("a", 4), 1), ((1, 2), 0)], SchemaMismatch,
-     "case 2, feature 1: mixed value kinds in one column"),
+     "row 2, feature 1: mixed value kinds in one column"),
     ([((1, 2), 0), ((3, "b"), 1), (("a", 4), 0)], SchemaMismatch,
-     "case 2, feature 2: mixed value kinds in one column"),
+     "row 2, feature 2: mixed value kinds in one column"),
     ([((1, 2), 0), (("a", "b"), 1)], SchemaMismatch,
-     "case 2, feature 1: mixed value kinds in one column"),
+     "row 2, feature 1: mixed value kinds in one column"),
     ([((1, 2), 0), ((1,), 0), ((1, 2), 1)], SchemaMismatch,
      "case 2 has 1 features, case 1 has 2"),
     ([((1, 2), 0), ((5, 6, 7), 0), (("a", 2), 1)], SchemaMismatch,
      "case 2 has 3 features, case 1 has 2"),
     ([((1, 2), 0), (("a", 2), 1), ((5,), 0)], SchemaMismatch,
-     "case 2, feature 1: mixed value kinds in one column"),
+     "case 3 has 1 features, case 1 has 2"),
 ]
 
 
@@ -153,14 +160,15 @@ class TestTrainingSet:
             training_set([((5,), 0), ((5,), 1)])
 
     def test_a_vector_too_long_for_repr_is_named(self):
-        # repr refuses an int of more than 4,300 digits; the message writes it as Decimal does.
-        for big, named in ((10 ** 5000, "(1.000E+5000,)"), (-(10 ** 5000), "(-1.000E+5000,)")):
-            with pytest.raises(DuplicateFeatureVector) as caught:
+        # repr refuses an int of more than 4,300 digits; such an int is beyond the float
+        # range, so the columns refuse it, and the message writes it as Decimal does.
+        for big, named in ((10 ** 5000, "1.000E+5000"), (-(10 ** 5000), "-1.000E+5000")):
+            with pytest.raises(SchemaMismatch) as caught:
                 training_set([((big,), 0), ((big,), 1)])
-            assert str(caught.value) == f"cases 1 and 2 share feature vector {named}"
-        with pytest.raises(DuplicateFeatureVector) as caught:
+            assert str(caught.value) == f"row 1, feature 1: value {named} is beyond the float range"
+        with pytest.raises(SchemaMismatch) as caught:
             training_set([((1, 10 ** 5000), 0), ((1, 10 ** 5000), 1)])
-        assert str(caught.value) == "cases 1 and 2 share feature vector (1, 1.000E+5000)"
+        assert str(caught.value) == "row 1, feature 2: value 1.000E+5000 is beyond the float range"
 
     def test_dimension_homogeneity(self):
         with pytest.raises(SchemaMismatch):
@@ -250,6 +258,31 @@ class TestHypotheses:
     def test_linear_rejects_non_finite(self):
         with pytest.raises(InvalidParameter):
             LinearHypothesis((float("nan"),), 0.0)
+
+    def test_linear_rejects_bools_and_takes_the_ints_a_float_holds(self):
+        # A bool is no number; float() rounds an int below 2**1024 - 2**970 to a finite float.
+        for b, a in (((True,), 0.0), ((1.0,), False)):
+            with pytest.raises(InvalidParameter,
+                               match="^linear coefficients must be numbers, got (True|False)$"):
+                LinearHypothesis(b, a)
+        f = LinearHypothesis((2 ** 1024 - 2 ** 970 - 1,), 0)
+        assert (f.b, f.a) == ((sys.float_info.max,), 0.0)
+        with pytest.raises(InvalidParameter, match="^linear coefficients must be finite$"):
+            LinearHypothesis((2 ** 1024 - 2 ** 970,), 0)
+
+
+class TestParam:
+    def test_a_float_parameter_takes_the_ints_a_float_holds(self):
+        # float() rounds an int below 2**1024 - 2**970 to a finite float, and that one beyond.
+        w = Param("w", "--w", float, low=0.0, strict=True)
+        w.check(2 ** 1024 - 2 ** 970 - 1)
+        for big, written in ((2 ** 1024 - 2 ** 970, str(2 ** 1024 - 2 ** 970)),
+                             (10 ** 5000, "1.000E+5000")):
+            with pytest.raises(InvalidParameter) as caught:
+                w.check(big)
+            assert str(caught.value) == f"w must be a number > 0, got {written}"
+        with pytest.raises(InvalidParameter, match="^w must be a number > 0, got True$"):
+            w.check(True)
 
 
 class TestCaseGeneration:
@@ -341,14 +374,15 @@ class TestSelectHypothesis:
         ("erm", {}, (1, 0)),
     ])
     def test_an_int_beyond_the_float_range_is_named(self, family, params, labels):
-        # The value rule admits any int; the families that compute with
-        # features name one that no float holds.
+        # The value rule admits an int that float() holds: the training set names one
+        # beyond the range before a family sees it, and the family fits the largest one.
         for big, named in ((10 ** 400, "1.000E+400"), (10 ** 5000, "1.000E+5000"),
-                           (-(2 ** 1024), "-1.798E+308")):
-            T = training_set([((0, 0), labels[1]), ((0, big), labels[0])])
-            message = f"case 2, feature 2: value {named} is beyond the float range"
+                           (-(2 ** 1024), "-1.798E+308"), (2 ** 1024 - 2 ** 970, "1.798E+308")):
+            message = f"row 2, feature 2: value {named} is beyond the float range"
             with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
-                select_hypothesis(family, params, T)
+                training_set([((0, 0), labels[1]), ((0, big), labels[0])])
+        T = training_set([((0, 0), labels[1]), ((0, 2 ** 1024 - 2 ** 970 - 1), labels[0])])
+        assert math.isfinite(select_hypothesis(family, params, T)[1])
 
     @pytest.mark.parametrize("family, params", [
         ("smoothing", {"k": 1}), ("svr", {"epsilon": 0.1, "lambda": 0.1}), ("erm", {}),
@@ -364,8 +398,11 @@ class TestSelectHypothesis:
         largest = 2 ** 1024 - 2 ** 971  # the largest float, as an int
         assert training_set([((0,), largest), ((1,), 0)]).feedbacks[0] == largest
 
-    def test_ranks_and_symbols_keep_any_int(self):
-        T = training_set([((10 ** 400,), 1), ((0,), 0)])
+    def test_ranks_and_symbols_keep_ints_a_float_holds(self):
+        # A tree only compares its ranks, yet a rank keeps the value rule too.
+        with pytest.raises(SchemaMismatch, match=r"^row 1, feature 1: value 1\.000E\+400 is "):
+            training_set([((10 ** 400,), 1), ((0,), 0)])
+        T = training_set([((2 ** 1024 - 2 ** 970 - 1,), 1), ((0,), 0)])
         assert select_hypothesis("dtree", {}, T)[1] == 0.0
         with pytest.raises(SchemaMismatch, match="feature 1 must be nominal"):
             select_hypothesis("nb", {}, T)

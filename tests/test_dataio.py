@@ -424,6 +424,14 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="nests too deeply"):
             load_model(path)
 
+    def test_an_int_too_long_to_read_is_a_format_error(self, tmp_path):
+        # json refuses an int of more digits than int-to-str conversion allows.
+        path = tmp_path / "m.json"
+        save_model(_linear_model(), path)
+        path.write_text(path.read_text().replace('"version": 1', '"version": 1' + "0" * 5000))
+        with pytest.raises(ModelFormatError, match="is not valid JSON: Exceeds the limit"):
+            load_model(path)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.json")

@@ -492,21 +492,24 @@ class TestLearnerAdapters:
                 select_hypothesis(family, params, T)
 
     def test_a_block_value_that_is_no_number_a_float_holds_is_named(self):
-        # A block is not checked before it is applied; its fault names the first bad row.
-        f = LinearHypothesis((1.0, 2.0), 0.5)
+        # A block checks its values when it is built, and names the first bad row.
         for bad, fault in ((10 ** 400, "value 1.000E+400 is beyond the float range"),
                            (-(10 ** 400), "value -1.000E+400 is beyond the float range"),
-                           ("a", "unsupported feature value 'a'"),
+                           ("a", "mixed value kinds in one column"),
                            (None, "unsupported feature value None")):
             message = f"row 2, feature 2: {fault}"
-            queries = FeatureColumns(((1.0, 2.0, 3.0), (0.0, bad, None)))
             with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
-                f.block(queries)
-            for family in ("svm", "svr", "erm"):
-                with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
-                    list(family_spec(family).answers({}, f, None, queries))
-        with pytest.raises(SchemaMismatch, match=r"^row 1, feature 1: value 1\.000E\+400 is"):
+                FeatureColumns(((1.0, 2.0, 3.0), (0.0, bad, None)))
+        with pytest.raises(SchemaMismatch, match=r"^feature 1: value 1\.000E\+400 is"):
             LinearHypothesis((1.0,), 0.0)(FeatureVector.of(10 ** 400))
+        # A block of symbols is built, and a linear hypothesis refuses it.
+        f, queries = LinearHypothesis((1.0, 2.0), 0.5), FeatureColumns(((1.0, 2.0), ("a", "b")))
+        message = "^row 1, feature 2: unsupported feature value 'a'$"
+        with pytest.raises(SchemaMismatch, match=message):
+            f.block(queries)
+        for family in ("svm", "svr", "erm"):
+            with pytest.raises(SchemaMismatch, match=message):
+                list(family_spec(family).answers({}, f, None, queries))
         # A nominal training set reaches the block through the slack and the plain total.
         T = training_set([(("a",), 1), (("b",), -1)])
         message = "^row 1, feature 1: unsupported feature value 'a'$"
@@ -516,20 +519,14 @@ class TestLearnerAdapters:
                 score()
 
     def test_a_block_value_that_is_not_finite_is_named(self):
-        # A NaN or inf makes its row's sum NaN or inf, also where its coefficient is 0,
-        # and only a total that is not a finite real starts the search for a fault.
-        for f in (LinearHypothesis((1.0, 2.0), 0.5), LinearHypothesis((1.0, 0.0), 0.5)):
-            for bad, fault in ((math.nan, "value nan is not finite"),
-                               (math.inf, "value inf is not finite"),
-                               (-math.inf, "value -inf is not finite"),
-                               (1j, "unsupported feature value 1j")):
-                message = f"row 2, feature 2: {fault}"
-                queries = FeatureColumns(((1.0, 2.0, 3.0), (0.0, bad, 1.0)))
-                with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
-                    f.block(queries)
-                for family in ("svm", "svr", "erm"):
-                    with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
-                        list(family_spec(family).answers({}, f, None, queries))
+        # A block refuses a NaN, an inf and a value of no kind when it is built.
+        for bad, fault in ((math.nan, "value nan is not finite"),
+                           (math.inf, "value inf is not finite"),
+                           (-math.inf, "value -inf is not finite"),
+                           (1j, "unsupported feature value 1j")):
+            message = f"row 2, feature 2: {fault}"
+            with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+                FeatureColumns(((1.0, 2.0, 3.0), (0.0, bad, 1.0)))
         # Finite values whose sum is beyond the range are no fault of the block's.
         block = LinearHypothesis((1e308,), 0.0).block(FeatureColumns(((10.0, 1.0),)))
         assert block == [math.inf, 1e308]

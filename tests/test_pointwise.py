@@ -78,40 +78,38 @@ class TestDistance:
             distance(vec(0.0), vec(1.0, 2.0))
 
     def test_a_query_int_beyond_the_float_range_is_named(self):
-        # The training set is measurable; the query's second value is not.
-        T = training_set([((0, 1), 1), ((2, 3), 0)])
-        query = vec(1, -(10 ** 400))
+        # The query vector refuses the value before a family can measure it.
         message = r"^feature 2: value -1\.000E\+400 is beyond the float range$"
-        for answer in (lambda: knn_predict(query, T, 1),
-                       lambda: smoothing_fit(query, T, NeighborhoodSpec(KNearest(1))),
-                       lambda: smoothing_counterparts(query, T,
-                                                      NeighborhoodSpec(FixedRadius(1.0))),
-                       lambda: distance(vec(0, 1), query)):
+        for values in ((1, -(10 ** 400)), ("a", -(10 ** 400)), (1, -(10 ** 400), 0)):
             with pytest.raises(SchemaMismatch, match=message):
-                answer()
-        # a width mismatch and a nominal position are named first
-        with pytest.raises(SchemaMismatch, match="dimension 2 and 3"):
-            knn_predict(vec(10 ** 400, 0, 0), T, 1)
-        with pytest.raises(SchemaMismatch, match="feature 2 is nominal"):
-            knn_predict(vec(10 ** 400, "a"), T, 1)
-
+                vec(*values)
+        # The largest int a float holds is measured: it is as far as the largest float.
+        top = 2 ** 1024 - 2 ** 970 - 1
+        for metric in ("euclidean", "manhattan"):
+            assert distance(vec(0, 1), vec(0, top), metric) == float(top)
+        T = training_set([((0, 1), 1), ((2, 3), 0)])
+        assert knn_predict(vec(0, top), T, 1)[0] == 0
 
     @pytest.mark.parametrize("family, params", [
         ("knn", {"k": 1}), ("knn", {"k": 2, "metric": "manhattan"}),
         ("smoothing", {"k": 1}), ("smoothing", {"radius": 2.0}),
     ])
     def test_a_query_value_that_is_not_finite_is_named(self, family, params):
-        # A block is not checked before it is answered; the answers before the bad query come out.
+        # A block refuses a bad value when it is built, naming its row.  A block holding
+        # the largest int a float holds is answered, or meets no case within the radius.
         T = training_set([((0, 1), 1), ((2, 3), 0), ((4, 4), 1)])
         spec = family_spec(family)
         params = spec.complete(params)
-        clean = list(spec.answers(params, None, T, FeatureColumns(((0,), (1,)))))
         for bad in (math.nan, math.inf, -math.inf, None):
-            answers = []
-            with pytest.raises(SchemaMismatch, match=f"^feature 2: .*{bad!r}"):
-                for answer in spec.answers(params, None, T, FeatureColumns(((0, 1), (1, bad)))):
-                    answers.append(answer)
-            assert answers == clean
+            with pytest.raises(SchemaMismatch, match=f"^row 2, feature 2: .*{bad!r}"):
+                FeatureColumns(((0, 1), (1, bad)))
+        clean = list(spec.answers(params, None, T, FeatureColumns(((0,), (1,)))))
+        block = FeatureColumns(((0, 1), (1, 2 ** 1024 - 2 ** 970 - 1)))
+        if "radius" in params:
+            with pytest.raises(EmptyNeighborhood):
+                list(spec.answers(params, None, T, block))
+        else:
+            assert list(spec.answers(params, None, T, block))[:1] == clean
 
 
 class TestNeighborhoods:
@@ -311,35 +309,30 @@ class TestTreeQueries:
         assert part.route(vec(3)).leaf_id == part.route(vec(4)).leaf_id
 
     def test_a_query_holding_a_symbol_or_none_is_named(self):
-        # Routing compares a query's values with ranks only where its path tests them.
+        # A block of symbols is built, and routing refuses it; a block refuses a None,
+        # or a symbol among numbers, when it is built.
         part = dtree_build(self.T)
         message = "^row 1, feature 1: unsupported feature value 'a'$"
         with pytest.raises(SchemaMismatch, match=message):
             dtree_predict(vec("a"), part, self.T)
         with pytest.raises(SchemaMismatch, match=message):
             part.route(vec("a"))
-        for bad in ("a", None):
-            answers = []
-            message = f"^row 3, feature 1: unsupported feature value {re.escape(repr(bad))}$"
-            with pytest.raises(SchemaMismatch, match=message):
-                for answer in family_spec("dtree").answers({}, part, self.T,
-                                                            FeatureColumns(((1, 4, bad, 2),))):
-                    answers.append(answer)
-            assert answers == [0, 1]
+        with pytest.raises(SchemaMismatch, match=message):
+            list(family_spec("dtree").answers({}, part, self.T, FeatureColumns((("a", "b"),))))
+        for bad, fault in (("a", "mixed value kinds in one column"),
+                           (None, "unsupported feature value None")):
+            with pytest.raises(SchemaMismatch, match=f"^row 3, feature 1: {re.escape(fault)}$"):
+                FeatureColumns(((1, 4, bad, 2),))
 
     def test_a_query_value_that_is_not_finite_is_named(self):
-        # No threshold orders a NaN, and an inf is no rank; the answers before it come out.
-        part = dtree_build(self.T)
+        # No threshold orders a NaN, and an inf is no rank: the block refuses both.
         for bad in (math.nan, math.inf, -math.inf):
-            answers = []
             message = f"^row 3, feature 1: value {re.escape(repr(bad))} is not finite$"
             with pytest.raises(SchemaMismatch, match=message):
-                for answer in family_spec("dtree").answers({}, part, self.T,
-                                                            FeatureColumns(((1, 4, bad, 2),))):
-                    answers.append(answer)
-            assert answers == [0, 1]
-        # Values whose column sum is beyond the range are walked down, and routed.
-        for column, labels in (((1e308, 1e308, 1), [1, 1, 0]), ((10 ** 400, 1.5, 1), [1, 0, 0])):
+                FeatureColumns(((1, 4, bad, 2),))
+        # Values whose column sum is beyond the range are routed.
+        part, top = dtree_build(self.T), 2 ** 1024 - 2 ** 970 - 1
+        for column, labels in (((1e308, 1e308, 1), [1, 1, 0]), ((top, 1.5, 1), [1, 0, 0])):
             answers = family_spec("dtree").answers({}, part, self.T, FeatureColumns((column,)))
             assert list(answers) == labels
 
@@ -400,11 +393,14 @@ class TestNbScoring:
             nb_predict(vec("a", "b"), T)  # the query's width is wrong as well
 
     def test_a_query_int_too_long_for_repr_is_named(self):
-        # repr refuses an int of more than 4,300 digits; the message writes it as Decimal does.
-        T = training_set([(("a",), 1), (("b",), 0)])
-        message = r"^feature 1 must be nominal, got 1\.000E\+5000$"
+        # repr refuses an int of more than 4,300 digits; the block refuses it as beyond
+        # the float range, written as Decimal writes it.  nb names a number it cannot take.
+        message = r"^row 1, feature 1: value 1\.000E\+5000 is beyond the float range$"
         with pytest.raises(SchemaMismatch, match=message):
-            list(family_spec("nb").answers({}, None, T, FeatureColumns(((10 ** 5000,),))))
+            FeatureColumns(((10 ** 5000,),))
+        T = training_set([(("a",), 1), (("b",), 0)])
+        with pytest.raises(SchemaMismatch, match=r"^feature 1 must be nominal, got 10$"):
+            list(family_spec("nb").answers({}, None, T, FeatureColumns(((10,),))))
 
     def test_predict_multiplies_per_feature_scores(self):
         T = training_set(

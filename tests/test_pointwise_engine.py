@@ -145,10 +145,11 @@ def rule(family, params, tree, training, queries):
 def blocks(family, params, tree, training, queries):
     """The rule's answers at the vectors ``queries``, in order.
 
-    A rule takes a block of columns, all of one width, so each run of
-    vectors of one width goes in as a block of its own.
+    A rule takes a block of columns, all of one width and each of one
+    kind, so each run of vectors of one width, with symbols at the same
+    positions, goes in as a block of its own.
     """
-    for _, run in itertools.groupby(queries, key=lambda x: x.n):
+    for _, run in itertools.groupby(queries, key=lambda x: [isinstance(v, str) for v in x.values]):
         yield from rule(family, params, tree, training, FeatureColumns.of(list(run)))
 
 
